@@ -21,19 +21,18 @@
 // with §5.2.5 adaptive re-planning), POST /v1/campaigns/{id}/observe
 // records each interval's arrivals and completions, and
 // GET /v1/campaigns/{id}/price quotes the policy's current price in O(1).
-// Idle campaigns expire after -campaign-ttl; with -campaign-snapshot the
-// table is restored from the file at boot and written back on graceful
-// shutdown, so restarts resume quoting identical prices.
+// Idle campaigns expire after -campaign-ttl.
 //
-// For crash durability — not just graceful restarts — run with -wal-dir:
-// every campaign mutation is appended to a checksummed event log, group
-// committed within -wal-sync-interval off the quote hot path, and replayed
-// at boot (tolerating torn trailing writes from the crash itself). When
-// both flags are set, a non-empty log wins and the snapshot file is
-// ignored; a legacy snapshot with an empty log is migrated — restored,
-// then compacted into the log — so `-campaign-snapshot` deployments can
-// adopt `-wal-dir` with no manual step. Inspect a log with cmd/waldump;
-// regenerate rate fits from recorded traffic with cmd/walstats.
+// Campaigns survive restarts and crashes through one mechanism, the event
+// log under -wal-dir: every campaign mutation is appended to a checksummed
+// log, group committed within -wal-sync-interval off the quote hot path,
+// and replayed at boot (tolerating torn trailing writes from a crash), so
+// a restarted daemon resumes quoting identical prices. A graceful shutdown
+// (SIGINT or SIGTERM) drains in-flight requests, then flushes and fsyncs
+// the log. Without -wal-dir campaigns live in memory only. The old
+// -campaign-snapshot file is gone: a daemon started with that flag fails
+// at flag parsing. Inspect a log with cmd/waldump; regenerate rate fits
+// from recorded traffic with cmd/walstats.
 //
 // Observability: every request is traced through the pipeline stages
 // (decode, engine queue, solve, quoter decode, campaign lock, WAL append);
@@ -84,9 +83,6 @@
 //	      neighboring factors solve in the background the first time the
 //	      rate estimate drifts to them (default false: pre-solve the whole
 //	      bank on the engine's background lane)
-//	-campaign-snapshot string
-//	      campaign snapshot file: restored at boot if present, written on
-//	      graceful shutdown ("" disables)
 //	-wal-dir string
 //	      campaign event-log directory: replayed at boot, appended while
 //	      serving ("" disables durability)
@@ -149,7 +145,6 @@ func main() {
 	campaignTTL := flag.Duration("campaign-ttl", campaign.DefaultTTL, "expire campaigns idle for this long; negative never expires")
 	quoterBudget := flag.Int64("quoter-memory-budget", 0, "byte budget for decoded campaign policy tables; 0 means unlimited")
 	lazyBank := flag.Bool("lazy-bank", false, "solve adaptive bank factors on first use instead of at create")
-	campaignSnap := flag.String("campaign-snapshot", "", `campaign snapshot file: restored at boot, written on graceful shutdown ("" disables)`)
 	walDir := flag.String("wal-dir", "", `campaign event-log directory: replayed at boot, appended while serving ("" disables durability)`)
 	walSync := flag.Duration("wal-sync-interval", wal.DefaultSyncInterval, "group-commit fsync window for the campaign event log")
 	traceRequests := flag.Int("trace-requests", telemetry.DefaultKeep, "slowest recent request traces retained on /debug/requests; 0 disables tracing")
@@ -200,15 +195,11 @@ func main() {
 	})
 	defer srv.Close()
 
-	// Campaign durability, in boot order: recover + replay the event log
-	// first (a non-empty log is the authoritative state), fall back to the
-	// legacy JSON snapshot only when the log is empty, and migrate such a
-	// restore into the log by compacting it to a snapshot record.
-	var wlog *wal.Log
-	walReplayed := false
+	// Campaign durability, in boot order: recover and open the event log,
+	// replay it into the table, then attach it so every later mutation is
+	// logged.
 	if *walDir != "" {
-		var err error
-		wlog, err = srv.Campaigns().OpenWAL(*walDir, wal.Options{SyncInterval: *walSync})
+		wlog, err := srv.Campaigns().OpenWAL(*walDir, wal.Options{SyncInterval: *walSync})
 		if err != nil {
 			fatal("wal open failed", "dir", *walDir, "error", err)
 		}
@@ -230,85 +221,9 @@ func main() {
 			logger.Warn("wal recovery truncated torn bytes left by a crash mid-write",
 				"bytes", wm.TruncatedBytes)
 		}
-		walReplayed = stats.Records > 0
 		logger.Info("wal replayed",
 			"dir", *walDir, "records", stats.Records, "snapshots", stats.Snapshots,
 			"campaigns", stats.Campaigns, "elapsed", time.Since(begin).Round(time.Millisecond))
-	}
-	if *campaignSnap != "" {
-		restoreFailed := false
-		if walReplayed {
-			if _, err := os.Stat(*campaignSnap); err == nil {
-				logger.Info("campaign snapshot ignored: the non-empty event log wins",
-					"snapshot", *campaignSnap, "wal_dir", *walDir)
-			}
-		} else if f, err := os.Open(*campaignSnap); err == nil {
-			restoreCtx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
-			err = srv.Campaigns().Restore(restoreCtx, f)
-			cancel()
-			f.Close()
-			if err != nil {
-				restoreFailed = true
-				logger.Error("campaign restore failed; continuing with an empty table",
-					"snapshot", *campaignSnap, "error", err)
-			} else {
-				logger.Info("campaigns restored",
-					"snapshot", *campaignSnap, "campaigns", srv.Campaigns().Metrics().Active)
-			}
-		} else if !errors.Is(err, os.ErrNotExist) {
-			// The file exists but could not be read: treat it like a failed
-			// restore so shutdown never replaces it with an empty table.
-			restoreFailed = true
-			logger.Error("campaign snapshot unreadable", "snapshot", *campaignSnap, "error", err)
-		}
-		defer func() {
-			// Never clobber the last good snapshot with a worse one: if the
-			// boot-time restore failed and nothing was created since, the
-			// file on disk is still the best state we have.
-			if restoreFailed && srv.Campaigns().Metrics().Active == 0 {
-				logger.Warn("keeping campaign snapshot untouched (restore failed and the table is empty)",
-					"snapshot", *campaignSnap)
-				return
-			}
-			// Write-then-rename so a crash or full disk mid-write cannot
-			// truncate the previous snapshot.
-			tmp := *campaignSnap + ".tmp"
-			f, err := os.Create(tmp)
-			if err != nil {
-				logger.Error("campaign snapshot write failed", "error", err)
-				return
-			}
-			if err := srv.Campaigns().Snapshot(f); err != nil {
-				f.Close()
-				os.Remove(tmp)
-				logger.Error("campaign snapshot write failed", "error", err)
-				return
-			}
-			if err := f.Close(); err != nil {
-				os.Remove(tmp)
-				logger.Error("campaign snapshot write failed", "error", err)
-				return
-			}
-			if err := os.Rename(tmp, *campaignSnap); err != nil {
-				logger.Error("campaign snapshot rename failed", "error", err)
-				return
-			}
-			logger.Info("campaign table written", "snapshot", *campaignSnap)
-		}()
-	}
-	if wlog != nil {
-		if !walReplayed {
-			if active := srv.Campaigns().Metrics().Active; active > 0 {
-				// Migration: fold the legacy-snapshot restore into the log as
-				// a compaction snapshot, so the next boot replays it from the
-				// log alone.
-				if err := wlog.Compact(); err != nil {
-					fatal("wal migration: seeding the log from the restored snapshot failed", "error", err)
-				}
-				logger.Info("wal migration: restored campaigns folded into the log",
-					"campaigns", active, "dir", *walDir)
-			}
-		}
 		srv.AttachWAL(wlog)
 	}
 
@@ -317,8 +232,8 @@ func main() {
 	// mux. The bind happens eagerly so a typo'd -debug-addr (or a taken
 	// port) fails fast, before the daemon serves traffic; once serving, an
 	// asynchronous error on this listener must not exit the process — that
-	// would skip the deferred WAL close and shutdown snapshot — so the
-	// serve goroutine logs and the daemon carries on without profiling.
+	// would skip the deferred WAL close — so the serve goroutine logs and
+	// the daemon carries on without profiling.
 	if *debugAddr != "" {
 		debugMux := http.NewServeMux()
 		debugMux.HandleFunc("/debug/pprof/", pprof.Index)

@@ -1,8 +1,9 @@
 // Command waldump inspects a campaign event log written by priced's
-// -wal-dir: it lists records (human or JSON lines), verifies frame
-// integrity, and can replay the whole log into a standard campaign
-// snapshot file — the migration path back from -wal-dir to
-// -campaign-snapshot, and a way to examine post-crash state offline.
+// -wal-dir: it lists records (human or JSON lines) and verifies frame
+// integrity. The log is the daemon's only durable campaign state, so this
+// is the offline view of what a restart would replay — after a crash, for
+// instance. A "snapshot" record in the listing is a compaction record
+// folding the older history into one table.
 //
 // The log directory is never modified: waldump scans read-only, stopping
 // (and reporting) at a torn tail exactly where priced's recovery would
@@ -13,7 +14,6 @@
 //	waldump -dir /var/lib/priced/wal                 # human listing
 //	waldump -dir /var/lib/priced/wal -json | jq .    # machine listing
 //	waldump -dir /var/lib/priced/wal -verify         # integrity check (exit 1 on damage)
-//	waldump -dir /var/lib/priced/wal -snapshot s.json  # replay → snapshot file
 //
 // Flags:
 //
@@ -21,12 +21,9 @@
 //	-json              list records as JSON lines instead of the human format
 //	-verify            verify integrity only: print a summary, exit 1 if any
 //	                   segment is corrupt or a torn tail was found
-//	-snapshot string   replay the log through a real solve engine and write
-//	                   the campaign table as a snapshot JSON file ("-" = stdout)
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -34,7 +31,6 @@ import (
 	"os"
 
 	"crowdpricing/internal/campaign"
-	"crowdpricing/internal/engine"
 	"crowdpricing/internal/wal"
 )
 
@@ -43,26 +39,22 @@ func main() {
 	log.SetPrefix("waldump: ")
 	flag.Usage = func() {
 		o := flag.CommandLine.Output()
-		fmt.Fprintf(o, "usage: waldump -dir DIR [-json] [-verify] [-snapshot FILE]\n\n")
+		fmt.Fprintf(o, "usage: waldump -dir DIR [-json] [-verify]\n\n")
 		fmt.Fprintf(o, "Inspect a campaign event log written by priced -wal-dir.\n\nflags:\n")
 		flag.PrintDefaults()
 	}
 	dir := flag.String("dir", "", "log directory (required)")
 	asJSON := flag.Bool("json", false, "list records as JSON lines")
 	verify := flag.Bool("verify", false, "verify integrity only; exit 1 on corruption or a torn tail")
-	snapOut := flag.String("snapshot", "", `replay the log and write a campaign snapshot JSON here ("-" = stdout)`)
 	flag.Parse()
 	if *dir == "" || flag.NArg() > 0 {
 		flag.Usage()
 		os.Exit(1)
 	}
 
-	switch {
-	case *snapOut != "":
-		replayToSnapshot(*dir, *snapOut)
-	case *verify:
+	if *verify {
 		verifyLog(*dir)
-	default:
+	} else {
 		listRecords(*dir, *asJSON)
 	}
 }
@@ -129,31 +121,4 @@ func printSummary(report *wal.ScanReport) {
 		fmt.Fprintf(os.Stderr, "torn tail in %s: %d byte(s) past offset %d not replayed\n",
 			report.Torn.Name, report.Torn.Bytes, report.Torn.Offset)
 	}
-}
-
-// replayToSnapshot folds the log into a live campaign table — re-solving
-// every policy through a real engine, exactly as priced's boot replay
-// does — and writes the table in the -campaign-snapshot JSON schema.
-func replayToSnapshot(dir, out string) {
-	eng := engine.New(engine.Options{})
-	defer eng.Close()
-	m := campaign.NewManager(eng, nil, campaign.Options{TTL: -1})
-	defer m.Close()
-	stats, err := m.ReplayWAL(context.Background(), wal.NewReader(nil, dir))
-	if err != nil {
-		log.Fatal(err)
-	}
-	w := os.Stdout
-	if out != "-" {
-		f, err := os.Create(out)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		w = f
-	}
-	if err := m.Snapshot(w); err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("replayed %d record(s): %d campaign(s) written", stats.Records, stats.Campaigns)
 }

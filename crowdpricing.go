@@ -44,8 +44,9 @@
 // O(1) from the policy table. Deadline campaigns optionally re-plan
 // adaptively (§5.2.5): a bank of policies pre-solved over a grid of
 // arrival-rate scale factors, switched by a trailing-window rate estimate
-// on every observation. Idle campaigns expire on a TTL, and the table
-// snapshots to JSON so daemon restarts resume quoting identical prices.
+// on every observation. Idle campaigns expire on a TTL, and with an event
+// log attached (priced -wal-dir) every mutation is logged and replayed at
+// boot, so restarts and crashes resume quoting identical prices.
 // See PricingClient.CreateCampaign / ObserveCampaign / CampaignPrice /
 // FinishCampaign.
 //

@@ -100,12 +100,12 @@ func ExampleNewPricingClient() {
 		Penalty:      300,
 		TruncEps:     1e-9,
 	}
-	cold, err := client.SolveDeadline(context.Background(), req)
+	cold, err := client.Solve(context.Background(), "deadline", req)
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	warm, err := client.SolveDeadline(context.Background(), req)
+	warm, err := client.Solve(context.Background(), "deadline", req)
 	if err != nil {
 		fmt.Println(err)
 		return

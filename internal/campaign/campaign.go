@@ -18,11 +18,13 @@
 // mutex.
 //
 // A Manager owns the campaign table: create/observe/quote/finish lifecycle,
-// TTL expiry of abandoned campaigns, Prometheus-style counters, and JSON
-// snapshot/restore so a daemon restart does not drop live campaigns (the
-// snapshot stores each campaign's original request plus its dynamic state;
-// restore re-solves through the engine — deterministic, so restored
-// campaigns quote bit-identical prices).
+// TTL expiry of abandoned campaigns, Prometheus-style counters, and one
+// durability path, the event log (wal.go), so neither a restart nor a
+// crash drops live campaigns. The log stores each campaign's original
+// request plus its mutations, folded into snapshot records on compaction;
+// replay re-solves through the engine — deterministic, so replayed
+// campaigns quote bit-identical prices. Every campaign, live or replayed,
+// is built by one constructor (newCampaign).
 //
 // Adaptive mode implements the Section 5.2.5 controller from
 // internal/sim/adaptive.go as an online service: the bank of per-factor

@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -13,6 +12,7 @@ import (
 	"crowdpricing/internal/core"
 	"crowdpricing/internal/engine"
 	"crowdpricing/internal/kinds"
+	"crowdpricing/internal/wal"
 )
 
 // newTestManager builds a Manager over a real engine.
@@ -526,13 +526,21 @@ func TestTableFull(t *testing.T) {
 	}
 }
 
-// TestSnapshotRestore is the restart story: snapshot a live table, restore
-// it into a brand-new manager over a brand-new (cold) engine, and require
-// bit-identical quotes — the determinism of the solvers is what makes
-// storing requests instead of policies sound.
+// TestSnapshotRestore is the restart story: run a live table on an event
+// log that is compacted into a snapshot record mid-history, boot a
+// brand-new manager over a brand-new (cold) engine on that log, and
+// require bit-identical quotes — the determinism of the solvers is what
+// makes logging requests instead of policies sound.
 func TestSnapshotRestore(t *testing.T) {
 	a := newTestManager(t, Options{})
 	ctx := context.Background()
+	mem := wal.NewMemFS()
+	logA, err := a.OpenWAL("wal", wal.Options{FS: mem, SyncInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { logA.Close() })
+	a.AttachWAL(logA)
 
 	reqStatic := sampleRequest(t, kinds.KindDeadline, 31, "small")
 	stStatic, err := a.Create(ctx, kinds.KindDeadline, reqStatic, nil)
@@ -550,8 +558,15 @@ func TestSnapshotRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Advance each campaign into a nontrivial state.
+	// Advance each campaign into a nontrivial state, compacting halfway so
+	// the restart rebuilds from snapshot entries and replays the trailing
+	// observes on top of them.
 	for i := 0; i < 4; i++ {
+		if i == 2 {
+			if err := logA.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if _, err := a.Observe(stStatic.ID, float64(3*i), []int{1}); err != nil {
 			t.Fatal(err)
 		}
@@ -563,15 +578,25 @@ func TestSnapshotRestore(t *testing.T) {
 		}
 	}
 
-	var buf bytes.Buffer
-	if err := a.Snapshot(&buf); err != nil {
+	// Boot b on a copy of the synced log — what a crash now would leave —
+	// so a keeps serving on its own log for the comparisons below.
+	if err := logA.Sync(); err != nil {
 		t.Fatal(err)
 	}
-
 	b := newTestManager(t, Options{})
-	if err := b.Restore(ctx, bytes.NewReader(buf.Bytes())); err != nil {
+	logB, err := b.OpenWAL("wal", wal.Options{FS: mem.Clone(), SyncInterval: time.Hour})
+	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { logB.Close() })
+	stats, err := b.ReplayWAL(ctx, logB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Snapshots != 1 || stats.Campaigns != 3 {
+		t.Fatalf("replay stats %+v, want 1 snapshot record and 3 campaigns", stats)
+	}
+	b.AttachWAL(logB)
 
 	for _, id := range []string{stStatic.ID, stAdaptive.ID, stMulti.ID} {
 		qa, err := a.Quote(id)
@@ -623,8 +648,9 @@ func TestSnapshotRestore(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsBadSnapshots: schema mismatches and corrupted state
-// abort with nothing inserted.
+// TestRestoreRejectsBadSnapshots: a compaction record with a schema
+// mismatch, broken JSON, a duplicated ID, or corrupted state aborts replay
+// with nothing inserted — the log is input read from disk.
 func TestRestoreRejectsBadSnapshots(t *testing.T) {
 	m := newTestManager(t, Options{})
 	ctx := context.Background()
@@ -646,12 +672,26 @@ func TestRestoreRejectsBadSnapshots(t *testing.T) {
 			             "min_price": 1, "max_price": 10, "penalty": 40},
 			 "remaining": [99], "interval": 0, "observed": []}]}`,
 	} {
-		if err := m.Restore(ctx, bytes.NewReader([]byte(snap))); err == nil {
-			t.Errorf("%s: restore succeeded", name)
+		mem := wal.NewMemFS()
+		l, err := wal.Open("wal", wal.Options{FS: mem, SyncInterval: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.Append(WALRecordSnapshot, []byte(snap)); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.ReplayWAL(ctx, wal.NewReader(mem, "wal")); err == nil {
+			t.Errorf("%s: replay succeeded", name)
 		}
 	}
 	if got := m.Metrics(); got.Active != 0 {
-		t.Fatalf("failed restores left %d campaigns", got.Active)
+		t.Fatalf("failed replays left %d campaigns", got.Active)
+	}
+	if is := m.intern.stats(); is.interned != 0 {
+		t.Fatalf("failed replays leaked %d interned tables", is.interned)
 	}
 }
 

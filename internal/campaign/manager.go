@@ -67,7 +67,8 @@ type Options struct {
 }
 
 // Manager owns the live-campaign table: create/observe/quote/finish
-// lifecycle against the engine, TTL expiry, counters, and snapshot/restore.
+// lifecycle against the engine, TTL expiry, counters, and event-log
+// durability (see wal.go).
 // Create with NewManager; a Manager is safe for arbitrary concurrent use.
 // Close stops the expiry sweeper (live campaigns remain usable).
 type Manager struct {
@@ -257,23 +258,9 @@ func (m *Manager) Create(ctx context.Context, kind string, request json.RawMessa
 	if full {
 		return nil, fmt.Errorf("%w (%d live campaigns)", ErrTableFull, m.opts.MaxCampaigns)
 	}
-	spec, err := m.decodeSpec(kind, request)
+	c, warm, err := m.newCampaign(ctx, kind, request, adaptive)
 	if err != nil {
 		return nil, err
-	}
-	h, warm, err := m.acquireQuoter(ctx, kind, spec)
-	if err != nil {
-		return nil, err
-	}
-
-	c := &campaign{
-		kind:        kind,
-		request:     append([]byte(nil), request...),
-		fingerprint: h.key,
-		bank:        []*internedQuoter{h},
-		remaining:   h.InitialCounts(),
-		quoteBuf:    make([]int, 0, h.Types()),
-		factor:      1,
 	}
 	registered := false
 	defer func() {
@@ -281,19 +268,6 @@ func (m *Manager) Create(ctx context.Context, kind string, request json.RawMessa
 			m.releaseCampaign(c)
 		}
 	}()
-	if adaptive != nil {
-		err := m.buildBank(ctx, c, spec, adaptive)
-		// The bank's own slots hold their references now (the factor-1.0
-		// slot deduped onto h when the grid contains it); the initial
-		// handle's reference is returned either way. On error the deferred
-		// release covers the bank-less c.
-		if err == nil {
-			m.intern.release(h)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
 
 	now := m.opts.now()
 	c.created, c.lastTouched = now, now
@@ -336,9 +310,47 @@ func (m *Manager) Create(ctx context.Context, kind string, request json.RawMessa
 	return st, nil
 }
 
+// newCampaign builds an unregistered campaign at its initial state: decode
+// the request, intern its policy, and, in adaptive mode, build the factor
+// bank. Create and both replay paths (snapshot entry and create event)
+// build through it, so a replayed campaign is constructed exactly as the
+// live one was. The caller sets the ID and timestamps, and owns the
+// campaign's intern references: any path that does not register it must
+// releaseCampaign it. warm reports a table served without a solve.
+func (m *Manager) newCampaign(ctx context.Context, kind string, request json.RawMessage, adaptive *AdaptiveOptions) (*campaign, bool, error) {
+	spec, err := m.decodeSpec(kind, request)
+	if err != nil {
+		return nil, false, err
+	}
+	h, warm, err := m.acquireQuoter(ctx, kind, spec)
+	if err != nil {
+		return nil, false, err
+	}
+	c := &campaign{
+		kind:        kind,
+		request:     append([]byte(nil), request...),
+		fingerprint: h.key,
+		bank:        []*internedQuoter{h},
+		remaining:   h.InitialCounts(),
+		quoteBuf:    make([]int, 0, h.Types()),
+		factor:      1,
+	}
+	if adaptive != nil {
+		if err := m.buildBank(ctx, c, spec, adaptive); err != nil {
+			m.releaseCampaign(c)
+			return nil, false, err
+		}
+		// The bank's slots hold their own references now (the factor-1.0
+		// slot deduped onto h when the grid contains it); the base handle's
+		// goes back.
+		m.intern.release(h)
+	}
+	return c, warm, nil
+}
+
 // buildBank builds the adaptive factor bank: one interned handle per
 // factor of the base deadline problem with λ_t scaled, so identical banks
-// across campaigns (or across a snapshot restore) share one decoded table
+// across campaigns (or across a restart's replay) share one decoded table
 // per factor, not one per campaign. Eager mode pre-solves every factor
 // concurrently through the engine's background lane — its worker pool,
 // queue, and singleflight table are the admission control, and the lane

@@ -1,19 +1,20 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"time"
 )
 
-// SnapshotSchemaVersion identifies the snapshot layout; Restore refuses
-// mismatched files rather than guessing at field semantics.
-const SnapshotSchemaVersion = 1
+// snapshotSchemaVersion identifies the compaction record layout; replay
+// refuses mismatched records rather than guessing at field semantics.
+const snapshotSchemaVersion = 1
 
-// snapshotFile is the on-disk form of the whole campaign table.
+// snapshotFile is the payload of a WAL compaction record: the whole
+// campaign table.
 type snapshotFile struct {
 	SchemaVersion int                `json:"schema_version"`
 	TakenAt       string             `json:"taken_at,omitempty"`
@@ -22,9 +23,9 @@ type snapshotFile struct {
 }
 
 // campaignSnapshot stores one campaign as (original request, dynamic
-// state). Policies are deliberately NOT stored: restore re-solves the
-// request through the engine, which is deterministic — the restored
-// campaign quotes bit-identical prices — and keeps snapshots small (a
+// state). Policies are deliberately NOT stored: replay re-solves the
+// request through the engine, which is deterministic — the rebuilt
+// campaign quotes bit-identical prices — and keeps records small (a
 // paper-scale policy table is ~250 KB; its request is ~1 KB).
 type campaignSnapshot struct {
 	ID       string           `json:"id"`
@@ -46,16 +47,16 @@ type campaignSnapshot struct {
 	Replans         int64     `json:"replans"`
 	CreatedUnixNano int64     `json:"created_unix_nano"`
 	TouchedUnixNano int64     `json:"last_touched_unix_nano"`
-	// LastLSN is the event-log high-water mark folded into this entry
-	// (WAL compaction snapshots only; omitted from legacy file snapshots).
+	// LastLSN is the event-log high-water mark folded into this entry.
 	// ReplayWAL skips events at or below it.
 	LastLSN uint64 `json:"last_lsn,omitempty"`
 }
 
-// Snapshot writes the live-campaign table as JSON: each campaign's original
-// request plus its dynamic state. Safe to call while campaigns are being
-// observed and quoted — each campaign is serialized under its own lock.
-func (m *Manager) Snapshot(w io.Writer) error {
+// snapshotPayload renders the compaction record (the log's SnapshotFn):
+// each campaign's original request plus its dynamic state, as indented
+// JSON. Safe to call while campaigns are being observed and quoted — each
+// campaign is serialized under its own lock.
+func (m *Manager) snapshotPayload() ([]byte, error) {
 	m.mu.RLock()
 	live := make([]*campaign, 0, len(m.campaigns))
 	for _, c := range m.campaigns {
@@ -63,12 +64,12 @@ func (m *Manager) Snapshot(w io.Writer) error {
 	}
 	seq := m.seq.Load()
 	m.mu.RUnlock()
-	// The campaign table is a map; sort by ID so identical state snapshots
-	// to identical bytes (the files are diffed and fingerprinted).
+	// The campaign table is a map; sort by ID so identical state renders
+	// identical bytes (records are diffed and fingerprinted).
 	sort.Slice(live, func(i, j int) bool { return live[i].id < live[j].id })
 
 	file := snapshotFile{
-		SchemaVersion: SnapshotSchemaVersion,
+		SchemaVersion: snapshotSchemaVersion,
 		TakenAt:       m.opts.now().UTC().Format(time.RFC3339),
 		NextSeq:       seq,
 		Campaigns:     make([]campaignSnapshot, 0, len(live)),
@@ -100,79 +101,13 @@ func (m *Manager) Snapshot(w io.Writer) error {
 		c.mu.Unlock()
 		file.Campaigns = append(file.Campaigns, cs)
 	}
-	enc := json.NewEncoder(w)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
-	return enc.Encode(file)
-}
-
-// Restore rebuilds campaigns from a Snapshot: every policy (and adaptive
-// bank) is re-solved through the engine — identical requests dedup onto one
-// solve and the engine cache makes repeats cheap — then the dynamic state
-// is replayed on top. Restore is all-or-nothing: any unsolvable or
-// malformed entry aborts with no campaigns inserted, so a daemon never
-// boots with half a table. Campaign IDs are preserved; the ID sequence
-// resumes past the snapshot's so new campaigns never collide.
-func (m *Manager) Restore(ctx context.Context, r io.Reader) error {
-	var file snapshotFile
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&file); err != nil {
-		return fmt.Errorf("campaign: bad snapshot: %w", err)
+	if err := enc.Encode(file); err != nil {
+		return nil, err
 	}
-	if file.SchemaVersion != SnapshotSchemaVersion {
-		return fmt.Errorf("campaign: snapshot schema version %d, this binary expects %d",
-			file.SchemaVersion, SnapshotSchemaVersion)
-	}
-
-	now := m.opts.now()
-	restored := make([]*campaign, 0, len(file.Campaigns))
-	// All-or-nothing: an abort after some campaigns were rebuilt must return
-	// their intern references, or the abandoned banks would pin decoded
-	// tables forever.
-	committed := false
-	defer func() {
-		if !committed {
-			for _, c := range restored {
-				m.releaseCampaign(c)
-			}
-		}
-	}()
-	seen := make(map[string]bool, len(file.Campaigns))
-	for _, cs := range file.Campaigns {
-		if seen[cs.ID] {
-			return fmt.Errorf("campaign: snapshot contains ID %q twice", cs.ID)
-		}
-		seen[cs.ID] = true
-		c, err := m.rebuild(ctx, cs, now)
-		if err != nil {
-			return fmt.Errorf("campaign: restoring %q: %w", cs.ID, err)
-		}
-		restored = append(restored, c)
-	}
-
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.campaigns)+len(restored) > m.opts.MaxCampaigns {
-		return fmt.Errorf("%w: %d restored + %d live exceeds the %d-campaign limit",
-			ErrTableFull, len(restored), len(m.campaigns), m.opts.MaxCampaigns)
-	}
-	for _, c := range restored {
-		if _, dup := m.campaigns[c.id]; dup {
-			return fmt.Errorf("campaign: snapshot ID %q collides with a live campaign", c.id)
-		}
-	}
-	for _, c := range restored {
-		m.campaigns[c.id] = c
-	}
-	// Resume the ID sequence past the snapshot's high-water mark so new
-	// campaigns never reuse a restored ID.
-	for cur := m.seq.Load(); cur < file.NextSeq; cur = m.seq.Load() {
-		if m.seq.CompareAndSwap(cur, file.NextSeq) {
-			break
-		}
-	}
-	m.created.Add(int64(len(restored)))
-	committed = true
-	return nil
+	return buf.Bytes(), nil
 }
 
 // rebuild re-solves one snapshot entry and replays its dynamic state.
@@ -180,23 +115,9 @@ func (m *Manager) rebuild(ctx context.Context, cs campaignSnapshot, now time.Tim
 	if cs.ID == "" {
 		return nil, fmt.Errorf("missing id")
 	}
-	spec, err := m.decodeSpec(cs.Kind, cs.Request)
+	c, _, err := m.newCampaign(ctx, cs.Kind, cs.Request, cs.Adaptive)
 	if err != nil {
 		return nil, err
-	}
-	h, _, err := m.acquireQuoter(ctx, cs.Kind, spec)
-	if err != nil {
-		return nil, err
-	}
-	c := &campaign{
-		id:          cs.ID,
-		kind:        cs.Kind,
-		request:     append([]byte(nil), cs.Request...),
-		fingerprint: h.key,
-		bank:        []*internedQuoter{h},
-		remaining:   h.InitialCounts(),
-		quoteBuf:    make([]int, 0, h.Types()),
-		factor:      1,
 	}
 	ok := false
 	defer func() {
@@ -204,17 +125,9 @@ func (m *Manager) rebuild(ctx context.Context, cs campaignSnapshot, now time.Tim
 			m.releaseCampaign(c)
 		}
 	}()
-	if cs.Adaptive != nil {
-		if err := m.buildBank(ctx, c, spec, cs.Adaptive); err != nil {
-			return nil, err
-		}
-		// The bank's slots hold their own references now; the base handle's
-		// goes back (a factor-1.0 slot deduped onto the same entry).
-		m.intern.release(h)
-	}
 
 	// Replay the dynamic state, validating shape against the fresh policy
-	// rather than trusting the file.
+	// rather than trusting the log.
 	if len(cs.Remaining) != len(c.remaining) {
 		return nil, fmt.Errorf("%d remaining counts for %d task types", len(cs.Remaining), len(c.remaining))
 	}
@@ -229,6 +142,7 @@ func (m *Manager) rebuild(ctx context.Context, cs campaignSnapshot, now time.Tim
 	if cs.ObservedTotal < 0 || cs.ObservedTotal != cs.ObservedTotal {
 		return nil, fmt.Errorf("invalid observed arrivals total %v", cs.ObservedTotal)
 	}
+	c.id = cs.ID
 	c.remaining = append([]int(nil), cs.Remaining...)
 	c.interval = cs.Interval
 	c.observed = append([]float64(nil), cs.Observed...)
@@ -247,7 +161,7 @@ func (m *Manager) rebuild(ctx context.Context, cs campaignSnapshot, now time.Tim
 	c.replans = cs.Replans
 	c.lastLSN = cs.LastLSN
 	c.created = time.Unix(0, cs.CreatedUnixNano)
-	// The restored campaign is touched now: surviving a restart should not
+	// The rebuilt campaign is touched now: surviving a restart should not
 	// count as idleness against the TTL.
 	c.lastTouched = now
 	ok = true

@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -29,8 +28,8 @@ const (
 	// WALRecordExpire removes a TTL-expired campaign (walRefEvent
 	// payload) — logged so a replay cannot resurrect it.
 	WALRecordExpire byte = 4
-	// WALRecordSnapshot is a compaction snapshot: the whole table in the
-	// Snapshot JSON schema, with per-campaign LSN high-water marks.
+	// WALRecordSnapshot is a compaction snapshot: the whole table as
+	// snapshotFile JSON, with per-campaign LSN high-water marks.
 	WALRecordSnapshot byte = 5
 )
 
@@ -80,23 +79,13 @@ type walRefEvent struct {
 // this manager's table. Boot order is OpenWAL → ReplayWAL → AttachWAL.
 func (m *Manager) OpenWAL(dir string, opts wal.Options) (*wal.Log, error) {
 	opts.SnapshotType = WALRecordSnapshot
-	opts.SnapshotFn = m.walSnapshotPayload
+	opts.SnapshotFn = m.snapshotPayload
 	return wal.Open(dir, opts)
 }
 
 // AttachWAL starts emitting events to l. Call it after ReplayWAL (replay
 // must not observe its own writes) and before serving mutations.
 func (m *Manager) AttachWAL(l *wal.Log) { m.wlog.Store(l) }
-
-// walSnapshotPayload renders the compaction snapshot: the standard
-// Snapshot JSON, whose entries carry per-campaign LSN high-water marks.
-func (m *Manager) walSnapshotPayload() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := m.Snapshot(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
 
 // walAppend emits one event (no-op without an attached log). The append
 // is asynchronous — group commit makes it durable within the fsync
@@ -156,8 +145,10 @@ type walFold struct {
 // are skipped — the rule that makes compaction's physical reordering
 // (snapshot record ahead of buffered older events) harmless.
 //
-// Like Restore, ReplayWAL is all-or-nothing and resumes the ID sequence
-// past every replayed campaign.
+// ReplayWAL is all-or-nothing — a malformed record, an unsolvable
+// request, or invalid state aborts with no campaigns inserted, so a daemon
+// never boots with half a table — and resumes the ID sequence past every
+// replayed campaign, so new campaigns never reuse a replayed ID.
 func (m *Manager) ReplayWAL(ctx context.Context, src WALSource) (*WALReplayStats, error) {
 	stats := &WALReplayStats{}
 	folds := make(map[string]*walFold)
@@ -213,15 +204,18 @@ func (m *Manager) ReplayWAL(ctx context.Context, src WALSource) (*WALReplayStats
 			if err := json.Unmarshal(rec.Data, &file); err != nil {
 				return fmt.Errorf("campaign: bad snapshot record (lsn %d): %w", rec.LSN, err)
 			}
-			if file.SchemaVersion != SnapshotSchemaVersion {
+			if file.SchemaVersion != snapshotSchemaVersion {
 				return fmt.Errorf("campaign: snapshot record schema version %d, this binary expects %d",
-					file.SchemaVersion, SnapshotSchemaVersion)
+					file.SchemaVersion, snapshotSchemaVersion)
 			}
 			stats.Snapshots++
 			// A snapshot record supersedes everything before it.
 			folds = make(map[string]*walFold, len(file.Campaigns))
 			for i := range file.Campaigns {
 				cs := file.Campaigns[i]
+				if _, dup := folds[cs.ID]; dup {
+					return fmt.Errorf("campaign: snapshot record (lsn %d) contains ID %q twice", rec.LSN, cs.ID)
+				}
 				folds[cs.ID] = &walFold{base: &cs, lastLSN: cs.LastLSN}
 			}
 			if file.NextSeq > nextSeq {
@@ -245,8 +239,8 @@ func (m *Manager) ReplayWAL(ctx context.Context, src WALSource) (*WALReplayStats
 
 	now := m.opts.now()
 	rebuilt := make([]*campaign, 0, len(ids))
-	// Like Restore: an abort after some campaigns were rebuilt must return
-	// their intern references.
+	// An abort after some campaigns were rebuilt must return their intern
+	// references, or the abandoned banks would pin decoded tables forever.
 	committed := false
 	defer func() {
 		if !committed {
@@ -264,7 +258,14 @@ func (m *Manager) ReplayWAL(ctx context.Context, src WALSource) (*WALReplayStats
 		if f.base != nil {
 			c, err = m.rebuild(ctx, *f.base, now)
 		} else {
-			c, err = m.rebuildFromEvent(ctx, f.create, now)
+			// A create event rebuilds the campaign exactly as Create built
+			// it; the observe events below advance it from there.
+			c, _, err = m.newCampaign(ctx, f.create.Kind, f.create.Request, f.create.Adaptive)
+			if err == nil {
+				c.id = id
+				c.created = time.Unix(0, f.create.CreatedUnixNano)
+				c.lastTouched = now
+			}
 		}
 		if err != nil {
 			return nil, fmt.Errorf("campaign: replaying %q: %w", id, err)
@@ -372,9 +373,9 @@ func FoldWAL(src WALSource, sink EventSink) error {
 			if err := json.Unmarshal(rec.Data, &file); err != nil {
 				return fmt.Errorf("campaign: bad snapshot record (lsn %d): %w", rec.LSN, err)
 			}
-			if file.SchemaVersion != SnapshotSchemaVersion {
+			if file.SchemaVersion != snapshotSchemaVersion {
 				return fmt.Errorf("campaign: snapshot record schema version %d, this binary expects %d",
-					file.SchemaVersion, SnapshotSchemaVersion)
+					file.SchemaVersion, snapshotSchemaVersion)
 			}
 			inSnapshot := make(map[string]bool, len(file.Campaigns))
 			for i := range file.Campaigns {
@@ -421,41 +422,4 @@ func FoldWAL(src WALSource, sink EventSink) error {
 		}
 		return nil
 	})
-}
-
-// rebuildFromEvent reconstructs a campaign from its create event exactly
-// as Create would have: re-solve the policy (and adaptive bank) through
-// the engine, then start from the initial counts. Observe events are
-// applied on top by ReplayWAL.
-func (m *Manager) rebuildFromEvent(ctx context.Context, ev *walCreateEvent, now time.Time) (*campaign, error) {
-	spec, err := m.decodeSpec(ev.Kind, ev.Request)
-	if err != nil {
-		return nil, err
-	}
-	h, _, err := m.acquireQuoter(ctx, ev.Kind, spec)
-	if err != nil {
-		return nil, err
-	}
-	c := &campaign{
-		id:          ev.ID,
-		kind:        ev.Kind,
-		request:     append([]byte(nil), ev.Request...),
-		fingerprint: h.key,
-		bank:        []*internedQuoter{h},
-		remaining:   h.InitialCounts(),
-		quoteBuf:    make([]int, 0, h.Types()),
-		factor:      1,
-	}
-	if ev.Adaptive != nil {
-		if err := m.buildBank(ctx, c, spec, ev.Adaptive); err != nil {
-			m.releaseCampaign(c)
-			return nil, err
-		}
-		// The bank's slots hold their own references now; the base handle's
-		// goes back (a factor-1.0 slot deduped onto the same entry).
-		m.intern.release(h)
-	}
-	c.created = time.Unix(0, ev.CreatedUnixNano)
-	c.lastTouched = now
-	return c, nil
 }

@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -96,8 +95,8 @@ func applyOp(t testing.TB, m *Manager, ids *[]string, op walOp) {
 // liveIDs lists the live campaign IDs in sorted order.
 func liveIDs(t testing.TB, m *Manager) []string {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := m.Snapshot(&buf); err != nil {
+	payload, err := m.snapshotPayload()
+	if err != nil {
 		t.Fatal(err)
 	}
 	var file struct {
@@ -105,7 +104,7 @@ func liveIDs(t testing.TB, m *Manager) []string {
 			ID string `json:"id"`
 		} `json:"campaigns"`
 	}
-	if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
+	if err := json.Unmarshal(payload, &file); err != nil {
 		t.Fatal(err)
 	}
 	ids := make([]string, 0, len(file.Campaigns))
@@ -115,18 +114,19 @@ func liveIDs(t testing.TB, m *Manager) []string {
 	return ids
 }
 
-// normalizedSnapshot renders m's snapshot with the fields that legitimately
-// differ between a recovered manager and a reference run removed: the LSN
-// high-water marks (only logged managers have them) and timestamps that are
-// identical anyway under the frozen clock but not part of quote state.
+// normalizedSnapshot renders m's compaction payload with the fields that
+// legitimately differ between a recovered manager and a reference run
+// removed: the LSN high-water marks (only logged managers have them) and
+// timestamps that are identical anyway under the frozen clock but not part
+// of quote state.
 func normalizedSnapshot(t testing.TB, m *Manager) string {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := m.Snapshot(&buf); err != nil {
+	payload, err := m.snapshotPayload()
+	if err != nil {
 		t.Fatal(err)
 	}
 	var file map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
+	if err := json.Unmarshal(payload, &file); err != nil {
 		t.Fatal(err)
 	}
 	delete(file, "taken_at")
@@ -293,10 +293,10 @@ func TestCrashRecoveryEveryByte(t *testing.T) {
 	}
 }
 
-// TestSnapshotWALEquivalence restores the same history twice — once
-// through the legacy JSON snapshot, once through WAL replay across a
-// compaction boundary — and requires all three managers (original, both
-// restores) to quote bit-identical price sequences.
+// TestSnapshotWALEquivalence restores a history through WAL replay across
+// a compaction boundary — a snapshot record plus trailing events — and
+// requires the original and the replayed manager to quote bit-identical
+// price sequences.
 func TestSnapshotWALEquivalence(t *testing.T) {
 	eng := engine.New(engine.Options{Workers: 2})
 	t.Cleanup(eng.Close)
@@ -330,17 +330,7 @@ func TestSnapshotWALEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Path 1: legacy JSON snapshot → Restore.
-	var snap bytes.Buffer
-	if err := w.Snapshot(&snap); err != nil {
-		t.Fatal(err)
-	}
-	viaSnapshot := newWALManager(t, eng, Options{})
-	if err := viaSnapshot.Restore(ctx, bytes.NewReader(snap.Bytes())); err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-
-	// Path 2: WAL replay (read-only, across the compaction boundary).
+	// WAL replay (read-only, across the compaction boundary).
 	viaWAL := newWALManager(t, eng, Options{})
 	stats, err := viaWAL.ReplayWAL(ctx, wal.NewReader(mem, "wal"))
 	if err != nil {
@@ -354,11 +344,7 @@ func TestSnapshotWALEquivalence(t *testing.T) {
 	}
 
 	sigW := signatureOf(t, w)
-	sigS := signatureOf(t, viaSnapshot)
 	sigR := signatureOf(t, viaWAL)
-	if !reflect.DeepEqual(sigS, sigW) {
-		t.Fatalf("snapshot restore diverged from the original\n got: %+v\nwant: %+v", sigS, sigW)
-	}
 	if !reflect.DeepEqual(sigR, sigW) {
 		t.Fatalf("wal replay diverged from the original\n got: %+v\nwant: %+v", sigR, sigW)
 	}

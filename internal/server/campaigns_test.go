@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"crowdpricing/internal/wal"
 )
 
 // newHTTPTestServer serves an arbitrary handler for client-side tests.
@@ -46,7 +48,7 @@ func TestCampaignLifecycleHTTP(t *testing.T) {
 	req := campaignDeadlineRequest()
 
 	// Ground truth: the same problem solved through the stateless endpoint.
-	solved, err := client.SolveDeadline(ctx, req)
+	solved, err := client.Solve(ctx, KindDeadline, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +111,31 @@ func apiStatus(err error) int {
 	return 0
 }
 
+// bootWAL boots s's campaign event log on fsys in cmd/priced's order:
+// OpenWAL → ReplayWAL → AttachWAL.
+func bootWAL(t *testing.T, s *Server, fsys wal.FS) *wal.Log {
+	t.Helper()
+	l, err := s.Campaigns().OpenWAL("wal", wal.Options{FS: fsys, SyncInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	if _, err := s.Campaigns().ReplayWAL(context.Background(), l); err != nil {
+		t.Fatal(err)
+	}
+	s.AttachWAL(l)
+	return l
+}
+
 // TestCampaignSnapshotRestartHTTP proves the restart story end-to-end:
-// campaigns created and advanced over HTTP on daemon A, snapshot, restore
-// into a brand-new daemon B, and B quotes byte-identical prices.
+// campaigns created and advanced over HTTP on daemon A, whose event log is
+// compacted into a snapshot record mid-history and then closed (a graceful
+// stop), and a brand-new daemon B booted on the same log quotes
+// byte-identical prices.
 func TestCampaignSnapshotRestartHTTP(t *testing.T) {
+	mem := wal.NewMemFS()
 	srvA, tsA := newTestServer(t, Options{})
+	logA := bootWAL(t, srvA, mem)
 	clientA := NewClient(tsA.URL)
 	ctx := context.Background()
 
@@ -123,26 +145,28 @@ func TestCampaignSnapshotRestartHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
+		if i == 2 {
+			// B rebuilds from the snapshot entry, then replays the last
+			// observe on top of it.
+			if err := logA.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if _, err := clientA.ObserveCampaign(ctx, st.ID, float64(20+5*i), []int{1}); err != nil {
 			t.Fatal(err)
 		}
 	}
-
-	var snap bytes.Buffer
-	if err := srvA.Campaigns().Snapshot(&snap); err != nil {
-		t.Fatal(err)
-	}
-
-	srvB, tsB := newTestServer(t, Options{})
-	if err := srvB.Campaigns().Restore(ctx, bytes.NewReader(snap.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	clientB := NewClient(tsB.URL)
-
 	qa, err := clientA.CampaignPrice(ctx, st.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := logA.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srvB, tsB := newTestServer(t, Options{})
+	bootWAL(t, srvB, mem)
+	clientB := NewClient(tsB.URL)
 	qb, err := clientB.CampaignPrice(ctx, st.ID)
 	if err != nil {
 		t.Fatal(err)

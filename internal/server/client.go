@@ -107,36 +107,19 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	return json.NewDecoder(res.Body).Decode(out)
 }
 
-// Solve is the kind-generic request path: POST req to /v1/solve/{kind} and
-// return the envelope. kind is any name the daemon's registry serves
-// ("deadline", "budget", "tradeoff", "multi", …) and req its wire body —
-// typically one of the request structs, but any JSON-marshalable value with
-// the right shape works. The typed SolveDeadline/SolveBudget/SolveTradeoff
-// wrappers delegate here.
+// Solve is the one request path for every problem kind: POST req to
+// /v1/solve/{kind} and return the envelope. kind is any name the daemon's
+// registry serves ("deadline", "budget", "tradeoff", "multi", …) and req
+// its wire body — typically one of the request structs, but any
+// JSON-marshalable value with the right shape works. Decode the result
+// with SolveResponse.Decode, or DecodePolicy / DecodeBudget /
+// DecodeTradeoff for the classic kinds.
 func (c *Client) Solve(ctx context.Context, kind string, req any) (*SolveResponse, error) {
 	var out SolveResponse
 	if err := c.postJSON(ctx, "/v1/solve/"+kind, req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
-}
-
-// SolveDeadline requests a fixed-deadline dynamic pricing policy; decode
-// the result with SolveResponse.DecodePolicy.
-func (c *Client) SolveDeadline(ctx context.Context, req DeadlineRequest) (*SolveResponse, error) {
-	return c.Solve(ctx, KindDeadline, req)
-}
-
-// SolveBudget requests a fixed-budget static allocation; decode the result
-// with SolveResponse.DecodeBudget.
-func (c *Client) SolveBudget(ctx context.Context, req BudgetRequest) (*SolveResponse, error) {
-	return c.Solve(ctx, KindBudget, req)
-}
-
-// SolveTradeoff requests a cost/latency trade-off policy; decode the result
-// with SolveResponse.DecodeTradeoff.
-func (c *Client) SolveTradeoff(ctx context.Context, req TradeoffRequest) (*SolveResponse, error) {
-	return c.Solve(ctx, KindTradeoff, req)
 }
 
 // CreateCampaign registers a stateful campaign: spec is the kind's solve

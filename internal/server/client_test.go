@@ -27,7 +27,7 @@ func TestClientSurfacesServerErrorBody(t *testing.T) {
 		w.WriteHeader(http.StatusBadRequest)
 		w.Write([]byte(`{"error":"n 9999999 exceeds the service limit"}`))
 	})
-	_, err := c.SolveDeadline(context.Background(), testDeadlineRequest())
+	_, err := c.Solve(context.Background(), KindDeadline, testDeadlineRequest())
 	if err == nil {
 		t.Fatal("nil error for a 400 response")
 	}
@@ -45,7 +45,7 @@ func TestClientNon200WithoutJSONBody(t *testing.T) {
 	c := clientAgainst(t, func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "upstream exploded", http.StatusInternalServerError)
 	})
-	_, err := c.SolveBudget(context.Background(), testBudgetRequest())
+	_, err := c.Solve(context.Background(), KindBudget, testBudgetRequest())
 	if err == nil {
 		t.Fatal("nil error for a 500 response")
 	}
@@ -66,7 +66,7 @@ func TestClientMalformedSuccessBody(t *testing.T) {
 				w.Header().Set("Content-Type", "application/json")
 				w.Write([]byte(body))
 			})
-			if _, err := c.SolveTradeoff(context.Background(), testTradeoffRequest()); err == nil {
+			if _, err := c.Solve(context.Background(), KindTradeoff, testTradeoffRequest()); err == nil {
 				t.Fatal("malformed 200 body decoded without error")
 			}
 		})
@@ -92,7 +92,7 @@ func TestClientContextCanceledMidRequest(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.SolveBudget(ctx, testBudgetRequest())
+		_, err := c.Solve(ctx, KindBudget, testBudgetRequest())
 		done <- err
 	}()
 	<-inHandler
@@ -120,7 +120,7 @@ func TestClientContextTimeout(t *testing.T) {
 	t.Cleanup(func() { close(release) })
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	_, err := c.SolveDeadline(ctx, testDeadlineRequest())
+	_, err := c.Solve(ctx, KindDeadline, testDeadlineRequest())
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -162,7 +162,7 @@ func TestClientHealthzErrorPaths(t *testing.T) {
 // not a hang or a zero response.
 func TestClientConnectionRefused(t *testing.T) {
 	c := NewClient("http://127.0.0.1:1") // reserved port, nothing listens
-	if _, err := c.SolveBudget(context.Background(), testBudgetRequest()); err == nil {
+	if _, err := c.Solve(context.Background(), KindBudget, testBudgetRequest()); err == nil {
 		t.Fatal("nil error against a dead endpoint")
 	}
 }

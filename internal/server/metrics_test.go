@@ -21,7 +21,7 @@ func scrapeMetrics(t *testing.T) string {
 	t.Helper()
 	_, ts := newTestServer(t, Options{})
 	client := NewClient(ts.URL)
-	if _, err := client.SolveBudget(context.Background(), testBudgetRequest()); err != nil {
+	if _, err := client.Solve(context.Background(), KindBudget, testBudgetRequest()); err != nil {
 		t.Fatal(err)
 	}
 	// One 400 so the error counter is non-zero.

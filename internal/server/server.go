@@ -480,7 +480,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	total := len(req.Deadline) + len(req.Budget) + len(req.Tradeoff) + len(req.Items)
+	total := len(req.Items)
 	if total == 0 {
 		s.fail(w, http.StatusBadRequest, errors.New("empty batch"))
 		return
@@ -492,25 +492,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
 
-	resp := BatchResponse{
-		Deadline: make([]BatchResult, len(req.Deadline)),
-		Budget:   make([]BatchResult, len(req.Budget)),
-		Tradeoff: make([]BatchResult, len(req.Tradeoff)),
-		Items:    make([]BatchResult, len(req.Items)),
-	}
+	resp := BatchResponse{Items: make([]BatchResult, total)}
 	jobs := make([]batchJob, 0, total)
-	// The typed legacy arrays are already decoded specs.
-	for i := range req.Deadline {
-		jobs = append(jobs, batchJob{spec: &req.Deadline[i], slot: &resp.Deadline[i]})
-	}
-	for i := range req.Budget {
-		jobs = append(jobs, batchJob{spec: &req.Budget[i], slot: &resp.Budget[i]})
-	}
-	for i := range req.Tradeoff {
-		jobs = append(jobs, batchJob{spec: &req.Tradeoff[i], slot: &resp.Tradeoff[i]})
-	}
-	// Generic items resolve their kind through the registry; a bad kind or
-	// body fails that item alone, never the batch.
+	// Items resolve their kind through the registry; a bad kind or body
+	// fails that item alone, never the batch.
 	for i := range req.Items {
 		job := batchJob{slot: &resp.Items[i]}
 		def, ok := s.registry.Lookup(req.Items[i].Kind)

@@ -89,7 +89,7 @@ func TestSingleflightDedup(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			start.Wait()
-			responses[i], errs[i] = client.SolveDeadline(context.Background(), req)
+			responses[i], errs[i] = client.Solve(context.Background(), KindDeadline, req)
 		}(i)
 	}
 	start.Done()
@@ -137,7 +137,7 @@ func TestWarmHitIsCached(t *testing.T) {
 	client := NewClient(ts.URL)
 	req := testDeadlineRequest()
 
-	cold, err := client.SolveDeadline(context.Background(), req)
+	cold, err := client.Solve(context.Background(), KindDeadline, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestWarmHitIsCached(t *testing.T) {
 	if cold.SolveMillis <= 0 {
 		t.Error("cold solve reported zero solve time")
 	}
-	warm, err := client.SolveDeadline(context.Background(), req)
+	warm, err := client.Solve(context.Background(), KindDeadline, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,11 +174,11 @@ func TestDistinctProblemsSolveSeparately(t *testing.T) {
 	b := testDeadlineRequest()
 	b.Penalty = 301 // any field flip is a different artifact
 
-	ra, err := client.SolveDeadline(context.Background(), a)
+	ra, err := client.Solve(context.Background(), KindDeadline, a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := client.SolveDeadline(context.Background(), b)
+	rb, err := client.Solve(context.Background(), KindDeadline, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestBudgetEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	client := NewClient(ts.URL)
 
-	hull, err := client.SolveBudget(context.Background(), testBudgetRequest())
+	hull, err := client.Solve(context.Background(), KindBudget, testBudgetRequest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestBudgetEndpoint(t *testing.T) {
 	// only match or beat the hull's E[W].
 	exactReq := testBudgetRequest()
 	exactReq.Method = BudgetMethodExact
-	exact, err := client.SolveBudget(context.Background(), exactReq)
+	exact, err := client.Solve(context.Background(), KindBudget, exactReq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestBudgetEndpoint(t *testing.T) {
 func TestTradeoffEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	client := NewClient(ts.URL)
-	resp, err := client.SolveTradeoff(context.Background(), testTradeoffRequest())
+	resp, err := client.Solve(context.Background(), KindTradeoff, testTradeoffRequest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,34 +262,48 @@ func TestTradeoffEndpoint(t *testing.T) {
 	}
 }
 
+// batchItem wraps one request as a generic batch item.
+func batchItem(t testing.TB, kind string, req any) BatchItem {
+	t.Helper()
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return BatchItem{Kind: kind, Request: body}
+}
+
 // TestBatchDedup: a batch holding the same deadline problem three times
 // plus a budget and a tradeoff item costs exactly three solves.
 func TestBatchDedup(t *testing.T) {
 	s, ts := newTestServer(t, Options{})
 	client := NewClient(ts.URL)
-	dreq := testDeadlineRequest()
-	batch := BatchRequest{
-		Deadline: []DeadlineRequest{dreq, dreq, dreq},
-		Budget:   []BudgetRequest{testBudgetRequest()},
-		Tradeoff: []TradeoffRequest{testTradeoffRequest()},
-	}
+	dreq := batchItem(t, KindDeadline, testDeadlineRequest())
+	batch := BatchRequest{Items: []BatchItem{
+		dreq, dreq, dreq,
+		batchItem(t, KindBudget, testBudgetRequest()),
+		batchItem(t, KindTradeoff, testTradeoffRequest()),
+	}}
 	resp, err := client.SolveBatch(context.Background(), batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Deadline) != 3 || len(resp.Budget) != 1 || len(resp.Tradeoff) != 1 {
-		t.Fatalf("batch shape %d/%d/%d, want 3/1/1", len(resp.Deadline), len(resp.Budget), len(resp.Tradeoff))
+	if len(resp.Items) != 5 {
+		t.Fatalf("batch answered %d items, want 5", len(resp.Items))
 	}
-	for i, r := range resp.Deadline {
+	for i, r := range resp.Items[:3] {
 		if r.Error != "" {
-			t.Fatalf("deadline[%d]: %s", i, r.Error)
+			t.Fatalf("deadline item %d: %s", i, r.Error)
 		}
-		if !bytes.Equal(r.Response.Result, resp.Deadline[0].Response.Result) {
-			t.Errorf("deadline[%d] policy differs within the batch", i)
+		if !bytes.Equal(r.Response.Result, resp.Items[0].Response.Result) {
+			t.Errorf("deadline item %d policy differs within the batch", i)
 		}
 	}
-	if resp.Budget[0].Error != "" || resp.Tradeoff[0].Error != "" {
-		t.Fatalf("batch items failed: %q %q", resp.Budget[0].Error, resp.Tradeoff[0].Error)
+	budget, tradeoff := resp.Items[3], resp.Items[4]
+	if budget.Error != "" || tradeoff.Error != "" {
+		t.Fatalf("batch items failed: %q %q", budget.Error, tradeoff.Error)
+	}
+	if budget.Response.Kind != KindBudget || tradeoff.Response.Kind != KindTradeoff {
+		t.Errorf("items answered out of position: kinds %q, %q", budget.Response.Kind, tradeoff.Response.Kind)
 	}
 	if m := s.Metrics(); m.Solves != 3 {
 		t.Errorf("batch performed %d solves, want 3 (1 deadline + 1 budget + 1 tradeoff)", m.Solves)
@@ -299,21 +313,28 @@ func TestBatchDedup(t *testing.T) {
 	bad := testDeadlineRequest()
 	bad.N = 0
 	mixed, err := client.SolveBatch(context.Background(), BatchRequest{
-		Deadline: []DeadlineRequest{bad, dreq},
+		Items: []BatchItem{batchItem(t, KindDeadline, bad), dreq},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mixed.Deadline[0].Error == "" {
+	if mixed.Items[0].Error == "" {
 		t.Error("invalid batch item reported no error")
 	}
-	if mixed.Deadline[1].Error != "" || mixed.Deadline[1].Response == nil {
+	if mixed.Items[1].Error != "" || mixed.Items[1].Response == nil {
 		t.Error("valid batch item was dragged down by the invalid one")
 	}
-	if !mixed.Deadline[1].Response.CacheHit {
+	if !mixed.Items[1].Response.CacheHit {
 		t.Error("repeated problem in second batch missed the cache")
 	}
 }
+
+// Small valid request bodies, one per classic kind.
+const (
+	smallDeadlineBody = `{"n": 4, "horizon_hours": 2, "intervals": 2, "lambdas": [5, 5], "accept": {"s": 15, "b": -0.39, "m": 2000}, "min_price": 1, "max_price": 10, "penalty": 40}`
+	smallBudgetBody   = `{"n": 10, "budget": 100, "accept": {"s": 15, "b": -0.39, "m": 2000}, "min_price": 1, "max_price": 20}`
+	smallTradeoffBody = `{"n": 10, "alpha": 1, "lambda": 10, "accept": {"s": 15, "b": -0.39, "m": 2000}, "min_price": 1, "max_price": 5}`
+)
 
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
@@ -335,6 +356,13 @@ func TestBadRequests(t *testing.T) {
 		{"bad budget method", "/v1/solve/budget", `{"n": 10, "budget": 100, "accept": {"s": 15, "b": 0, "m": 2000}, "min_price": 1, "max_price": 5, "method": "magic"}`, http.StatusBadRequest},
 		{"bad tradeoff formulation", "/v1/solve/tradeoff", `{"n": 10, "alpha": 1, "lambda": 10, "accept": {"s": 15, "b": 0, "m": 2000}, "min_price": 1, "max_price": 5, "formulation": "magic"}`, http.StatusBadRequest},
 		{"empty batch", "/v1/solve/batch", `{}`, http.StatusBadRequest},
+		// Items is the batch's only field: the typed arrays of earlier
+		// versions are unknown fields to the strict decoder, even when
+		// every problem in them is valid.
+		{"typed deadline batch array", "/v1/solve/batch", `{"deadline": [` + smallDeadlineBody + `]}`, http.StatusBadRequest},
+		{"typed budget batch array", "/v1/solve/batch", `{"budget": [` + smallBudgetBody + `]}`, http.StatusBadRequest},
+		{"typed tradeoff batch array", "/v1/solve/batch", `{"tradeoff": [` + smallTradeoffBody + `]}`, http.StatusBadRequest},
+		{"typed batch array beside items", "/v1/solve/batch", `{"items": [{"kind": "budget", "request": ` + smallBudgetBody + `}], "budget": [` + smallBudgetBody + `]}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		if res := post(tc.path, tc.body); res.StatusCode != tc.want {
@@ -361,7 +389,7 @@ func TestServiceLimits(t *testing.T) {
 
 	huge := testDeadlineRequest()
 	huge.N = MaxTasks + 1
-	if _, err := client.SolveDeadline(ctx, huge); err == nil || !strings.Contains(err.Error(), "400") {
+	if _, err := client.Solve(ctx, KindDeadline, huge); err == nil || !strings.Contains(err.Error(), "400") {
 		t.Errorf("oversized N: err = %v, want 400", err)
 	}
 	cells := testDeadlineRequest()
@@ -371,18 +399,18 @@ func TestServiceLimits(t *testing.T) {
 	for i := range cells.Lambdas {
 		cells.Lambdas[i] = 1
 	}
-	if _, err := client.SolveDeadline(ctx, cells); err == nil || !strings.Contains(err.Error(), "400") {
+	if _, err := client.Solve(ctx, KindDeadline, cells); err == nil || !strings.Contains(err.Error(), "400") {
 		t.Errorf("oversized N×intervals: err = %v, want 400", err)
 	}
 	exact := testBudgetRequest()
 	exact.Method = BudgetMethodExact
 	exact.Budget = MaxExactBudget + 1
-	if _, err := client.SolveBudget(ctx, exact); err == nil || !strings.Contains(err.Error(), "400") {
+	if _, err := client.Solve(ctx, KindBudget, exact); err == nil || !strings.Contains(err.Error(), "400") {
 		t.Errorf("oversized exact budget: err = %v, want 400", err)
 	}
 	wide := testTradeoffRequest()
 	wide.MaxPrice = wide.MinPrice + MaxPriceRange + 1
-	if _, err := client.SolveTradeoff(ctx, wide); err == nil || !strings.Contains(err.Error(), "400") {
+	if _, err := client.Solve(ctx, KindTradeoff, wide); err == nil || !strings.Contains(err.Error(), "400") {
 		t.Errorf("oversized price range: err = %v, want 400", err)
 	}
 	// No limit rejection ran a solver or occupied a cache slot.
@@ -391,11 +419,11 @@ func TestServiceLimits(t *testing.T) {
 	}
 
 	// A batch over MaxBatchItems is rejected whole.
-	over := make([]BudgetRequest, MaxBatchItems+1)
+	over := make([]BatchItem, MaxBatchItems+1)
 	for i := range over {
-		over[i] = testBudgetRequest()
+		over[i] = batchItem(t, KindBudget, testBudgetRequest())
 	}
-	if _, err := client.SolveBatch(ctx, BatchRequest{Budget: over}); err == nil || !strings.Contains(err.Error(), "400") {
+	if _, err := client.SolveBatch(ctx, BatchRequest{Items: over}); err == nil || !strings.Contains(err.Error(), "400") {
 		t.Errorf("oversized batch: err = %v, want 400", err)
 	}
 }
@@ -562,7 +590,7 @@ func TestTimeout(t *testing.T) {
 	_, ts := newTestServer(t, Options{RequestTimeout: time.Nanosecond})
 	client := NewClient(ts.URL)
 	req := testDeadlineRequest()
-	_, err := client.SolveDeadline(context.Background(), req)
+	_, err := client.Solve(context.Background(), KindDeadline, req)
 	if err == nil {
 		t.Fatal("expected a timeout error")
 	}
@@ -574,7 +602,7 @@ func TestTimeout(t *testing.T) {
 func TestHealthzAndMetrics(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	client := NewClient(ts.URL)
-	if _, err := client.SolveBudget(context.Background(), testBudgetRequest()); err != nil {
+	if _, err := client.Solve(context.Background(), KindBudget, testBudgetRequest()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -628,10 +656,10 @@ func TestCacheEvictionEndToEnd(t *testing.T) {
 	b := testBudgetRequest()
 	b.Budget = 2600
 	for i := 0; i < 2; i++ {
-		if _, err := client.SolveBudget(context.Background(), a); err != nil {
+		if _, err := client.Solve(context.Background(), KindBudget, a); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := client.SolveBudget(context.Background(), b); err != nil {
+		if _, err := client.Solve(context.Background(), KindBudget, b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -682,10 +710,11 @@ func TestMultiKindGeneric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := client.SolveBatch(ctx, BatchRequest{
-		Items:  []BatchItem{{Kind: KindMulti, Request: body}, {Kind: "no-such-kind", Request: body}},
-		Budget: []BudgetRequest{testBudgetRequest()},
-	})
+	batch, err := client.SolveBatch(ctx, BatchRequest{Items: []BatchItem{
+		{Kind: KindMulti, Request: body},
+		{Kind: "no-such-kind", Request: body},
+		batchItem(t, KindBudget, testBudgetRequest()),
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -698,8 +727,8 @@ func TestMultiKindGeneric(t *testing.T) {
 	if got := batch.Items[1]; got.Error == "" || !strings.Contains(got.Error, "unknown problem kind") {
 		t.Errorf("unknown-kind batch item error = %q, want an unknown-kind error", got.Error)
 	}
-	if batch.Budget[0].Error != "" {
-		t.Errorf("legacy typed batch item failed: %s", batch.Budget[0].Error)
+	if batch.Items[2].Error != "" {
+		t.Errorf("budget batch item failed: %s", batch.Items[2].Error)
 	}
 
 	if m := s.Metrics(); m.SolvesByKind[KindMulti] != 1 {
@@ -802,13 +831,13 @@ func BenchmarkDeadlineWarmHitHTTP(b *testing.B) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	client := NewClient(ts.URL)
-	if _, err := client.SolveDeadline(context.Background(), req); err != nil {
+	if _, err := client.Solve(context.Background(), KindDeadline, req); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		resp, err := client.SolveDeadline(context.Background(), req)
+		resp, err := client.Solve(context.Background(), KindDeadline, req)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -140,24 +140,23 @@ func (r *SolveResponse) DecodeTradeoff() (*TradeoffSchedule, error) {
 }
 
 // BatchItem is one problem of any registered kind inside a batch: the kind
-// name plus its request body verbatim. New kinds are batchable through
-// Items with zero server changes.
+// name plus its request body verbatim.
 type BatchItem struct {
 	Kind    string          `json:"kind"`
 	Request json.RawMessage `json:"request"`
 }
 
-// BatchRequest solves many problems in one round trip. The items run
-// concurrently on the daemon, and duplicates — within the batch or against
-// other in-flight requests — are deduplicated by the same fingerprint
-// machinery as the single endpoints. The typed Deadline/Budget/Tradeoff
-// arrays predate the kind registry and remain supported; Items carries any
-// registered kind.
+// BatchRequest solves many problems in one round trip. Each item names a
+// registered kind and carries that kind's request body, so any kind —
+// including ones added after this client was written — is batchable with
+// zero server changes. The items run concurrently on the daemon, and
+// duplicates — within the batch or against other in-flight requests — are
+// deduplicated by the same fingerprint machinery as the single endpoints.
+// Items is the only field: a body that still carries the typed
+// deadline/budget/tradeoff arrays of earlier versions is rejected with
+// HTTP 400 by the strict decoder.
 type BatchRequest struct {
-	Deadline []DeadlineRequest `json:"deadline,omitempty"`
-	Budget   []BudgetRequest   `json:"budget,omitempty"`
-	Tradeoff []TradeoffRequest `json:"tradeoff,omitempty"`
-	Items    []BatchItem       `json:"items,omitempty"`
+	Items []BatchItem `json:"items,omitempty"`
 }
 
 // BatchResult is the per-item outcome: exactly one of Response or Error is
@@ -167,13 +166,10 @@ type BatchResult struct {
 	Error    string         `json:"error,omitempty"`
 }
 
-// BatchResponse mirrors BatchRequest positionally: Deadline[i] answers
-// request Deadline[i], Items[i] answers Items[i], and so on.
+// BatchResponse mirrors BatchRequest positionally: Items[i] answers
+// request Items[i].
 type BatchResponse struct {
-	Deadline []BatchResult `json:"deadline,omitempty"`
-	Budget   []BatchResult `json:"budget,omitempty"`
-	Tradeoff []BatchResult `json:"tradeoff,omitempty"`
-	Items    []BatchResult `json:"items,omitempty"`
+	Items []BatchResult `json:"items,omitempty"`
 }
 
 // errorResponse is the JSON body of every non-2xx reply.
