@@ -60,8 +60,11 @@ func SupportsKind(kind string) bool {
 func decodeTable(kind string, artifact []byte) (policyTable, error) {
 	switch kind {
 	case kinds.KindDeadline:
+		// UnmarshalJSON directly: json.Unmarshal would scan the whole
+		// artifact twice before calling it, and the json.Unmarshal inside
+		// it already rejects anything but one valid document.
 		var pol core.DeadlinePolicy
-		if err := json.Unmarshal(artifact, &pol); err != nil {
+		if err := pol.UnmarshalJSON(artifact); err != nil {
 			return nil, fmt.Errorf("campaign: bad deadline artifact: %w", err)
 		}
 		return newDeadlineTable(&pol)

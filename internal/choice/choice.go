@@ -47,15 +47,20 @@ var Paper13 = Logistic{S: 15, B: -0.39, M: 2000}
 
 // Accept implements AcceptanceFn.
 func (l Logistic) Accept(cents int) float64 {
-	e := math.Exp(float64(cents)/l.S - l.B)
-	return e / (e + l.M)
+	return l.AcceptFloat(float64(cents))
 }
 
 // AcceptFloat evaluates the acceptance curve at a real-valued reward; the
 // convex-hull machinery of Section 4.3 needs the continuous curve.
+//
+// Equation (3) is evaluated as 1 / (1 + M·exp(B − c/S)), the same curve
+// divided through by exp(c/S − B). That form stays in [0, 1] at every
+// reward (exp overflowing gives 0, underflowing gives 1), where e/(e+M) is
+// Inf/Inf = NaN once c/S − B passes ~709.8; and it is monotone in c under
+// rounding, being a chain of monotone float operations, where e/(e+M) can
+// round one ulp down as c grows near p ≈ 1.
 func (l Logistic) AcceptFloat(c float64) float64 {
-	e := math.Exp(c/l.S - l.B)
-	return e / (e + l.M)
+	return 1 / (1 + l.M*math.Exp(l.B-c/l.S))
 }
 
 // InverseAccept returns the smallest integer reward c with p(c) >= target,

@@ -46,9 +46,58 @@ func TestLogisticBounds(t *testing.T) {
 	if p := l.Accept(0); p <= 0 || p >= 1 {
 		t.Errorf("Accept(0) = %v outside (0,1)", p)
 	}
-	// Very high rewards saturate toward 1.
-	if p := l.AcceptFloat(1e6); p < 0.999 {
+	// Very high rewards saturate toward 1. The comparison is written so a
+	// NaN fails it.
+	if p := l.AcceptFloat(1e6); !(p >= 0.999 && p <= 1) {
 		t.Errorf("AcceptFloat(1e6) = %v, want ≈1", p)
+	}
+}
+
+// TestLogisticExtremeRewards evaluates the curve where exp(c/S − B)
+// overflows (c/S − B > ~709.8) or underflows. The result must be a number
+// in [0, 1] saturated at the right end, never NaN: a NaN acceptance turns
+// into a NaN Poisson mean inside the deadline solver.
+func TestLogisticExtremeRewards(t *testing.T) {
+	for _, tc := range []struct {
+		l    Logistic
+		c    float64
+		want float64
+	}{
+		{Logistic{S: 1, B: 0, M: 2000}, 800, 1},
+		{Logistic{S: 1, B: 0, M: 2000}, 1e300, 1},
+		{Logistic{S: 0.01, B: -5, M: 1e5}, 1e6, 1},
+		{Logistic{S: 1, B: 800, M: 2000}, 0, 0},
+		{Logistic{S: 1, B: 0, M: 2000}, -1e300, 0},
+	} {
+		p := tc.l.AcceptFloat(tc.c)
+		if math.IsNaN(p) || math.Abs(p-tc.want) > 1e-12 {
+			t.Errorf("%+v.AcceptFloat(%g) = %v, want %v", tc.l, tc.c, p, tc.want)
+		}
+		if c := int(tc.c); float64(c) == tc.c {
+			if q := tc.l.Accept(c); q != p {
+				t.Errorf("%+v.Accept(%d) = %v, AcceptFloat gives %v", tc.l, c, q, p)
+			}
+		}
+	}
+}
+
+// TestLogisticMonotoneNearOne sweeps rewards across the saturated end of
+// curves where the textbook e/(e+M) form rounds one ulp down as c grows.
+func TestLogisticMonotoneNearOne(t *testing.T) {
+	for _, l := range []Logistic{
+		{S: 1, B: 0, M: 1},
+		{S: 1.5, B: -2, M: 3.7},
+		{S: 7, B: 4.2, M: 99991},
+		{S: 49.3, B: -4.9, M: 1e5},
+	} {
+		prev := l.Accept(0)
+		for c := 1; c <= 20000; c++ {
+			p := l.Accept(c)
+			if p < prev || p > 1 {
+				t.Fatalf("%+v: Accept(%d) = %v after Accept(%d) = %v", l, c, p, c-1, prev)
+			}
+			prev = p
+		}
 	}
 }
 

@@ -147,10 +147,46 @@ func (p *DeadlineProblem) workers() int {
 	return w
 }
 
+// workerGroup is a sync.WaitGroup that carries a worker goroutine's panic
+// back to the goroutine that waits. A panic on a goroutine of its own kills
+// the process whatever its caller recovers; re-raised by Wait, it reaches
+// the caller's recover instead (the solve engine turns it into an error for
+// that one request). The zero value is ready to use.
+type workerGroup struct {
+	wg   sync.WaitGroup
+	once sync.Once
+	val  any
+}
+
+// Go runs fn on a new goroutine, catching its panic.
+func (g *workerGroup) Go(fn func()) {
+	g.wg.Add(1)
+	go func() {
+		defer g.wg.Done()
+		defer func() {
+			if r := recover(); r != nil {
+				g.once.Do(func() { g.val = r })
+			}
+		}()
+		fn()
+	}()
+}
+
+// Wait blocks until every goroutine started by Go has returned, then
+// re-raises the first panic one of them caught.
+func (g *workerGroup) Wait() {
+	g.wg.Wait()
+	if g.val != nil {
+		panic(g.val)
+	}
+}
+
 // parallelFor runs fn(i) for every i in [lo, hi] on a pool of workers
 // pulling fixed-size chunks off an atomic cursor (dynamic scheduling — the
 // per-state cost of the DP grows with n, so static striping would leave the
-// low-n workers idle). workers <= 1 degrades to the plain serial loop.
+// low-n workers idle). workers <= 1 degrades to the plain serial loop. A
+// panic in fn is re-raised on the calling goroutine once every worker has
+// stopped.
 func parallelFor(lo, hi, workers int, fn func(i int)) {
 	n := hi - lo + 1
 	if n <= 0 {
@@ -167,11 +203,9 @@ func parallelFor(lo, hi, workers int, fn func(i int)) {
 	}
 	const chunk = 8
 	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
+	var g workerGroup
 	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
+		g.Go(func() {
 			for {
 				start := lo + int(cursor.Add(chunk)) - chunk
 				if start > hi {
@@ -185,9 +219,9 @@ func parallelFor(lo, hi, workers int, fn func(i int)) {
 					fn(i)
 				}
 			}
-		}()
+		})
 	}
-	wg.Wait()
+	g.Wait()
 }
 
 func (p *DeadlineProblem) buildTable(t int) intervalTable {
@@ -351,7 +385,7 @@ func (p *DeadlineProblem) SolveEfficient() (*DeadlinePolicy, error) {
 	for t := p.Intervals - 1; t >= 0; t-- {
 		tab := p.buildTable(t)
 		next := pol.Opt[t+1]
-		var wg sync.WaitGroup
+		var g workerGroup
 		var solveRange func(lo, hi, priceLo, priceHi int)
 		solveRange = func(lo, hi, priceLo, priceHi int) {
 			if lo > hi {
@@ -366,12 +400,10 @@ func (p *DeadlineProblem) SolveEfficient() (*DeadlinePolicy, error) {
 				select {
 				case sem <- struct{}{}:
 					forked = true
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
+					g.Go(func() {
 						defer func() { <-sem }()
 						solveRange(lo, mid-1, priceLo, bestPrice)
-					}()
+					})
 				default:
 				}
 			}
@@ -381,7 +413,7 @@ func (p *DeadlineProblem) SolveEfficient() (*DeadlinePolicy, error) {
 			solveRange(mid+1, hi, bestPrice, priceHi)
 		}
 		solveRange(1, p.N, p.MinPrice, p.MaxPrice)
-		wg.Wait()
+		g.Wait()
 	}
 	return pol, nil
 }

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"crowdpricing/internal/choice"
@@ -436,6 +439,76 @@ func TestParallelMatchesSerial(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// panicAccept is an acceptance curve that panics above a reward, standing
+// in for any bug that panics inside a solver worker.
+type panicAccept struct{ above int }
+
+func (a panicAccept) Accept(cents int) float64 {
+	if cents > a.above {
+		panic(fmt.Sprintf("acceptance curve failed at %d cents", cents))
+	}
+	return choice.Paper13.Accept(cents)
+}
+
+// recovered runs fn and returns the value of the panic it raised, if any.
+func recovered(fn func()) (r any) {
+	defer func() { r = recover() }()
+	fn()
+	return nil
+}
+
+// TestWorkerGroupRethrowsPanic: a panic on a worker goroutine comes back
+// out of Wait on the waiting goroutine, where a recover can stop it,
+// instead of killing the process. Every worker still runs to its end.
+func TestWorkerGroupRethrowsPanic(t *testing.T) {
+	var g workerGroup
+	var done atomic.Int64
+	for i := 0; i < 4; i++ {
+		g.Go(func() {
+			defer done.Add(1)
+			if i == 2 {
+				panic("worker 2 failed")
+			}
+		})
+	}
+	if r := recovered(g.Wait); r != "worker 2 failed" {
+		t.Fatalf("Wait re-raised %v, want the worker's panic", r)
+	}
+	if done.Load() != 4 {
+		t.Fatalf("%d of 4 workers finished before Wait returned", done.Load())
+	}
+
+	r := recovered(func() {
+		parallelFor(0, 999, 4, func(i int) {
+			if i == 500 {
+				panic("body failed")
+			}
+		})
+	})
+	if r != "body failed" {
+		t.Fatalf("parallelFor re-raised %v, want the body's panic", r)
+	}
+}
+
+// TestParallelSolvePanicReachesCaller: an acceptance curve that panics
+// inside the parallel table build surfaces as a panic on the goroutine
+// that called the solver, for both solvers, so a recover there (the solve
+// engine's per-call containment) holds for parallel solves too.
+func TestParallelSolvePanicReachesCaller(t *testing.T) {
+	p := testProblem(40, 6)
+	p.Accept = panicAccept{above: 20}
+	p.Workers = 4
+	for _, solver := range []struct {
+		name  string
+		solve func() (*DeadlinePolicy, error)
+	}{{"SolveSimple", p.SolveSimple}, {"SolveEfficient", p.SolveEfficient}} {
+		r := recovered(func() { _, _ = solver.solve() })
+		if s, _ := r.(string); !strings.HasPrefix(s, "acceptance curve failed") {
+			t.Errorf("%s: caller recovered %v, want the acceptance curve's panic", solver.name, r)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -65,7 +66,9 @@ type Result struct {
 	// Fingerprint is the artifact's cache key (Spec.Fingerprint).
 	Fingerprint string
 	// Value is the serialized artifact, byte-identical for every caller of
-	// the same fingerprint.
+	// the same fingerprint. It is a valid JSON document: the engine checks
+	// each artifact once, when it is solved, and caches only those that
+	// pass.
 	Value []byte
 	// CacheHit reports whether the artifact was served from the warm cache
 	// without waiting on any solver.
@@ -323,6 +326,13 @@ func (e *Engine) run(c *call) {
 	val, err := c.spec.Solve(context.Background())
 	if err != nil {
 		c.err = err
+		return
+	}
+	// The one validity check an artifact gets: the server writes cached
+	// bytes to the socket verbatim, so a non-JSON artifact must fail here,
+	// once per solve, and never reach the cache.
+	if !json.Valid(val) {
+		c.err = fmt.Errorf("engine: %s solver returned an artifact that is not a JSON document", c.kind)
 		return
 	}
 	e.cache.Put(c.key, val)

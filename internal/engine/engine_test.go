@@ -13,13 +13,18 @@ import (
 
 // fakeSpec is a controllable Spec for scheduler tests.
 type fakeSpec struct {
-	kind   string
-	id     string
-	block  chan struct{} // non-nil: Solve waits until closed
-	solves *atomic.Int64
-	fail   error
-	panics bool
+	kind    string
+	id      string
+	block   chan struct{} // non-nil: Solve waits until closed
+	solves  *atomic.Int64
+	fail    error
+	panics  bool
+	notJSON bool // Solve returns bytes that are not a JSON document
 }
+
+// fakeArtifact is the artifact a fakeSpec solves to: its id in a JSON
+// string.
+func fakeArtifact(id string) string { return `"artifact:` + id + `"` }
 
 func (s *fakeSpec) Kind() string { return s.kind }
 
@@ -50,7 +55,10 @@ func (s *fakeSpec) Solve(ctx context.Context) ([]byte, error) {
 	if s.fail != nil {
 		return nil, s.fail
 	}
-	return []byte("artifact:" + s.id), nil
+	if s.notJSON {
+		return []byte("artifact:" + s.id), nil
+	}
+	return []byte(fakeArtifact(s.id)), nil
 }
 
 func newTestEngine(t *testing.T, opts Options) *Engine {
@@ -85,7 +93,7 @@ func TestOneWorkerManyCallers(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("caller %d: %v", i, errs[i])
 		}
-		if want := "artifact:" + fmt.Sprint(i); string(vals[i]) != want {
+		if want := fakeArtifact(fmt.Sprint(i)); string(vals[i]) != want {
 			t.Errorf("caller %d got %q, want %q", i, vals[i], want)
 		}
 	}
@@ -271,8 +279,24 @@ func TestSolverPanicContained(t *testing.T) {
 		t.Fatalf("err = %v, want a contained panic error", err)
 	}
 	res, err := e.Solve(context.Background(), &fakeSpec{kind: "a", id: "boom"})
-	if err != nil || string(res.Value) != "artifact:boom" {
+	if err != nil || string(res.Value) != fakeArtifact("boom") {
 		t.Fatalf("key unusable after panic: %v, %v", res, err)
+	}
+}
+
+// TestNonJSONArtifactRejected: an artifact that is not a JSON document
+// fails its call with an error naming the kind and is never cached, so the
+// bytes the server writes verbatim are always JSON.
+func TestNonJSONArtifactRejected(t *testing.T) {
+	e := newTestEngine(t, Options{Workers: 1})
+	for i := 0; i < 2; i++ {
+		_, err := e.Solve(context.Background(), &fakeSpec{kind: "rawbytes", id: "x", notJSON: true})
+		if err == nil || !strings.Contains(err.Error(), "rawbytes") || !strings.Contains(err.Error(), "not a JSON document") {
+			t.Fatalf("attempt %d: err = %v, want a not-JSON error naming the kind", i, err)
+		}
+	}
+	if m := e.Metrics(); m.Solves != 2 || m.CacheEntries != 0 {
+		t.Errorf("solves = %d, cache entries = %d, want 2 solves and nothing cached", m.Solves, m.CacheEntries)
 	}
 }
 

@@ -37,6 +37,12 @@ type Spec interface {
 	// goroutine; implementations may ignore ctx if their solvers are not
 	// interruptible (the engine lets solves run to completion to warm the
 	// cache even after the requester gives up).
+	//
+	// The artifact must be one JSON document. The engine checks it once,
+	// when the solve returns, and otherwise fails the call with an error
+	// naming the kind and caches nothing. The server writes cached
+	// artifacts into responses byte for byte, with no further check or
+	// re-encode, so compact output keeps responses small.
 	Solve(ctx context.Context) ([]byte, error)
 }
 

@@ -159,13 +159,16 @@ func (r *DeadlineRequest) Fingerprint() (string, error) {
 	return "deadline/efficient:" + fp, nil
 }
 
-// Solve implements engine.Spec, running Algorithm 2 (ImprovedDP).
+// Solve implements engine.Spec, running Algorithm 2 (ImprovedDP). The
+// artifact is the policy's own MarshalJSON output, called directly:
+// json.Marshal(pol) would produce the same bytes but re-validate and copy
+// all of them (~305 KB at paper scale) after the method returned.
 func (r *DeadlineRequest) Solve(ctx context.Context) ([]byte, error) {
 	pol, err := r.problem().SolveEfficient()
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(pol)
+	return pol.MarshalJSON()
 }
 
 // Budget solve methods.

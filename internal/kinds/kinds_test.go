@@ -1,6 +1,7 @@
 package kinds
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"reflect"
@@ -169,6 +170,31 @@ func TestSolveSmallAllKinds(t *testing.T) {
 		}
 		if string(raw) != string(again) {
 			t.Errorf("%s: repeated solve produced different bytes", kind)
+		}
+	}
+}
+
+// TestDeadlineArtifactIsMarshaledPolicy: the deadline artifact, which Solve
+// takes from the policy's MarshalJSON directly, is byte-identical to
+// json.Marshal of the same solved policy — the bytes the cache and every
+// response carried when Solve went through json.Marshal.
+func TestDeadlineArtifactIsMarshaledPolicy(t *testing.T) {
+	for _, size := range []string{"small", "paper"} {
+		req := sampleDeadline(42, size).(*DeadlineRequest)
+		raw, err := req.Solve(context.Background())
+		if err != nil {
+			t.Fatalf("%s: %v", size, err)
+		}
+		pol, err := req.problem().SolveEfficient()
+		if err != nil {
+			t.Fatalf("%s: %v", size, err)
+		}
+		want, err := json.Marshal(pol)
+		if err != nil {
+			t.Fatalf("%s: %v", size, err)
+		}
+		if !bytes.Equal(raw, want) {
+			t.Errorf("%s: Solve returned %d bytes that differ from json.Marshal's %d", size, len(raw), len(want))
 		}
 	}
 }

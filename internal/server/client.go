@@ -104,7 +104,41 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		}
 		return apiErr
 	}
-	return json.NewDecoder(res.Body).Decode(out)
+	data, err := readBody(res)
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(data, out)
+}
+
+// readBody reads a response body into one buffer. A Content-Length up to
+// maxBodyBytes sizes the buffer up front, so a paper-scale solve response
+// (~305 KB) costs one allocation instead of the doubling garbage a
+// json.Decoder leaves behind. The header is only a hint: past the cap, or
+// when absent, the buffer grows as bytes arrive, so a response that
+// declares a huge length and sends little costs what it sent.
+func readBody(res *http.Response) ([]byte, error) {
+	size := res.ContentLength
+	if size < 0 || size > maxBodyBytes {
+		size = 512
+	}
+	// io.ReadAll's loop, starting from the hinted size instead of 512
+	// bytes. The spare byte lets the read that reports EOF land without a
+	// grow, so a correct hint costs exactly one allocation.
+	b := make([]byte, 0, size+1)
+	for {
+		n, err := res.Body.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
 }
 
 // Solve is the one request path for every problem kind: POST req to

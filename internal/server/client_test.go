@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -51,6 +52,21 @@ func TestClientNon200WithoutJSONBody(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "500") {
 		t.Errorf("error %q does not mention the status", err)
+	}
+}
+
+// TestClientDeclaredLengthIsOnlyAHint: a 200 that declares a terabyte
+// Content-Length and sends ten bytes fails with an error. The client sizes
+// its read buffer from the header only up to maxBodyBytes, so the lie costs
+// the bytes that arrived, not an allocation of the declared size.
+func TestClientDeclaredLengthIsOnlyAHint(t *testing.T) {
+	c := clientAgainst(t, func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", strconv.FormatInt(1<<40, 10))
+		w.Write([]byte(`{"kind":"d`))
+	})
+	if _, err := c.Solve(context.Background(), KindDeadline, testDeadlineRequest()); err == nil {
+		t.Fatal("nil error for a body shorter than its declared length")
 	}
 }
 

@@ -38,6 +38,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"sort"
@@ -58,8 +59,8 @@ import (
 // Defaults for Options zero values.
 const (
 	// DefaultCacheSize bounds the policy cache. A paper-scale deadline
-	// policy (N=200, 72 intervals) serializes to ~250 KB, so the default
-	// caps cache memory around a quarter of a gigabyte.
+	// policy (N=200, 72 intervals) serializes to ~305 KB, so the default
+	// caps cache memory around a third of a gigabyte.
 	DefaultCacheSize = engine.DefaultCacheSize
 	// DefaultRequestTimeout bounds how long a request waits for its solve.
 	DefaultRequestTimeout = 2 * time.Minute
@@ -95,6 +96,10 @@ type Options struct {
 	QueueDepth int
 	// Registry maps kind names to problem specifications (nil =
 	// kinds.Default(), the built-in deadline/budget/tradeoff/multi set).
+	// Each spec's Solve must return one JSON document: the engine checks
+	// every artifact once, when it is solved, and a request whose solver
+	// returned anything else gets a 500 naming the kind. Responses then
+	// carry the cached artifact byte for byte (see engine.Spec).
 	Registry *engine.Registry
 	// CampaignTTL expires campaigns idle for longer than this
 	// (0 = campaign.DefaultTTL, 30 minutes; negative = never expire).
@@ -409,13 +414,40 @@ func (s *Server) solveSpec(ctx context.Context, spec engine.Spec) (*SolveRespons
 	}, nil
 }
 
+// writeSolve writes a single-solve 200 response with the cached artifact
+// spliced in verbatim, where json.Encoder would re-validate and copy all of
+// it on every response; the engine checked once, at solve time, that it is
+// JSON. The head fields go through json.Marshal, so their escaping and the
+// solve_ms format are unchanged: for an artifact encoding/json produced
+// (compact, HTML-escaped) the body is byte-identical to
+// json.NewEncoder(w).Encode(resp).
+func (s *Server) writeSolve(w http.ResponseWriter, resp *SolveResponse) {
+	head := *resp
+	head.Result = nil
+	b, err := json.Marshal(&head)
+	if err != nil {
+		s.fail(w, http.StatusInternalServerError, err)
+		return
+	}
+	// Result is SolveResponse's last field, so b ends in `null}`.
+	prefix := b[:len(b)-len("null}")]
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(prefix)+len(resp.Result)+len("}\n")))
+	// A failed write means the client has gone; with the status already
+	// sent there is no one left to report it to (s.ok drops it likewise).
+	_, _ = w.Write(prefix)
+	_, _ = w.Write(resp.Result)
+	_, _ = io.WriteString(w, "}\n")
+}
+
 // respond maps a solve outcome to HTTP: validation problems are the
 // client's fault (400), queue overflow is backpressure (429), timeouts are
 // 504, anything else is 500.
 func (s *Server) respond(w http.ResponseWriter, resp *SolveResponse, err error) {
 	switch {
 	case err == nil:
-		s.ok(w, resp)
+		s.writeSolve(w, resp)
 	case engine.IsInvalidSpec(err):
 		s.fail(w, http.StatusBadRequest, err)
 	case errors.Is(err, engine.ErrQueueFull):

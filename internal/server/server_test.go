@@ -434,6 +434,8 @@ type stubSpec struct {
 	ID    string `json:"id"`
 	Panic bool   `json:"panic,omitempty"`
 	Block bool   `json:"block,omitempty"`
+	// Raw makes Solve return bytes that are not a JSON document.
+	Raw bool `json:"raw,omitempty"`
 
 	gate chan struct{}
 }
@@ -457,6 +459,9 @@ func (s *stubSpec) Solve(ctx context.Context) ([]byte, error) {
 	}
 	if s.Panic {
 		panic("boom")
+	}
+	if s.Raw {
+		return []byte(`ok:` + s.ID), nil
 	}
 	return []byte(`{"ok":"` + s.ID + `"}`), nil
 }

@@ -108,8 +108,10 @@ func (r *SolveResponse) DecodePolicy() (*core.DeadlinePolicy, error) {
 	if r.Kind != KindDeadline {
 		return nil, fmt.Errorf("server: DecodePolicy on %q response", r.Kind)
 	}
+	// UnmarshalJSON directly, which validates the whole input itself;
+	// json.Unmarshal would scan the artifact twice more before calling it.
 	var pol core.DeadlinePolicy
-	if err := json.Unmarshal(r.Result, &pol); err != nil {
+	if err := pol.UnmarshalJSON(r.Result); err != nil {
 		return nil, err
 	}
 	return &pol, nil
