@@ -31,8 +31,8 @@
 // (SIGINT or SIGTERM) drains in-flight requests, then flushes and fsyncs
 // the log. Without -wal-dir campaigns live in memory only. The old
 // -campaign-snapshot file is gone: a daemon started with that flag fails
-// at flag parsing. Inspect a log with cmd/waldump; regenerate rate fits
-// from recorded traffic with cmd/walstats.
+// at flag parsing. Inspect a log with cmd/wal (wal list, wal verify) and
+// regenerate rate fits from recorded traffic with wal stats.
 //
 // Observability: every request is traced through the pipeline stages
 // (decode, engine queue, solve, quoter decode, campaign lock, WAL append);

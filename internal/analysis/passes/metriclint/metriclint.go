@@ -1,7 +1,7 @@
 // Package metriclint enforces Prometheus naming rules at metric
 // definition sites, at compile time — the static complement of the
 // runtime /metrics conformance test (internal/server's
-// TestMetricsPrometheusConformance). The runtime test proves the rendered
+// TestMetricsPrometheusConventions). The runtime test proves the rendered
 // exposition is well-formed; this analyzer pins the names and label sets
 // at the source locations where someone would add a new metric, so a
 // misnamed counter fails `go vet` before it ever renders.
@@ -14,7 +14,8 @@
 //   - metric rows declared as {name, typ, help, ...} struct literals (the
 //     /metrics table) must use a known type (counter, gauge, histogram);
 //     counters must end in _total, non-counters must not; help strings
-//     must be non-empty sentences ending in a period;
+//     must be non-empty sentences ending in a period; a row's label
+//     field, when set, must belong to AllowedLabels;
 //   - calls to the counter-family helpers (func names containing
 //     "Counter") must pass a _total name and a period-terminated help;
 //   - label maps are closed: a label key rendered inside {...} in a
@@ -46,10 +47,11 @@ var Packages = []string{
 const Namespace = "crowdpricing_"
 
 // AllowedLabels is the closed label set. Every label key rendered in an
-// exposition format string must be listed here. "stage" (pipeline stage
-// of the request-tracing histograms) and "cohort" (campaign cohort of the
-// analytics counters) are bounded by construction: stages are a compiled
-// enum and cohorts are kind × adaptive.
+// exposition format string or declared in a metric row's label field
+// must be listed here. "stage" (pipeline stage of the request-tracing
+// histograms) and "cohort" (campaign cohort of the analytics counters)
+// are bounded by construction: stages are a compiled enum and cohorts
+// are kind × adaptive.
 var AllowedLabels = []string{"kind", "endpoint", "le", "stage", "cohort"}
 
 // Analyzer is the metric-naming checker.
@@ -160,6 +162,9 @@ func checkMetricRow(pass *analysis.Pass, lit *ast.CompositeLit) {
 	}
 	if helpPos.IsValid() && !validHelp(help) {
 		pass.Reportf(helpPos, "metric %q needs a non-empty HELP sentence ending in a period", name)
+	}
+	if label, labelPos := fieldString(st, lit, "label"); label != "" && !allowedLabel(label) {
+		pass.Reportf(labelPos, "label %q is not in the closed label set %v: extend metriclint.AllowedLabels deliberately (mind the cardinality)", label, AllowedLabels)
 	}
 }
 

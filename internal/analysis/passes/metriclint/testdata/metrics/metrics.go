@@ -40,6 +40,16 @@ const goodCohortFormat = "crowdpricing_cohort_quotes_total{cohort=%q} %d\n"
 
 const badTenantLabel = "crowdpricing_cohort_quotes_total{tenant=%q} %d\n" // want `label "tenant" is not in the closed label set`
 
+// A row that declares its label key in a field, not a format string,
+// draws from the same closed set.
+type labelledRow struct {
+	name, typ, help, label string
+}
+
+var goodLabelledRow = labelledRow{name: "crowdpricing_solves_total", typ: "counter", help: "Solves by problem kind.", label: "kind"}
+
+var badLabelledRow = labelledRow{name: "crowdpricing_quotes_total", typ: "counter", help: "Quotes by tenant.", label: "tenant"} // want `label "tenant" is not in the closed label set`
+
 func writeKindCounter(name, help string, v int64) string {
 	return fmt.Sprintf("%s{kind=%q} %d\n", name, "deadline", v)
 }

@@ -8,8 +8,8 @@
 //
 // The aggregator implements campaign.EventSink, so the same fold serves
 // three feeds: live traffic (Manager.AttachSink), the recorded history
-// of an event log at attach time, and offline replay in cmd/walstats
-// (both via campaign.FoldWAL). The fold is deterministic by
+// of an event log at attach time, and offline replay in cmd/wal's stats
+// command (both via campaign.FoldWAL). The fold is deterministic by
 // construction — plain accumulation in event-stream order, no clocks, no
 // map-order dependence — so replaying a fixed-seed WAL twice yields
 // bit-identical λ̂ fits, an acceptance gate tested here and in CI.
@@ -262,7 +262,7 @@ func (a *Aggregator) Snapshot() *Snapshot {
 }
 
 // Snapshot is the wire-facing analytics view served on /v1/analytics and
-// printed by cmd/walstats.
+// printed by wal stats (cmd/wal).
 type Snapshot struct {
 	// LambdaHat is the trailing-window mean arrivals per interval —
 	// the fleet's current rate estimate; WindowObserves is how many

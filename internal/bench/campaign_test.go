@@ -118,12 +118,12 @@ func TestCampaignScenarioSmoke(t *testing.T) {
 
 	m := srv.Metrics()
 	sessions := res.Overall.Requests + res.Warmed
-	if m.CampaignQuotes != sessions*int64(sched.Config.CampaignSteps) {
+	if m.Campaigns.Quotes != sessions*int64(sched.Config.CampaignSteps) {
 		t.Errorf("server counted %d campaign quotes, want %d sessions × %d steps",
-			m.CampaignQuotes, sessions, sched.Config.CampaignSteps)
+			m.Campaigns.Quotes, sessions, sched.Config.CampaignSteps)
 	}
-	if m.CampaignsActive != 0 {
-		t.Errorf("%d campaigns left live after the run; sessions must finish what they create", m.CampaignsActive)
+	if m.Campaigns.Active != 0 {
+		t.Errorf("%d campaigns left live after the run; sessions must finish what they create", m.Campaigns.Active)
 	}
 
 	rep := BuildReport(sched.Config, "in-process", res, time.Time{})
@@ -203,7 +203,7 @@ func TestCampaignAdaptiveScenarioSmoke(t *testing.T) {
 	if res.Overall.Errors != 0 {
 		t.Fatalf("adaptive campaign run produced %d errors; samples: %v", res.Overall.Errors, res.ErrorSamples)
 	}
-	if m := srv.Metrics(); m.CampaignReplans == 0 {
+	if m := srv.Metrics(); m.Campaigns.Replans == 0 {
 		t.Error("drifting observation scripts produced zero replans")
 	}
 }
@@ -273,11 +273,11 @@ func TestCampaignDedupScenarioSmoke(t *testing.T) {
 		t.Fatalf("dedup campaign run produced %d errors; samples: %v", res.Overall.Errors, res.ErrorSamples)
 	}
 	m := srv.Metrics()
-	if m.QuoterInternMisses == 0 {
+	if m.Campaigns.QuoterInternMisses == 0 {
 		t.Error("no tables were ever interned by the campaign workload")
 	}
-	if m.QuoterInterned != 0 || m.QuoterResidentBytes != 0 {
+	if m.Campaigns.QuoterInterned != 0 || m.Campaigns.QuoterResidentBytes != 0 {
 		t.Errorf("run left %d interned quoters holding %d bytes; finished sessions must release their tables",
-			m.QuoterInterned, m.QuoterResidentBytes)
+			m.Campaigns.QuoterInterned, m.Campaigns.QuoterResidentBytes)
 	}
 }

@@ -312,7 +312,7 @@ func (m *Manager) ReplayWAL(ctx context.Context, src WALSource) (*WALReplayStats
 // FoldWAL streams src's records into sink as lifecycle events — the
 // offline twin of the live AttachSink stream, so an analytics aggregator
 // folds a recorded event log and live traffic through one code path and
-// cmd/walstats regenerates rate fits from recorded traffic. Unlike
+// cmd/wal's stats command regenerates rate fits from recorded traffic. Unlike
 // ReplayWAL it runs no solver: the fold is pure bookkeeping, so it works
 // read-only (wal.NewReader) and in O(records).
 //

@@ -94,15 +94,6 @@ type CampaignObserveRequest struct {
 // /v1/campaigns API.
 func (s *Server) Campaigns() *campaign.Manager { return s.campaigns }
 
-// counted wraps a campaign handler with the request counter (the method
-// check lives in the route pattern, unlike the legacy solve routes).
-func (s *Server) counted(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		s.requests.Add(1)
-		h(w, r)
-	}
-}
-
 // respondCampaign maps a campaign outcome to HTTP: unknown IDs are 404,
 // malformed requests and unsupported kinds 400, a full campaign table or
 // solve queue 429 backpressure, timeouts 504.

@@ -273,7 +273,7 @@ func TestCampaignMetrics(t *testing.T) {
 	}
 
 	m := s.Metrics()
-	if m.CampaignsActive != 1 || m.CampaignQuotes != 3 {
+	if m.Campaigns.Active != 1 || m.Campaigns.Quotes != 3 {
 		t.Fatalf("snapshot %+v, want 1 active campaign and 3 quotes", m)
 	}
 

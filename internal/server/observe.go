@@ -2,10 +2,7 @@ package server
 
 import (
 	"errors"
-	"fmt"
 	"net/http"
-	"sort"
-	"strconv"
 
 	"crowdpricing/internal/analytics"
 	"crowdpricing/internal/hdr"
@@ -13,8 +10,8 @@ import (
 )
 
 // This file is the read side of the observability plane: the
-// /v1/analytics and /debug/requests endpoints plus the analytics and
-// per-stage /metrics families. The write side — trace spans and the
+// /v1/analytics and /debug/requests endpoints (its /metrics families are
+// rows of the table in metrics.go). The write side — trace spans and the
 // campaign event sink — lives in route(), the handlers, and
 // internal/campaign.
 
@@ -48,7 +45,6 @@ type AnalyticsResponse struct {
 }
 
 func (s *Server) handleAnalytics(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
 	resp := AnalyticsResponse{Analytics: s.analytics.Snapshot()}
 	if s.tracer != nil {
 		resp.Stages = make(map[string]StageSummary, telemetry.NumStages)
@@ -66,7 +62,6 @@ func (s *Server) handleAnalytics(w http.ResponseWriter, r *http.Request) {
 // disabled — like the WAL families, a daemon without the subsystem
 // exposes no empty surface for it.
 func (s *Server) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
 	if s.tracer == nil {
 		s.fail(w, http.StatusNotFound, errors.New("request tracing is disabled"))
 		return
@@ -78,88 +73,4 @@ func (s *Server) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.ok(w, summaries)
-}
-
-// writeAnalyticsMetrics renders the live analytics fold: the fleet λ̂
-// gauges and the per-cohort counter families. HELP/TYPE always render so
-// scrapes see stable family declarations; cohort series appear as
-// traffic creates them, in sorted order.
-func (s *Server) writeAnalyticsMetrics(w http.ResponseWriter) {
-	snap := s.analytics.Snapshot()
-	for _, row := range []struct {
-		name, help string
-		value      float64
-	}{
-		{"crowdpricing_lambda_hat", "Trailing-window mean worker arrivals per interval across all campaigns.", snap.LambdaHat},
-		{"crowdpricing_lambda_hat_lifetime", "Lifetime mean worker arrivals per interval across all campaigns.", snap.LambdaHatLifetime},
-	} {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n",
-			row.name, row.help, row.name, row.name, row.value)
-	}
-	keys := make([]string, 0, len(snap.Cohorts))
-	for key := range snap.Cohorts {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	for _, fam := range []struct {
-		name, help string
-		value      func(c analytics.CohortSnapshot) float64
-	}{
-		{"crowdpricing_cohort_campaigns_total", "Campaigns created, by cohort (kind, with /adaptive for re-planning campaigns).",
-			func(c analytics.CohortSnapshot) float64 { return float64(c.Campaigns) }},
-		{"crowdpricing_cohort_finished_total", "Campaigns explicitly finished, by cohort.",
-			func(c analytics.CohortSnapshot) float64 { return float64(c.Finished) }},
-		{"crowdpricing_cohort_expired_total", "Campaigns removed by the idle-TTL sweeper, by cohort.",
-			func(c analytics.CohortSnapshot) float64 { return float64(c.Expired) }},
-		{"crowdpricing_cohort_observes_total", "Intervals observed, by cohort.",
-			func(c analytics.CohortSnapshot) float64 { return float64(c.Observes) }},
-		{"crowdpricing_cohort_arrivals_total", "Worker arrivals observed, by cohort.",
-			func(c analytics.CohortSnapshot) float64 { return c.Arrivals }},
-		{"crowdpricing_cohort_completions_total", "Task completions observed, by cohort.",
-			func(c analytics.CohortSnapshot) float64 { return float64(c.Completions) }},
-		{"crowdpricing_cohort_quotes_total", "Prices quoted, by cohort.",
-			func(c analytics.CohortSnapshot) float64 { return float64(c.Quotes) }},
-	} {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", fam.name, fam.help, fam.name)
-		for _, key := range keys {
-			fmt.Fprintf(w, "%s{cohort=%q} %g\n", fam.name, key, fam.value(snap.Cohorts[key]))
-		}
-	}
-}
-
-// stageBuckets are the `le` bounds (seconds) of the per-stage duration
-// histogram. Stages run finer than whole requests — a warm quote decode
-// is sub-microsecond, a WAL append tens of microseconds — so the ladder
-// starts three decades below latencyBuckets.
-var stageBuckets = []float64{
-	0.000001, 0.0000025, 0.000005, 0.00001, 0.000025, 0.00005,
-	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
-	0.1, 0.25, 0.5, 1, 2.5,
-}
-
-// writeStageHistograms renders the per-stage duration histograms — one
-// family with a `stage` label, series in pipeline order. Rendered only
-// when tracing is on (the histograms live in the tracer).
-func (s *Server) writeStageHistograms(w http.ResponseWriter) {
-	if s.tracer == nil {
-		return
-	}
-	const name = "crowdpricing_stage_duration_seconds"
-	fmt.Fprintf(w, "# HELP %s Wall time per request-pipeline stage, across all traced requests.\n# TYPE %s histogram\n", name, name)
-	for st := telemetry.Stage(0); st < telemetry.NumStages; st++ {
-		h := s.tracer.StageHistogram(st)
-		stage := st.String()
-		total := h.Count()
-		for _, le := range stageBuckets {
-			n := h.CountAtOrBelow(int64(le * 1e9))
-			if n > total {
-				n = total
-			}
-			fmt.Fprintf(w, "%s_bucket{stage=%q,le=%q} %d\n",
-				name, stage, strconv.FormatFloat(le, 'g', -1, 64), n)
-		}
-		fmt.Fprintf(w, "%s_bucket{stage=%q,le=\"+Inf\"} %d\n", name, stage, total)
-		fmt.Fprintf(w, "%s_sum{stage=%q} %g\n", name, stage, float64(h.Sum())/1e9)
-		fmt.Fprintf(w, "%s_count{stage=%q} %d\n", name, stage, total)
-	}
 }

@@ -107,7 +107,7 @@ func TestShedRequestLandsInHistogram(t *testing.T) {
 		}()
 		switch id {
 		case "wedge-worker":
-			waitForMetric(t, s, func(m MetricsSnapshot) bool { return m.InFlightSolves == 1 })
+			waitForMetric(t, s, func(m MetricsSnapshot) bool { return m.InFlight == 1 })
 		case "fill-queue":
 			waitForMetric(t, s, func(m MetricsSnapshot) bool { return m.QueueDepth == 1 })
 		}

@@ -41,7 +41,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -147,7 +146,7 @@ type Server struct {
 	latency map[string]*hdr.Histogram
 
 	requests   atomic.Int64 // HTTP requests accepted across all endpoints
-	errorCount atomic.Int64 // non-2xx responses
+	errorCount atomic.Int64 // non-2xx and panicked responses
 
 	// wal, when attached, is the campaign event log whose counters are
 	// rendered on /metrics.
@@ -214,11 +213,11 @@ func New(opts Options) *Server {
 	s.route("/v1/solve/batch", s.post(s.handleBatch))
 	// The stateful campaign API: method-scoped patterns, the modern mux
 	// idiom — the wildcard {id} binds through r.PathValue.
-	s.route("POST /v1/campaigns", s.counted(s.handleCampaignCreate))
-	s.route("POST /v1/campaigns/{id}/observe", s.counted(s.handleCampaignObserve))
-	s.route("GET /v1/campaigns/{id}/price", s.counted(s.handleCampaignPrice))
-	s.route("GET /v1/campaigns/{id}", s.counted(s.handleCampaignState))
-	s.route("DELETE /v1/campaigns/{id}", s.counted(s.handleCampaignFinish))
+	s.route("POST /v1/campaigns", s.handleCampaignCreate)
+	s.route("POST /v1/campaigns/{id}/observe", s.handleCampaignObserve)
+	s.route("GET /v1/campaigns/{id}/price", s.handleCampaignPrice)
+	s.route("GET /v1/campaigns/{id}", s.handleCampaignState)
+	s.route("DELETE /v1/campaigns/{id}", s.handleCampaignFinish)
 	s.route("/healthz", s.handleHealthz)
 	s.route("/metrics", s.handleMetrics)
 	s.route("GET /v1/analytics", s.handleAnalytics)
@@ -256,8 +255,9 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	return w.ResponseWriter.Write(b)
 }
 
-// route registers h at path wrapped with request tracing and per-endpoint
-// latency recording. The recording runs in a deferred recover, so every
+// route registers h at path wrapped with the request and error counters,
+// request tracing and per-endpoint latency recording — the one place every
+// request is counted. The recording runs in a deferred recover, so every
 // request lands in the histogram — panicking handlers and 429-shed
 // requests included, not just the happy path — and a panic answers 500
 // (when nothing was written yet) instead of killing the connection.
@@ -265,6 +265,7 @@ func (s *Server) route(path string, h http.HandlerFunc) {
 	hist := hdr.New()
 	s.latency[path] = hist
 	s.mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
+		s.requests.Add(1)
 		//crowdlint:allow determinism -- request-latency histogram wants wall time
 		begin := time.Now()
 		tr := s.tracer.Start(path)
@@ -273,14 +274,16 @@ func (s *Server) route(path string, h http.HandlerFunc) {
 		}
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		defer func() {
-			if rec := recover(); rec != nil {
-				if sw.wrote {
-					s.errorCount.Add(1)
-				} else {
+			rec := recover()
+			if rec != nil {
+				if !sw.wrote {
 					s.fail(sw, http.StatusInternalServerError, errors.New("internal error"))
 				}
 				s.logger.Error("request handler panicked",
 					"endpoint", path, "trace_id", tr.ID(), "panic", fmt.Sprint(rec))
+			}
+			if rec != nil || sw.status/100 != 2 {
+				s.errorCount.Add(1)
 			}
 			//crowdlint:allow determinism -- request-latency histogram wants wall time
 			hist.Record(time.Since(begin))
@@ -314,69 +317,31 @@ func (s *Server) AttachWAL(l *wal.Log) {
 // counters, exposed for tests and for embedding applications; the /metrics
 // endpoint renders the same numbers in Prometheus text format.
 type MetricsSnapshot struct {
-	Requests           int64
-	CacheHits          int64
-	CacheMisses        int64
-	Solves             int64
-	SingleflightShared int64
-	Errors             int64
-	CacheEntries       int64
-	// QueueDepth and InFlightSolves are the engine's scheduler gauges.
-	QueueDepth     int64
-	InFlightSolves int64
-	// SolvesByKind and RejectedByKind split solver executions and
-	// queue-overflow rejections per problem kind.
-	SolvesByKind   map[string]int64
-	RejectedByKind map[string]int64
-	// CampaignsActive is the live-campaign gauge; CampaignQuotes,
-	// CampaignReplans, and CampaignsExpired are the campaign runtime's
-	// lifetime counters.
-	CampaignsActive  int64
-	CampaignQuotes   int64
-	CampaignReplans  int64
-	CampaignsExpired int64
-	// QuoterInterned and QuoterResidentBytes gauge the campaign runtime's
-	// policy-table intern layer; QuoterInternHits / QuoterInternMisses /
-	// QuoterRedecodes are its lifetime counters.
-	QuoterInterned      int64
-	QuoterResidentBytes int64
-	QuoterInternHits    int64
-	QuoterInternMisses  int64
-	QuoterRedecodes     int64
+	// Requests counts HTTP requests accepted across all endpoints; Errors
+	// the non-2xx and panicked ones.
+	Requests int64
+	Errors   int64
+	// Metrics is the solve engine's: cache counters, scheduler gauges,
+	// and solves and queue-overflow rejections per problem kind.
+	engine.Metrics
+	// Campaigns is the campaign runtime's: the live-campaign gauge, its
+	// lifetime counters, and the quoter intern layer's gauges and counters.
+	Campaigns campaign.Metrics
 }
 
 // Metrics returns the current counter values.
 func (s *Server) Metrics() MetricsSnapshot {
-	em := s.engine.Metrics()
-	cm := s.campaigns.Metrics()
 	return MetricsSnapshot{
-		CampaignsActive:     cm.Active,
-		CampaignQuotes:      cm.Quotes,
-		CampaignReplans:     cm.Replans,
-		CampaignsExpired:    cm.Expired,
-		QuoterInterned:      cm.QuoterInterned,
-		QuoterResidentBytes: cm.QuoterResidentBytes,
-		QuoterInternHits:    cm.QuoterInternHits,
-		QuoterInternMisses:  cm.QuoterInternMisses,
-		QuoterRedecodes:     cm.QuoterRedecodes,
-		Requests:            s.requests.Load(),
-		CacheHits:           em.CacheHits,
-		CacheMisses:         em.CacheMisses,
-		Solves:              em.Solves,
-		SingleflightShared:  em.FlightShared,
-		Errors:              s.errorCount.Load(),
-		CacheEntries:        em.CacheEntries,
-		QueueDepth:          em.QueueDepth,
-		InFlightSolves:      em.InFlight,
-		SolvesByKind:        em.SolvesByKind,
-		RejectedByKind:      em.RejectedByKind,
+		Requests:  s.requests.Load(),
+		Errors:    s.errorCount.Load(),
+		Metrics:   s.engine.Metrics(),
+		Campaigns: s.campaigns.Metrics(),
 	}
 }
 
-// post wraps a handler with method enforcement and the request counter.
+// post wraps a handler with method enforcement.
 func (s *Server) post(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		s.requests.Add(1)
 		if r.Method != http.MethodPost {
 			w.Header().Set("Allow", http.MethodPost)
 			s.fail(w, http.StatusMethodNotAllowed, errors.New("use POST"))
@@ -387,7 +352,6 @@ func (s *Server) post(h http.HandlerFunc) http.HandlerFunc {
 }
 
 func (s *Server) fail(w http.ResponseWriter, status int, err error) {
-	s.errorCount.Add(1)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(errorResponse{Error: err.Error()})
@@ -591,7 +555,6 @@ type HealthStatus struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
 	s.ok(w, HealthStatus{
 		Status: "ok",
 		//crowdlint:allow determinism -- uptime gauge wants wall time
@@ -599,142 +562,4 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		CacheEntries:  int(s.engine.Metrics().CacheEntries),
 		Kinds:         s.registry.Kinds(),
 	})
-}
-
-// latencyBuckets are the `le` bounds (seconds) of the request-duration
-// histogram exposed on /metrics, spanning warm cache hits (microseconds)
-// through paper-scale cold solves (seconds). Cumulative counts are resolved
-// at the underlying hdr bucket granularity (≤3.1% relative error).
-var latencyBuckets = []float64{
-	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
-	0.1, 0.25, 0.5, 1, 2.5, 5, 10,
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	m := s.Metrics()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	for _, row := range []struct {
-		name, typ, help string
-		value           int64
-	}{
-		{"crowdpricing_requests_total", "counter", "HTTP requests accepted.", m.Requests},
-		{"crowdpricing_cache_hits_total", "counter", "Solve requests served from the warm policy cache.", m.CacheHits},
-		{"crowdpricing_cache_misses_total", "counter", "Solve requests that consulted the solver layer.", m.CacheMisses},
-		{"crowdpricing_singleflight_shared_total", "counter", "Requests deduplicated onto another request's in-flight solve.", m.SingleflightShared},
-		{"crowdpricing_errors_total", "counter", "Non-2xx responses.", m.Errors},
-		{"crowdpricing_cache_entries", "gauge", "Policies currently cached.", m.CacheEntries},
-		{"crowdpricing_queue_depth", "gauge", "Cold solves admitted and waiting for a worker.", m.QueueDepth},
-		{"crowdpricing_inflight_solves", "gauge", "Solves currently occupying an engine worker.", m.InFlightSolves},
-		{"crowdpricing_campaigns_active", "gauge", "Live campaigns in the table.", m.CampaignsActive},
-		{"crowdpricing_campaign_quotes_total", "counter", "Prices quoted from live campaigns.", m.CampaignQuotes},
-		{"crowdpricing_campaign_replans_total", "counter", "Adaptive policy switches across all campaigns.", m.CampaignReplans},
-		{"crowdpricing_campaigns_expired_total", "counter", "Campaigns expired by the idle TTL sweeper.", m.CampaignsExpired},
-		{"crowdpricing_quoter_interned", "gauge", "Distinct policy tables in the campaign quoter intern table.", m.QuoterInterned},
-		{"crowdpricing_quoter_resident_bytes", "gauge", "Decoded policy-table bytes currently resident across interned quoters.", m.QuoterResidentBytes},
-		{"crowdpricing_quoter_intern_hits_total", "counter", "Campaign policy lookups served by an already-interned table.", m.QuoterInternHits},
-		{"crowdpricing_quoter_intern_misses_total", "counter", "Campaign policy lookups that interned a new table.", m.QuoterInternMisses},
-		{"crowdpricing_quoter_redecodes_total", "counter", "Policy tables re-decoded after the memory budget evicted them.", m.QuoterRedecodes},
-	} {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n",
-			row.name, row.help, row.name, row.typ, row.name, row.value)
-	}
-	s.writeKindCounter(w, "crowdpricing_solves_total",
-		"Solver executions actually performed, by problem kind.", m.SolvesByKind)
-	s.writeKindCounter(w, "crowdpricing_rejections_total",
-		"Cold solves shed with 429 because the admission queue was full, by problem kind.", m.RejectedByKind)
-	s.writeWALMetrics(w)
-	s.writeAnalyticsMetrics(w)
-	s.writeLatencyHistogram(w)
-	s.writeStageHistograms(w)
-}
-
-// writeWALMetrics renders the campaign event log's families — only when a
-// log is attached, so a daemon running without durability exposes no
-// always-zero series.
-func (s *Server) writeWALMetrics(w http.ResponseWriter) {
-	l := s.wal.Load()
-	if l == nil {
-		return
-	}
-	wm := l.Metrics()
-	for _, row := range []struct {
-		name, typ, help string
-		value           int64
-	}{
-		{"crowdpricing_wal_appends_total", "counter", "Records appended to the campaign event log.", wm.Appends},
-		{"crowdpricing_wal_fsyncs_total", "counter", "Group-commit flushes fsynced to the event log.", wm.Fsyncs},
-		{"crowdpricing_wal_bytes_total", "counter", "Framed bytes appended to the event log.", wm.Bytes},
-		{"crowdpricing_wal_compactions_total", "counter", "Event-log compactions into a snapshot record.", wm.Compactions},
-		{"crowdpricing_wal_segments", "gauge", "Event-log segment files currently on disk.", wm.Segments},
-	} {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n",
-			row.name, row.help, row.name, row.typ, row.name, row.value)
-	}
-	for _, row := range []struct {
-		name, help string
-		value      float64
-	}{
-		{"crowdpricing_wal_replay_seconds", "Wall time of the boot-time event-log replay.", wm.ReplaySeconds},
-		{"crowdpricing_wal_last_compaction_timestamp_seconds", "Unix time of the last event-log compaction (0 = never).", wm.LastCompactionUnixSeconds},
-	} {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n",
-			row.name, row.help, row.name, row.name, row.value)
-	}
-}
-
-// writeKindCounter renders one kind-labeled counter family. Every
-// registered kind gets a series (zero until touched) so dashboards see a
-// stable label set; kinds observed by the engine but absent from the
-// registry (embedded custom specs) are appended after.
-func (s *Server) writeKindCounter(w http.ResponseWriter, name, help string, byKind map[string]int64) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-	known := s.registry.Kinds()
-	seen := make(map[string]bool, len(known))
-	for _, kind := range known {
-		seen[kind] = true
-		fmt.Fprintf(w, "%s{kind=%q} %d\n", name, kind, byKind[kind])
-	}
-	extra := make([]string, 0, len(byKind))
-	for kind := range byKind {
-		if !seen[kind] {
-			extra = append(extra, kind)
-		}
-	}
-	sort.Strings(extra)
-	for _, kind := range extra {
-		fmt.Fprintf(w, "%s{kind=%q} %d\n", name, kind, byKind[kind])
-	}
-}
-
-// writeLatencyHistogram renders the per-endpoint request-duration
-// histograms in Prometheus exposition format: one metric family with an
-// `endpoint` label, `_bucket` series per `le` bound plus `+Inf`, and the
-// conventional `_sum`/`_count` pair, all in base seconds.
-func (s *Server) writeLatencyHistogram(w http.ResponseWriter) {
-	const name = "crowdpricing_request_duration_seconds"
-	fmt.Fprintf(w, "# HELP %s Wall time per HTTP request, by endpoint.\n# TYPE %s histogram\n", name, name)
-	paths := make([]string, 0, len(s.latency))
-	for p := range s.latency {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	for _, path := range paths {
-		h := s.latency[path]
-		// Read the total once so +Inf and _count agree even while requests
-		// are recording concurrently; cap the per-bound cumulative counts
-		// at it so the series stays monotone under the same races.
-		total := h.Count()
-		for _, le := range latencyBuckets {
-			n := h.CountAtOrBelow(int64(le * 1e9))
-			if n > total {
-				n = total
-			}
-			fmt.Fprintf(w, "%s_bucket{endpoint=%q,le=%q} %d\n",
-				name, path, strconv.FormatFloat(le, 'g', -1, 64), n)
-		}
-		fmt.Fprintf(w, "%s_bucket{endpoint=%q,le=\"+Inf\"} %d\n", name, path, total)
-		fmt.Fprintf(w, "%s_sum{endpoint=%q} %g\n", name, path, float64(h.Sum())/1e9)
-		fmt.Fprintf(w, "%s_count{endpoint=%q} %d\n", name, path, total)
-	}
 }

@@ -107,9 +107,9 @@ func TestSingleflightDedup(t *testing.T) {
 	// Whether a given caller hit the warm cache or joined the in-flight
 	// solve depends on timing; together they must account for all but the
 	// one request that ran the solver.
-	if got := m.CacheHits + m.SingleflightShared; got != callers-1 {
+	if got := m.CacheHits + m.FlightShared; got != callers-1 {
 		t.Errorf("cache hits (%d) + singleflight joins (%d) = %d, want %d",
-			m.CacheHits, m.SingleflightShared, got, callers-1)
+			m.CacheHits, m.FlightShared, got, callers-1)
 	}
 	first := responses[0]
 	for i, r := range responses {
@@ -533,7 +533,7 @@ func TestQueueOverflowReturns429(t *testing.T) {
 	}
 	inflight := make(chan error, 2)
 	post("wedge-worker", inflight)
-	waitForMetric(t, s, func(m MetricsSnapshot) bool { return m.InFlightSolves == 1 })
+	waitForMetric(t, s, func(m MetricsSnapshot) bool { return m.InFlight == 1 })
 	post("fill-queue", inflight)
 	waitForMetric(t, s, func(m MetricsSnapshot) bool { return m.QueueDepth == 1 })
 

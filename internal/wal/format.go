@@ -266,7 +266,7 @@ func readAll(fsys FS, name string) ([]byte, error) {
 }
 
 // Reader replays a log directory read-only: no recovery truncation, no
-// new segment files — the inspection path cmd/waldump uses. It tolerates
+// new segment files — the inspection path cmd/wal uses. It tolerates
 // a torn tail exactly like Open, by stopping in front of it.
 type Reader struct {
 	fsys FS
