@@ -16,19 +16,6 @@
 // table, the O(1) quote path, and (with -campaign-adaptive) the §5.2.5
 // re-planning controller; latency is measured per session.
 //
-// Three modes. -mode single (the default) generates, replays, and reports
-// in one process. When one generator box cannot saturate the daemon, the
-// same schedule can be split across machines: -mode coordinator generates
-// the schedule, partitions it round-robin by event index into -num-workers
-// coordinated-omission-safe slices, and serves assignments over HTTP;
-// -mode worker fetches a slice from -coordinator, regenerates the schedule
-// from its seeded config, verifies the SHA-256 bit-for-bit, replays its
-// slice against the daemon, and posts back serialized histograms. The
-// coordinator merges worker histograms slot-for-slot and emits the same
-// report schema as a single-process run (plus a per-worker block), so
-// -baseline comparison and the CI gates work unchanged. A run that loses a
-// worker fails loudly — never a silently partial report.
-//
 // Examples:
 //
 //	loadbench -duration 10s -seed 1 -out BENCH_loadbench.json
@@ -36,11 +23,6 @@
 //	loadbench -mix "deadline=5,budget=3,tradeoff=2,multi=1" -duration 10s
 //	loadbench -scenario campaign -campaign-steps 6 -rate 10 -duration 10s
 //	loadbench -duration 10s -baseline BENCH_old.json -threshold 0.10
-//
-//	# distributed: one coordinator, two workers, one daemon
-//	loadbench -mode coordinator -listen :9070 -num-workers 2 \
-//	    -url http://daemon:8080 -rate 2000 -duration 60s -seed 1
-//	loadbench -mode worker -coordinator http://coordbox:9070   # ×2
 //
 // Exit codes: 0 success; 1 usage or run failure (an interrupted run that
 // measured anything still prints and writes its partial report); 2 a
@@ -71,24 +53,12 @@
 //	-workers int          in-process mode: goroutines inside each cold deadline solve (default 0 = all CPUs)
 //	-solve-concurrency int  in-process mode: engine solve worker pool (default 0 = all CPUs)
 //	-queue int            in-process mode: admission queue depth; overflow sheds 429 (default 4096)
-//	-concurrency int      cap on in-flight requests, per generator process (default 4096)
+//	-concurrency int      cap on in-flight requests (default 4096)
 //	-out string           write the JSON report here (default "BENCH_loadbench.json"; "" skips)
 //	-baseline string      compare against a previous JSON report
 //	-threshold float      relative regression threshold for -baseline (default 0.1)
 //	-max-p99 duration     fail (exit 3) if overall p99 exceeds this (0 disables)
 //	-max-error-rate float fail (exit 3) if the error rate exceeds this (-1 disables; 429 rejections excluded)
-//
-//	-mode string          single, coordinator, or worker (default "single")
-//	-listen string        coordinator: control-plane listen address (default "127.0.0.1:9070")
-//	-num-workers int      coordinator: worker processes the run expects (default 2)
-//	-run-deadline duration  coordinator: fail the run after this long (0 = warmup+duration+2m)
-//	-coordinator string   worker: coordinator base URL, e.g. http://host:9070
-//	-worker-id string     worker: stable identity for registration (default "<hostname>-<pid>")
-//
-// In -mode worker the workload is defined by the coordinator's assignment,
-// so workload/target/report flags are rejected; only -coordinator,
-// -worker-id, and -concurrency apply. In -mode coordinator the in-process
-// server flags are rejected (-url is required: workers drive that daemon).
 package main
 
 import (
@@ -96,8 +66,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strconv"
@@ -117,11 +85,7 @@ func main() {
 		o := flag.CommandLine.Output()
 		fmt.Fprintf(o, "usage: loadbench [flags]\n\n")
 		fmt.Fprintf(o, "Replay an NHPP-scheduled pricing workload and report latency/throughput.\n")
-		fmt.Fprintf(o, "Registered problem kinds: %s.\n\n", strings.Join(bench.Kinds, ", "))
-		fmt.Fprintf(o, "Modes: -mode single (default) runs everything in one process.\n")
-		fmt.Fprintf(o, "-mode coordinator partitions the schedule across -num-workers processes\n")
-		fmt.Fprintf(o, "and merges their histograms; -mode worker replays one slice, taking its\n")
-		fmt.Fprintf(o, "workload from the coordinator's assignment (workload flags rejected).\n\nflags:\n")
+		fmt.Fprintf(o, "Registered problem kinds: %s.\n\nflags:\n", strings.Join(bench.Kinds, ", "))
 		flag.PrintDefaults()
 	}
 	var (
@@ -143,62 +107,19 @@ func main() {
 		workers     = flag.Int("workers", 0, "in-process mode: goroutines inside each cold deadline solve (0 = all CPUs)")
 		solveConc   = flag.Int("solve-concurrency", 0, "in-process mode: engine solve worker pool (0 = all CPUs)")
 		queueDepth  = flag.Int("queue", server.DefaultQueueDepth, "in-process mode: admission queue depth; overflow sheds 429")
-		concurrency = flag.Int("concurrency", 4096, "cap on in-flight requests, per generator process")
+		concurrency = flag.Int("concurrency", 4096, "cap on in-flight requests")
 		out         = flag.String("out", "BENCH_loadbench.json", `write the JSON report here ("" skips)`)
 		baseline    = flag.String("baseline", "", "compare against a previous JSON report")
 		threshold   = flag.Float64("threshold", 0.10, "relative regression threshold for -baseline")
 		maxP99      = flag.Duration("max-p99", 0, "fail (exit 3) if overall p99 exceeds this (0 disables)")
 		maxErrRate  = flag.Float64("max-error-rate", -1, "fail (exit 3) if the error rate exceeds this (-1 disables; 429 rejections excluded)")
-
-		mode        = flag.String("mode", "single", "single, coordinator, or worker")
-		listen      = flag.String("listen", "127.0.0.1:9070", "coordinator mode: control-plane listen address")
-		numWorkers  = flag.Int("num-workers", 2, "coordinator mode: worker processes the run expects")
-		runDeadline = flag.Duration("run-deadline", 0, "coordinator mode: fail the run after this long (0 = warmup+duration+2m)")
-		coordURL    = flag.String("coordinator", "", "worker mode: coordinator base URL, e.g. http://host:9070")
-		workerID    = flag.String("worker-id", "", `worker mode: stable identity for registration (default "<hostname>-<pid>")`)
 	)
 	flag.Parse()
 	if flag.NArg() > 0 {
 		log.Fatalf("unexpected arguments %q; loadbench takes flags only", flag.Args())
 	}
-	setFlags := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { setFlags[f.Name] = true })
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	gates := gateFlags{out: *out, baseline: *baseline, threshold: *threshold, maxP99: *maxP99, maxErrRate: *maxErrRate}
-
-	// Worker mode takes its whole workload from the coordinator's
-	// assignment; it neither generates a schedule nor writes a report.
-	if *mode == "worker" {
-		workerAllowed := map[string]bool{"mode": true, "coordinator": true, "worker-id": true, "concurrency": true}
-		for name := range setFlags {
-			if !workerAllowed[name] {
-				log.Fatalf("-%s does not apply in -mode worker: the coordinator's assignment defines the workload, target, and report", name)
-			}
-		}
-		if *coordURL == "" {
-			log.Fatal("-mode worker requires -coordinator (the coordinator's base URL)")
-		}
-		id := *workerID
-		if id == "" {
-			host, err := os.Hostname()
-			if err != nil || host == "" {
-				host = "worker"
-			}
-			id = fmt.Sprintf("%s-%d", host, os.Getpid())
-		}
-		wopts := bench.WorkerOptions{CoordinatorURL: *coordURL, WorkerID: id, Logf: log.Printf}
-		if setFlags["concurrency"] {
-			wopts.MaxConcurrent = *concurrency
-		}
-		if err := bench.RunWorker(ctx, wopts); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("worker %s finished", id)
-		return
-	}
 
 	mix, err := parseMix(*mixSpec)
 	if err != nil {
@@ -223,54 +144,20 @@ func main() {
 		log.Fatal(err)
 	}
 
-	switch *mode {
-	case "coordinator":
-		for _, name := range []string{"campaign-wal-dir", "cache", "workers", "solve-concurrency", "queue", "coordinator", "worker-id"} {
-			if setFlags[name] {
-				log.Fatalf("-%s does not apply in -mode coordinator: the coordinator only partitions and merges; workers drive the daemon at -url", name)
-			}
-		}
-		if *url == "" {
-			log.Fatal("-mode coordinator requires -url: every worker replays its slice against that daemon")
-		}
-		os.Exit(runCoordinator(ctx, sched, coordinatorFlags{
-			listen:      *listen,
-			numWorkers:  *numWorkers,
-			targetURL:   *url,
-			concurrency: *concurrency,
-			deadline:    *runDeadline,
-		}, gates))
-
-	case "single":
-		for _, name := range []string{"listen", "num-workers", "run-deadline", "coordinator", "worker-id"} {
-			if setFlags[name] {
-				log.Fatalf("-%s applies to distributed modes only (see -mode)", name)
-			}
-		}
-		os.Exit(runSingle(ctx, sched, singleFlags{
-			url:         *url,
-			walDir:      *walDir,
-			cacheSize:   *cacheSize,
-			workers:     *workers,
-			solveConc:   *solveConc,
-			queueDepth:  *queueDepth,
-			concurrency: *concurrency,
-		}, gates))
-
-	default:
-		log.Fatalf("unknown -mode %q (want single, coordinator, or worker)", *mode)
-	}
+	os.Exit(runSingle(ctx, sched, singleFlags{
+		url:         *url,
+		walDir:      *walDir,
+		cacheSize:   *cacheSize,
+		workers:     *workers,
+		solveConc:   *solveConc,
+		queueDepth:  *queueDepth,
+		concurrency: *concurrency,
+	}, gateFlags{out: *out, baseline: *baseline, threshold: *threshold, maxP99: *maxP99, maxErrRate: *maxErrRate}))
 }
 
 type singleFlags struct {
 	url, walDir                                            string
 	cacheSize, workers, solveConc, queueDepth, concurrency int
-}
-
-type coordinatorFlags struct {
-	listen, targetURL       string
-	numWorkers, concurrency int
-	deadline                time.Duration
 }
 
 type gateFlags struct {
@@ -280,8 +167,8 @@ type gateFlags struct {
 	maxErrRate    float64
 }
 
-// runSingle is the classic one-process run: build the target, replay the
-// whole schedule, report.
+// runSingle builds the target, replays the whole schedule against it, and
+// reports.
 func runSingle(ctx context.Context, sched *bench.Schedule, f singleFlags, gates gateFlags) int {
 	targetName := "in-process"
 	var base *bench.ClientTarget
@@ -358,50 +245,8 @@ func runSingle(ctx context.Context, sched *bench.Schedule, f singleFlags, gates 
 	return exit
 }
 
-// runCoordinator serves the control plane for a distributed run and merges
-// the workers' results into the standard report.
-func runCoordinator(ctx context.Context, sched *bench.Schedule, f coordinatorFlags, gates gateFlags) int {
-	coord, err := bench.NewCoordinator(bench.CoordinatorOptions{
-		Schedule:      sched,
-		NumWorkers:    f.numWorkers,
-		TargetURL:     f.targetURL,
-		MaxConcurrent: f.concurrency,
-		Deadline:      f.deadline,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", f.listen)
-	if err != nil {
-		log.Fatal(err)
-	}
-	srv := &http.Server{Handler: coord.Handler()}
-	go func() {
-		if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
-			log.Printf("control plane: %v", err)
-		}
-	}()
-	log.Printf("coordinating %d workers on http://%s: run %s, %d requests against %s, schedule %.12s…",
-		f.numWorkers, ln.Addr(), coord.RunID(), len(sched.Requests), f.targetURL, sched.Hash)
-
-	_, waitErr := coord.Wait(ctx)
-	if waitErr != nil {
-		srv.Close()
-		log.Fatal(waitErr)
-	}
-	rep, err := coord.Report(time.Now())
-	// Let any straggling /report long-polls drain before tearing down.
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	_ = srv.Shutdown(shutdownCtx)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return reportAndGate(rep, gates)
-}
-
 // reportAndGate prints the report, writes -out, compares -baseline, and
-// applies the sanity ceilings — the tail every reporting mode shares.
+// applies the sanity ceilings.
 func reportAndGate(rep *bench.Report, gates gateFlags) int {
 	fmt.Print(rep.Table())
 	if gates.out != "" {

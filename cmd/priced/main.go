@@ -36,11 +36,12 @@
 //
 // Observability: every request is traced through the pipeline stages
 // (decode, engine queue, solve, quoter decode, campaign lock, WAL append);
-// GET /debug/requests serves the slowest recent traces and GET
-// /v1/analytics the live analytics plane — fleet λ̂ re-fit over a trailing
-// window, per-cohort campaign/quote summaries, per-stage latency. The same
-// numbers are scraped from /metrics as crowdpricing_stage_duration_seconds
-// and the crowdpricing_lambda_hat / crowdpricing_cohort_* families.
+// GET /debug/requests serves the slowest recent traces of each route and
+// GET /v1/analytics the live analytics plane — fleet λ̂ re-fit over a
+// trailing window, per-cohort campaign/quote summaries, per-stage latency.
+// The same numbers are scraped from /metrics as
+// crowdpricing_stage_duration_seconds and the crowdpricing_lambda_hat /
+// crowdpricing_cohort_* families.
 // -debug-addr starts a second, private listener serving net/http/pprof —
 // off by default, and deliberately never on the public address.
 //
@@ -91,7 +92,7 @@
 //	      acknowledged campaign history (default 5ms)
 //	-trace-requests int
 //	      how many of the slowest recent request traces /debug/requests
-//	      retains (default 64; 0 disables request tracing)
+//	      retains per route (default 64; 0 disables request tracing)
 //	-trace-seed int
 //	      seed for the trace-ID generator (default 1; IDs are the tracing
 //	      plane's only randomness and are deterministic under a fixed seed)
@@ -147,7 +148,7 @@ func main() {
 	lazyBank := flag.Bool("lazy-bank", false, "solve adaptive bank factors on first use instead of at create")
 	walDir := flag.String("wal-dir", "", `campaign event-log directory: replayed at boot, appended while serving ("" disables durability)`)
 	walSync := flag.Duration("wal-sync-interval", wal.DefaultSyncInterval, "group-commit fsync window for the campaign event log")
-	traceRequests := flag.Int("trace-requests", telemetry.DefaultKeep, "slowest recent request traces retained on /debug/requests; 0 disables tracing")
+	traceRequests := flag.Int("trace-requests", telemetry.DefaultKeep, "slowest recent request traces retained per route on /debug/requests; 0 disables tracing")
 	traceSeed := flag.Int64("trace-seed", 1, "seed for the trace-ID generator")
 	analyticsWindow := flag.Int("analytics-window", analytics.DefaultWindow, "trailing-window length (observed intervals) of the live λ̂ re-fit")
 	logFormat := flag.String("log-format", "text", `log output format: "text" or "json"`)

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"crowdpricing/internal/hdr"
 	"crowdpricing/internal/server"
 )
 
@@ -476,5 +477,113 @@ func TestReadReportRejectsSchemaMismatch(t *testing.T) {
 	}
 	if _, err := ReadReport(path); err == nil {
 		t.Fatal("schema mismatch accepted")
+	}
+}
+
+// TestCommittedBaselineSchedule pins the workload behind the committed
+// baseline that bench-smoke gates against: the report's config must still
+// generate the schedule it was measured on. Compare only warns on a
+// schedule mismatch, so without this a generator drift would silently
+// gate every run against a different workload.
+func TestCommittedBaselineSchedule(t *testing.T) {
+	rep, err := ReadReport("../../BENCH_loadbench.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := GenerateSchedule(rep.Config.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sched.Hash != rep.ScheduleSHA256 {
+		t.Fatalf("baseline config generates schedule %s, but the baseline was measured on %s", sched.Hash, rep.ScheduleSHA256)
+	}
+	if got, want := int64(len(sched.Requests)), rep.WarmupRequests+rep.Requests; got != want {
+		t.Fatalf("schedule has %d requests, the baseline replayed %d", got, want)
+	}
+}
+
+// TestNewHTTPTargetShape: the HTTP target constructor normalizes its base
+// URL and yields a usable client.
+func TestNewHTTPTargetShape(t *testing.T) {
+	ct := NewHTTPTarget("http://example.invalid/")
+	if ct == nil || ct.Client == nil {
+		t.Fatal("NewHTTPTarget returned an unusable target")
+	}
+}
+
+// TestWriteJSONErrorPath: an unwritable path is an error, not a panic.
+func TestWriteJSONErrorPath(t *testing.T) {
+	rep, _ := reportPair()
+	if err := rep.WriteJSON("/nonexistent-dir-for-test/report.json"); err == nil {
+		t.Fatal("writing into a missing directory succeeded")
+	}
+}
+
+// TestReportOmitsWorkersBlockWhenSingle: a single-process report carries no
+// workers key and its table no "distributed:" block, so reports written
+// now keep the shape of the committed schema-5 baseline.
+func TestReportOmitsWorkersBlockWhenSingle(t *testing.T) {
+	sched, err := GenerateSchedule(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rt rejectingTarget
+	res, err := Run(context.Background(), sched, RunOptions{Target: &rt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := BuildReport(sched.Config, "in-process", res, time.Time{})
+	data, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(data), `"workers"`) {
+		t.Fatal("single-process report contains a workers block")
+	}
+	if strings.Contains(rep.Table(), "distributed:") {
+		t.Fatal("single-process table contains a distributed block")
+	}
+}
+
+// TestMergedPercentilesMatchSingleProcess: a run records every timed
+// request once into its kind's histogram and once into the overall one, so
+// merging the per-kind histograms must reproduce the overall histogram —
+// the same count, sum, extremes and every percentile. The report's
+// endpoint rows and its headline row then describe the same samples.
+func TestMergedPercentilesMatchSingleProcess(t *testing.T) {
+	sched, err := GenerateSchedule(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	target, srv := NewInProcessTarget(server.Options{})
+	defer srv.Close()
+	res, err := Run(context.Background(), sched, RunOptions{Target: target})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	merged := hdr.New()
+	timedKinds := 0
+	for _, ks := range res.ByKind {
+		if ks.Latency.Count() > 0 {
+			timedKinds++
+		}
+		merged.Merge(ks.Latency)
+	}
+	if timedKinds < 2 {
+		t.Fatalf("only %d kinds recorded latencies; the check needs at least two", timedKinds)
+	}
+	overall := res.Overall.Latency
+	if merged.Count() != overall.Count() || merged.Sum() != overall.Sum() ||
+		merged.Min() != overall.Min() || merged.Max() != overall.Max() {
+		t.Fatalf("merged per-kind histograms differ from the overall one: count %d/%d sum %d/%d min %d/%d max %d/%d",
+			merged.Count(), overall.Count(), merged.Sum(), overall.Sum(),
+			merged.Min(), overall.Min(), merged.Max(), overall.Max())
+	}
+	for i := 0; i <= 1000; i++ {
+		q := float64(i) / 1000
+		if a, b := merged.Quantile(q), overall.Quantile(q); a != b {
+			t.Fatalf("merged p%g = %d, overall = %d", q*100, a, b)
+		}
 	}
 }

@@ -30,11 +30,11 @@ import (
 // latency is the session wall time, so v2 latency baselines are not
 // comparable.
 //
-// v4: distributed runs — the report gains an optional `workers` block (one
-// entry per worker process of a coordinator/worker run; totals and
-// percentiles are the merged whole). Single-process reports carry no
-// workers block and are otherwise identical to v3, so every metric keeps
-// its meaning and -baseline comparison works unchanged on merged reports.
+// v4: distributed runs — the report gained an optional `workers` block (one
+// entry per worker process of a coordinator/worker run). Single-process
+// reports never carried it and were otherwise identical to v3. The block
+// was later removed with the coordinator/worker mode, without a version
+// bump, because no single-process report changes.
 //
 // v5: the report gains an optional `server_stages` block — the daemon's
 // server-side per-stage latency summaries (decode, engine queue, solve,
@@ -159,12 +159,6 @@ type Report struct {
 	Latency   LatencySummary            `json:"latency"`
 	Endpoints map[string]EndpointReport `json:"endpoints"`
 
-	// Workers is present on distributed (coordinator/worker) runs only:
-	// one entry per worker process, ordered by worker index. The report's
-	// totals and percentiles are the merged whole; this block shows how
-	// evenly the slices landed.
-	Workers []WorkerReport `json:"workers,omitempty"`
-
 	// ServerStages is present when the target was a live daemon (-url)
 	// with tracing on: the daemon's per-stage latency summaries from
 	// /v1/analytics, keyed by stage name — where the request time went
@@ -172,18 +166,6 @@ type Report struct {
 	ServerStages map[string]server.StageSummary `json:"server_stages,omitempty"`
 
 	ErrorSamples []string `json:"error_samples,omitempty"`
-}
-
-// WorkerReport summarizes one worker process's slice of a distributed run.
-type WorkerReport struct {
-	Index           int            `json:"index"`
-	WorkerID        string         `json:"worker_id,omitempty"`
-	Requests        int64          `json:"requests"`
-	Errors          int64          `json:"errors"`
-	Rejected        int64          `json:"rejected"`
-	WarmupRequests  int64          `json:"warmup_requests"`
-	DurationSeconds float64        `json:"duration_seconds"`
-	Latency         LatencySummary `json:"latency"`
 }
 
 // BuildReport digests a run into the serializable report. now stamps the
@@ -318,18 +300,6 @@ func (r *Report) Table() string {
 				fmtMillis(ss.MeanMS), fmtMillis(ss.P50MS), fmtMillis(ss.P99MS), fmtMillis(ss.MaxMS))
 		}
 		sw.Flush()
-	}
-	if len(r.Workers) > 0 {
-		fmt.Fprintf(&b, "distributed: %d workers\n", len(r.Workers))
-		for _, wr := range r.Workers {
-			id := wr.WorkerID
-			if id != "" {
-				id = " (" + id + ")"
-			}
-			fmt.Fprintf(&b, "  worker %d%s: %d reqs · err %d · rej %d · p99 %s · %.1fs\n",
-				wr.Index, id, wr.Requests, wr.Errors, wr.Rejected,
-				fmtMillis(wr.Latency.P99Millis), wr.DurationSeconds)
-		}
 	}
 	if len(r.ErrorSamples) > 0 {
 		fmt.Fprintf(&b, "error samples:\n")

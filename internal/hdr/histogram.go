@@ -166,11 +166,6 @@ func (h *Histogram) Quantile(q float64) int64 {
 	return h.max.Load()
 }
 
-// QuantileDuration is Quantile for nanosecond-duration histograms.
-func (h *Histogram) QuantileDuration(q float64) time.Duration {
-	return time.Duration(h.Quantile(q))
-}
-
 // CountAtOrBelow returns how many observations fell into buckets whose
 // upper bound is ≤ v's bucket — the cumulative count Prometheus histogram
 // buckets need. The boundary is resolved at bucket granularity, consistent

@@ -57,10 +57,10 @@ func (s *Server) handleAnalytics(w http.ResponseWriter, r *http.Request) {
 	s.ok(w, resp)
 }
 
-// handleDebugRequests serves the keep-slowest trace ring: JSON by
-// default, a human-readable table with ?format=text. 404 when tracing is
-// disabled — like the WAL families, a daemon without the subsystem
-// exposes no empty surface for it.
+// handleDebugRequests serves the slowest recent traces of each route:
+// JSON by default, a human-readable table with ?format=text. 404 when
+// tracing is disabled — like the WAL families, a daemon without the
+// subsystem exposes no empty surface for it.
 func (s *Server) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
 	if s.tracer == nil {
 		s.fail(w, http.StatusNotFound, errors.New("request tracing is disabled"))

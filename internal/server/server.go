@@ -25,7 +25,8 @@
 //	                          per-stage histograms, live λ̂/cohort analytics
 //	GET  /v1/analytics        the live analytics plane: fleet λ̂, per-cohort
 //	                          summaries, per-stage latency summaries
-//	GET  /debug/requests      the slowest recent request traces, span by span
+//	GET  /debug/requests      the slowest recent request traces of each
+//	                          route, span by span
 //
 // cmd/priced wraps this package in a binary; the root crowdpricing package
 // re-exports the client-facing types. Problem kinds are defined in
@@ -112,9 +113,9 @@ type Options struct {
 	// campaign.Options.LazyBank.
 	LazyBank bool
 	// TraceBuffer is how many of the slowest recent request traces
-	// /debug/requests retains (0 = telemetry.DefaultKeep; negative
-	// disables request tracing entirely, including the per-stage
-	// histograms).
+	// /debug/requests retains per route (0 = telemetry.DefaultKeep;
+	// negative disables request tracing entirely, including the
+	// per-stage histograms).
 	TraceBuffer int
 	// TraceSeed seeds the trace-ID generator — the only randomness in the
 	// tracing plane, deterministic under a fixed seed by design.
@@ -153,7 +154,7 @@ type Server struct {
 	wal atomic.Pointer[wal.Log]
 
 	// tracer is the request-tracing plane (nil when disabled): per-stage
-	// duration histograms plus the keep-slowest trace ring behind
+	// duration histograms plus the per-route keep-slowest traces behind
 	// /debug/requests. analytics is the live λ̂/cohort fold, fed by the
 	// campaign manager's event sink and, at AttachWAL, the recorded log.
 	tracer    *telemetry.Tracer

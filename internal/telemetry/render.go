@@ -28,8 +28,8 @@ type TraceSummary struct {
 	UnattributedMS float64 `json:"unattributed_ms"`
 }
 
-// Snapshot renders the retained traces, slowest first. The traces stay
-// retained; /debug/requests is a read, not a drain.
+// Snapshot renders the retained traces of every route, slowest first. The
+// traces stay retained; /debug/requests is a read, not a drain.
 //
 // Summaries are built while holding tr.mu: a retained *Trace is only
 // immutable as long as it stays in the keep table, because a concurrent
@@ -41,9 +41,11 @@ func (tr *Tracer) Snapshot() []TraceSummary {
 		return nil
 	}
 	tr.mu.Lock()
-	out := make([]TraceSummary, 0, len(tr.slow))
-	for _, t := range tr.slow {
-		out = append(out, t.summarize())
+	out := []TraceSummary{}
+	for _, slow := range tr.slow {
+		for _, t := range slow {
+			out = append(out, t.summarize())
+		}
 	}
 	tr.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {

@@ -3,8 +3,9 @@
 // pipeline stage a request crosses — server decode, engine queue wait,
 // solve, quoter decode, campaign lock hold, WAL append — feeding both the
 // per-stage latency histograms rendered on /metrics and a bounded
-// retention of the slowest recent traces rendered by GET /debug/requests,
-// so a slow p99 can be explained stage by stage without a debugger.
+// retention of the slowest recent traces of each route rendered by
+// GET /debug/requests, so a slow p99 can be explained stage by stage
+// without a debugger.
 //
 // Design constraints, in order:
 //
@@ -187,7 +188,8 @@ func FromContext(ctx context.Context) *Trace {
 	return t
 }
 
-// DefaultKeep is the slowest-trace retention of a zero-configured Tracer.
+// DefaultKeep is the per-route slowest-trace retention of a
+// zero-configured Tracer.
 const DefaultKeep = 64
 
 // retainAge bounds how long a slow trace stays retained: /debug/requests
@@ -197,21 +199,26 @@ const retainAge = 15 * time.Minute
 
 // Tracer mints, finishes, and retains traces: per-stage latency
 // histograms (the /metrics stage families) plus a bounded keep-slowest
-// table behind /debug/requests. A nil *Tracer is the disabled tracer:
-// Start returns nil and every downstream span call no-ops.
+// table per route behind /debug/requests. Retention is per route because
+// routes differ in latency by orders of magnitude: one shared table would
+// fill with campaign creates and never show a quote. A nil *Tracer is the
+// disabled tracer: Start returns nil and every downstream span call
+// no-ops.
 type Tracer struct {
 	keep  int
 	stage [NumStages]*hdr.Histogram
 	pool  sync.Pool
 
-	mu   sync.Mutex
-	rng  *dist.RNG
-	slow []*Trace
+	mu  sync.Mutex
+	rng *dist.RNG
+	// slow holds the keep slowest recent traces of each route, keyed by
+	// the mux pattern, so the key set is the closed set of routes.
+	slow map[string][]*Trace
 }
 
-// NewTracer builds a Tracer retaining the keep slowest recent traces
-// (keep <= 0 = DefaultKeep) and minting trace IDs from a dist RNG seeded
-// with seed — deterministic IDs under a fixed seed, by design.
+// NewTracer builds a Tracer retaining the keep slowest recent traces of
+// each route (keep <= 0 = DefaultKeep) and minting trace IDs from a dist
+// RNG seeded with seed — deterministic IDs under a fixed seed, by design.
 func NewTracer(keep int, seed int64) *Tracer {
 	if keep <= 0 {
 		keep = DefaultKeep
@@ -220,6 +227,7 @@ func NewTracer(keep int, seed int64) *Tracer {
 		keep: keep,
 		rng:  dist.NewRNG(seed),
 		pool: sync.Pool{New: func() any { return &Trace{} }},
+		slow: make(map[string][]*Trace),
 	}
 	for i := range tr.stage {
 		tr.stage[i] = hdr.New()
@@ -272,35 +280,38 @@ func (tr *Tracer) Finish(t *Trace, status int) {
 	}
 }
 
-// admitLocked applies the retention policy and returns the trace to
-// recycle (nil when the table simply grew). Callers hold tr.mu.
+// admitLocked applies the retention policy to t's route and returns the
+// trace to recycle (nil when the route's table simply grew). It touches
+// only that route's table, so it scans at most keep entries. Callers hold
+// tr.mu.
 func (tr *Tracer) admitLocked(t *Trace) *Trace {
 	// Age out stale entries first so "recent" holds even on a quiet
-	// daemon whose slowest-ever traces would otherwise pin the table.
+	// route whose slowest-ever traces would otherwise pin the table.
 	//crowdlint:allow determinism -- retention ages out on wall time by design
 	cutoff := time.Now().Add(-retainAge)
-	kept := tr.slow[:0]
-	for _, old := range tr.slow {
+	slow := tr.slow[t.route]
+	kept := slow[:0]
+	for _, old := range slow {
 		if old.wall.After(cutoff) {
 			kept = append(kept, old)
 		}
 	}
-	tr.slow = kept
-	if len(tr.slow) < tr.keep {
-		tr.slow = append(tr.slow, t)
+	if len(kept) < tr.keep {
+		tr.slow[t.route] = append(kept, t)
 		return nil
 	}
+	tr.slow[t.route] = kept
 	min := 0
-	for i, old := range tr.slow {
-		if old.total < tr.slow[min].total {
+	for i, old := range kept {
+		if old.total < kept[min].total {
 			min = i
 		}
 	}
-	if t.total <= tr.slow[min].total {
+	if t.total <= kept[min].total {
 		return t
 	}
-	evicted := tr.slow[min]
-	tr.slow[min] = t
+	evicted := kept[min]
+	kept[min] = t
 	return evicted
 }
 

@@ -123,6 +123,43 @@ func TestKeepSlowestRetention(t *testing.T) {
 	}
 }
 
+// TestRetentionIsPerRoute: slow creates must not evict a fast quote. Each
+// route keeps its own keep slowest traces, so after ten creates of 10 ms
+// and more, a 1 µs quote is still retained next to the three slowest
+// creates.
+func TestRetentionIsPerRoute(t *testing.T) {
+	const create, quote = "POST /v1/campaigns", "GET /v1/campaigns/{id}/price"
+	tr := NewTracer(3, 1)
+	for i := 1; i <= 10; i++ {
+		tc := tr.Start(create)
+		tc.begin -= int64(time.Duration(10+i) * time.Millisecond)
+		tr.Finish(tc, 201)
+	}
+	tc := tr.Start(quote)
+	tc.begin -= int64(time.Microsecond)
+	tr.Finish(tc, 200)
+
+	sums := tr.Snapshot()
+	var creates, quotes int
+	for _, s := range sums {
+		switch s.Route {
+		case create:
+			creates++
+			if s.TotalMS < 18 {
+				t.Errorf("retained create of %vms; the three slowest are ≥18ms", s.TotalMS)
+			}
+		case quote:
+			quotes++
+		}
+	}
+	if creates != 3 || quotes != 1 || len(sums) != 4 {
+		t.Fatalf("retained %d creates and %d quotes of %d traces, want 3 and 1 of 4", creates, quotes, len(sums))
+	}
+	if sums[len(sums)-1].Route != quote {
+		t.Fatalf("snapshot not sorted slowest-first across routes: %v", sums)
+	}
+}
+
 func TestContextCarry(t *testing.T) {
 	if got := FromContext(context.Background()); got != nil {
 		t.Fatal("empty context produced a trace")
