@@ -116,12 +116,20 @@ func TestCampaignScenarioSmoke(t *testing.T) {
 		t.Errorf("create cache hit ratio %.2f below 0.5", hitRatio)
 	}
 
-	m := srv.Metrics()
-	sessions := res.Overall.Requests + res.Warmed
-	if m.Campaigns.Quotes != sessions*int64(sched.Config.CampaignSteps) {
-		t.Errorf("server counted %d campaign quotes, want %d sessions × %d steps",
-			m.Campaigns.Quotes, sessions, sched.Config.CampaignSteps)
+	an, err := target.Client.Analytics(context.Background())
+	if err != nil {
+		t.Fatal(err)
 	}
+	var quotes int64
+	for _, c := range an.Analytics.Cohorts {
+		quotes += c.Quotes
+	}
+	sessions := res.Overall.Requests + res.Warmed
+	if quotes != sessions*int64(sched.Config.CampaignSteps) {
+		t.Errorf("server counted %d campaign quotes, want %d sessions × %d steps",
+			quotes, sessions, sched.Config.CampaignSteps)
+	}
+	m := srv.Metrics()
 	if m.Campaigns.Active != 0 {
 		t.Errorf("%d campaigns left live after the run; sessions must finish what they create", m.Campaigns.Active)
 	}

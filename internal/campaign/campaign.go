@@ -12,10 +12,8 @@
 // per-factor policies — runs through internal/engine's admission-controlled
 // scheduler before the campaign goes live. Decoded policy tables live in a
 // fingerprint-keyed intern table (intern.go): identical campaigns share
-// one compact table, and under a byte budget cold tables are dropped and
-// lazily re-decoded from the engine's cached artifact bytes — the one case
-// where a quote may wait on a solve, and it does so outside the campaign's
-// mutex.
+// one compact table, decoded once per distinct problem and resident until
+// the last campaign holding it ends, so a quote never waits on a solve.
 //
 // A Manager owns the campaign table: create/observe/quote/finish lifecycle,
 // TTL expiry of abandoned campaigns, Prometheus-style counters, and one
@@ -88,10 +86,18 @@ func defaultFactors() []float64 {
 // DefaultWindowIntervals is the default trailing-window length.
 const DefaultWindowIntervals = 9
 
+// MaxAdaptiveFactors bounds an adaptive campaign's factor grid (about six
+// times the default 11). The grid is request input, and every factor costs
+// a solve at create and a decoded table for the campaign's life.
+const MaxAdaptiveFactors = 64
+
 func (o *AdaptiveOptions) normalized() (AdaptiveOptions, error) {
 	out := AdaptiveOptions{Factors: o.Factors, WindowIntervals: o.WindowIntervals}
 	if len(out.Factors) == 0 {
 		out.Factors = defaultFactors()
+	}
+	if len(out.Factors) > MaxAdaptiveFactors {
+		return out, fmt.Errorf("campaign: adaptive grid has %d factors, over the limit of %d", len(out.Factors), MaxAdaptiveFactors)
 	}
 	if out.WindowIntervals == 0 {
 		out.WindowIntervals = DefaultWindowIntervals
@@ -126,7 +132,7 @@ type campaign struct {
 	// baseLambdas the unscaled per-interval expectations, window the
 	// estimate length. Handles are refcounted by the manager's intern
 	// table; the decoded tables behind them may be shared across campaigns
-	// and evicted/re-decoded under the byte budget.
+	// and stay resident while any campaign holds them.
 	bank        []*internedQuoter
 	factors     []float64
 	window      int
@@ -232,8 +238,7 @@ func (c *campaign) replanLocked() {
 // quoteLocked is the hot path: one table lookup in the active policy,
 // appended into the campaign's reusable scratch so a warm quote performs
 // zero heap allocations. tab is the active handle's decoded table, loaded
-// by the caller (Manager.Quote resolves evictions outside this lock).
-// Callers hold mu.
+// by the caller. Callers hold mu.
 func (c *campaign) quoteLocked(tab Quoter) []int {
 	c.quotes++
 	c.quoteBuf = tab.AppendQuote(c.quoteBuf[:0], c.remaining, c.interval)
@@ -257,7 +262,7 @@ func (c *campaign) stateLocked() *State {
 		Kind:        c.kind,
 		Fingerprint: c.fingerprint,
 		Interval:    c.interval,
-		Horizon:     c.active().Horizon(),
+		Horizon:     c.active().load().Horizon(),
 		Remaining:   append([]int(nil), c.remaining...),
 		Done:        c.doneLocked(),
 		Adaptive:    c.adaptive(),

@@ -400,10 +400,33 @@ func TestAdaptivePastHorizon(t *testing.T) {
 // TestAdaptiveRequiresDeadline: the controller re-scales per-interval
 // arrival rates, which only the deadline MDP has.
 func TestAdaptiveRequiresDeadline(t *testing.T) {
-	m := newTestManager(t, Options{})
+	m, eng := newInternManager(t, Options{})
 	req := sampleRequest(t, kinds.KindTradeoff, 2, "small")
 	if _, err := m.Create(context.Background(), kinds.KindTradeoff, req, &AdaptiveOptions{}); !errors.Is(err, ErrAdaptiveUnsupported) {
 		t.Fatalf("adaptive tradeoff: err=%v, want ErrAdaptiveUnsupported", err)
+	}
+	if solves := eng.Metrics().Solves; solves != 0 {
+		t.Errorf("rejected adaptive create ran %d solves, want 0", solves)
+	}
+}
+
+// TestAdaptiveGridBounded: a factor grid over MaxAdaptiveFactors is invalid
+// input, rejected before any solve or intern entry.
+func TestAdaptiveGridBounded(t *testing.T) {
+	m, eng := newInternManager(t, Options{})
+	factors := make([]float64, MaxAdaptiveFactors+1)
+	for i := range factors {
+		factors[i] = float64(i+1) / 10
+	}
+	req := sampleRequest(t, kinds.KindDeadline, 2, "small")
+	if _, err := m.Create(context.Background(), kinds.KindDeadline, req, &AdaptiveOptions{Factors: factors}); !engine.IsInvalidSpec(err) {
+		t.Fatalf("%d-factor create: err=%v, want an invalid-spec error", len(factors), err)
+	}
+	if solves := eng.Metrics().Solves; solves != 0 {
+		t.Errorf("rejected %d-factor create ran %d solves, want 0", len(factors), solves)
+	}
+	if is := m.intern.stats(); is.interned != 0 {
+		t.Errorf("rejected %d-factor create interned %d tables, want 0", len(factors), is.interned)
 	}
 }
 
@@ -690,8 +713,8 @@ func TestRestoreRejectsBadSnapshots(t *testing.T) {
 	if got := m.Metrics(); got.Active != 0 {
 		t.Fatalf("failed replays left %d campaigns", got.Active)
 	}
-	if is := m.intern.stats(); is.interned != 0 {
-		t.Fatalf("failed replays leaked %d interned tables", is.interned)
+	if is := m.intern.stats(); is.interned != 0 || is.residentBytes != 0 {
+		t.Fatalf("failed replays leaked %d interned tables, %d resident bytes", is.interned, is.residentBytes)
 	}
 }
 
@@ -752,8 +775,5 @@ func TestConcurrentObserveQuote(t *testing.T) {
 	}
 	if fin.Quotes != quoters*perG {
 		t.Fatalf("campaign counted %d quotes, want %d", fin.Quotes, quoters*perG)
-	}
-	if got := m.Metrics(); got.Quotes != quoters*perG {
-		t.Fatalf("manager counted %d quotes, want %d", got.Quotes, quoters*perG)
 	}
 }

@@ -3,6 +3,7 @@ package campaign
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -47,7 +48,6 @@ func warmQuoteAllocs(t *testing.T, m *Manager, id string) float64 {
 			c.mu.Unlock()
 			t.Fatal("table not resident in a warm-quote fence")
 		}
-		c.active().touch()
 		_ = c.quoteLocked(tab)
 		c.mu.Unlock()
 	})
@@ -108,6 +108,7 @@ func TestConcurrentIdenticalAdaptiveCreatesShareBank(t *testing.T) {
 	if t.Failed() {
 		t.FailNow()
 	}
+	assertTablesResident(t, m)
 
 	if solves := eng.Metrics().Solves; solves != int64(factors) {
 		t.Errorf("%d campaigns cost %d solver executions, want one per factor (%d)", n, solves, factors)
@@ -146,6 +147,33 @@ func TestConcurrentIdenticalAdaptiveCreatesShareBank(t *testing.T) {
 	}
 	if is := m.intern.stats(); is.interned != 0 || is.residentBytes != 0 {
 		t.Errorf("after the last finish: %d interned, %d resident bytes, want 0/0", is.interned, is.residentBytes)
+	}
+}
+
+// assertTablesResident checks the invariant the quote path relies on:
+// every bank slot of every live campaign holds a decoded table, and the
+// resident-bytes gauge is the sum of the distinct tables' footprints.
+func assertTablesResident(t *testing.T, m *Manager) {
+	t.Helper()
+	distinct := make(map[*internedQuoter]int64)
+	m.mu.RLock()
+	for id, c := range m.campaigns {
+		for slot, h := range c.bank {
+			tab := h.load()
+			if tab == nil {
+				t.Errorf("campaign %s bank slot %d has no resident table", id, slot)
+				continue
+			}
+			distinct[h] = tab.residentBytes()
+		}
+	}
+	m.mu.RUnlock()
+	var sum int64
+	for _, b := range distinct {
+		sum += b
+	}
+	if got := m.intern.stats().residentBytes; got != sum {
+		t.Errorf("%d resident bytes, want %d (the sum over %d distinct tables)", got, sum, len(distinct))
 	}
 }
 
@@ -209,6 +237,7 @@ func TestWALReplayLandsOnInternedTables(t *testing.T) {
 				}
 				ids[i] = st.ID
 			}
+			assertTablesResident(t, m)
 			driftObserve(t, m, ids[0], req, 3)
 			before := quoteAll(t, m, ids)
 			if compact {
@@ -234,6 +263,7 @@ func TestWALReplayLandsOnInternedTables(t *testing.T) {
 			if stats.Campaigns != k {
 				t.Fatalf("replayed %d campaigns, want %d", stats.Campaigns, k)
 			}
+			assertTablesResident(t, m2)
 			if compact && stats.Snapshots != 1 {
 				t.Fatalf("replay crossed %d snapshot records, want 1", stats.Snapshots)
 			}
@@ -249,63 +279,6 @@ func TestWALReplayLandsOnInternedTables(t *testing.T) {
 					is.interned, k, len(defaultFactors()))
 			}
 		})
-	}
-}
-
-// TestEvictionRedecodeRoundTrip: under a budget too small for two tables,
-// alternating quotes across two campaigns must keep evicting and lazily
-// re-decoding — and every quote must stay bit-identical to an unbudgeted
-// manager's.
-func TestEvictionRedecodeRoundTrip(t *testing.T) {
-	free, _ := newInternManager(t, Options{})
-	tight, _ := newInternManager(t, Options{QuoterMemoryBudget: 1})
-
-	reqA := sampleRequest(t, kinds.KindDeadline, 21, "small")
-	reqB := sampleRequest(t, kinds.KindDeadline, 22, "small")
-	var freeIDs, tightIDs []string
-	for _, req := range []json.RawMessage{reqA, reqB} {
-		stF, err := free.Create(context.Background(), kinds.KindDeadline, req, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		freeIDs = append(freeIDs, stF.ID)
-		stT, err := tight.Create(context.Background(), kinds.KindDeadline, req, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tightIDs = append(tightIDs, stT.ID)
-	}
-
-	// A one-byte budget keeps at most the single most-recent table resident
-	// (a lone over-budget table is never evicted), so alternating campaigns
-	// forces an eviction + re-decode per switch.
-	for round := 0; round < 4; round++ {
-		for i := range tightIDs {
-			qT, err := tight.Quote(tightIDs[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			qF, err := free.Quote(freeIDs[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if qT.Price != qF.Price {
-				t.Fatalf("round %d campaign %d: budgeted quote %d, unbudgeted %d", round, i, qT.Price, qF.Price)
-			}
-			if _, err := tight.Observe(tightIDs[i], 10, []int{1}); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := free.Observe(freeIDs[i], 10, []int{1}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	is := tight.intern.stats()
-	if is.redecodes == 0 {
-		t.Error("no re-decodes under a one-byte budget; eviction never happened")
-	}
-	if fis := free.intern.stats(); fis.redecodes != 0 {
-		t.Errorf("unbudgeted manager re-decoded %d times", fis.redecodes)
 	}
 }
 
@@ -336,55 +309,53 @@ func TestInternedBankMemoryBound(t *testing.T) {
 	}
 }
 
-// TestLazyBankSolvesOnDemand: under Options.LazyBank a create solves ONE
-// factor; the estimate's drift to a neighbor triggers that factor's solve
-// (async prefetch or quote-path ensure), and the price matches an eagerly
-// built bank's bit for bit.
-func TestLazyBankSolvesOnDemand(t *testing.T) {
-	lazy, lazyEng := newInternManager(t, Options{LazyBank: true})
-	eager, _ := newInternManager(t, Options{})
-	req := sampleRequest(t, kinds.KindDeadline, 11, "small")
-	adaptive := &AdaptiveOptions{WindowIntervals: 3}
+// errInjected is the failure failingSolver returns.
+var errInjected = errors.New("injected solve failure")
 
-	stL, err := lazy.Create(context.Background(), kinds.KindDeadline, req, adaptive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if solves := lazyEng.Metrics().Solves; solves != 1 {
-		t.Errorf("lazy create cost %d solves, want 1 (the starting factor)", solves)
-	}
-	stE, err := eager.Create(context.Background(), kinds.KindDeadline, req, adaptive)
-	if err != nil {
-		t.Fatal(err)
-	}
+// failingSolver fails every solve of one fingerprint and passes the rest to
+// the engine. It has no SolveBatch, so bank solves come through Solve too.
+type failingSolver struct {
+	eng *engine.Engine
+	key string
+}
 
-	// Unsolved slots still answer shape queries from the prefilled meta.
-	if qL, qE := quoteAll(t, lazy, []string{stL.ID})[0], quoteAll(t, eager, []string{stE.ID})[0]; qL.Price != qE.Price {
-		t.Fatalf("pre-drift lazy quote %d, eager %d", qL.Price, qE.Price)
+func (s failingSolver) Solve(ctx context.Context, spec engine.Spec) (*engine.Result, error) {
+	if key, err := spec.Fingerprint(); err == nil && key == s.key {
+		return nil, errInjected
 	}
+	return s.eng.Solve(ctx, spec)
+}
 
-	// Drive the estimate off the starting factor; the quote path must land
-	// on the neighbor's freshly solved table either via the Observe-time
-	// prefetch or its own ensure.
-	driftObserve(t, lazy, stL.ID, req, 3)
-	driftObserve(t, eager, stE.ID, req, 3)
-	qL, err := lazy.Quote(stL.ID)
+// TestBankSolveFailureReleasesTables: when one factor of an adaptive bank
+// fails to solve, the create fails and every table the other factors
+// decoded goes back — no interned entry, no resident byte, no campaign.
+func TestBankSolveFailureReleasesTables(t *testing.T) {
+	eng := engine.New(engine.Options{Workers: 2})
+	t.Cleanup(eng.Close)
+	req := sampleRequest(t, kinds.KindDeadline, 6, "small")
+	var scaled kinds.DeadlineRequest
+	if err := json.Unmarshal(req, &scaled); err != nil {
+		t.Fatal(err)
+	}
+	factors := defaultFactors()
+	last := factors[len(factors)-1]
+	for i := range scaled.Lambdas {
+		scaled.Lambdas[i] *= last
+	}
+	key, err := scaled.Fingerprint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	qE, err := eager.Quote(stE.ID)
-	if err != nil {
-		t.Fatal(err)
+	m := NewManager(failingSolver{eng: eng, key: key}, nil, Options{})
+	t.Cleanup(m.Close)
+
+	if _, err := m.Create(context.Background(), kinds.KindDeadline, req, &AdaptiveOptions{}); !errors.Is(err, errInjected) {
+		t.Fatalf("create with factor %g failing: err=%v, want the injected failure", last, err)
 	}
-	if qL.ActiveFactor == 1.0 {
-		t.Fatal("drift did not move the lazy campaign off the starting factor")
+	if is := m.intern.stats(); is.interned != 0 || is.residentBytes != 0 {
+		t.Errorf("failed create left %d interned tables, %d resident bytes, want 0/0", is.interned, is.residentBytes)
 	}
-	if qL.Price != qE.Price || qL.ActiveFactor != qE.ActiveFactor {
-		t.Fatalf("post-drift lazy quote (%d @ factor %v), eager (%d @ factor %v)",
-			qL.Price, qL.ActiveFactor, qE.Price, qE.ActiveFactor)
-	}
-	// Lazily solved factors stay a strict subset of the full bank.
-	if lazySolves, grid := lazyEng.Metrics().Solves, int64(len(defaultFactors())); lazySolves >= grid {
-		t.Errorf("lazy bank solved %d factors, want fewer than the full %d-factor grid", lazySolves, grid)
+	if active := m.Metrics().Active; active != 0 {
+		t.Errorf("failed create left %d live campaigns", active)
 	}
 }

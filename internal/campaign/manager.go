@@ -25,8 +25,8 @@ type Solver interface {
 }
 
 // batchSolver is the optional background lane: solvers that implement it
-// (the engine does) run bank pre-solves and prefetches behind interactive
-// work; others serve both from one lane.
+// (the engine does) run bank pre-solves behind interactive work; others
+// serve both from one lane.
 type batchSolver interface {
 	SolveBatch(ctx context.Context, spec engine.Spec) (*engine.Result, error)
 }
@@ -48,19 +48,6 @@ type Options struct {
 	TTL time.Duration
 	// MaxCampaigns bounds the table (0 = DefaultMaxCampaigns).
 	MaxCampaigns int
-	// SweepInterval is how often the background sweeper scans for expired
-	// campaigns (0 = TTL/4 clamped to [1s, 1m]). Ignored when TTL < 0.
-	SweepInterval time.Duration
-	// QuoterMemoryBudget bounds the bytes of decoded policy tables resident
-	// across all interned quoters (0 = unlimited). Over budget, the
-	// least-recently-quoted tables are dropped and lazily re-decoded from
-	// the engine's cached artifact bytes on next use.
-	QuoterMemoryBudget int64
-	// LazyBank defers adaptive bank solving: only the starting factor is
-	// solved at create; a neighboring factor is solved the first time the
-	// rate estimate lands on it (prefetched on the engine's background lane,
-	// deduped through the engine and the intern table).
-	LazyBank bool
 
 	// now overrides the clock in tests.
 	now func() time.Time
@@ -76,7 +63,7 @@ type Manager struct {
 	registry *engine.Registry
 	opts     Options
 	// intern is the policy-table memory engine: fingerprint-keyed,
-	// refcounted, byte-budget-tiered decoded tables shared across campaigns.
+	// refcounted decoded tables shared across campaigns.
 	intern *internTable
 
 	mu        sync.RWMutex
@@ -94,8 +81,6 @@ type Manager struct {
 	quit     chan struct{}
 	stopOnce sync.Once
 
-	created atomic.Int64
-	quotes  atomic.Int64
 	replans atomic.Int64
 	expired atomic.Int64
 }
@@ -112,15 +97,6 @@ func NewManager(solver Solver, reg *engine.Registry, opts Options) *Manager {
 	if opts.MaxCampaigns <= 0 {
 		opts.MaxCampaigns = DefaultMaxCampaigns
 	}
-	if opts.SweepInterval <= 0 {
-		opts.SweepInterval = opts.TTL / 4
-		if opts.SweepInterval < time.Second {
-			opts.SweepInterval = time.Second
-		}
-		if opts.SweepInterval > time.Minute {
-			opts.SweepInterval = time.Minute
-		}
-	}
 	if opts.now == nil {
 		opts.now = time.Now
 	}
@@ -135,7 +111,7 @@ func NewManager(solver Solver, reg *engine.Registry, opts Options) *Manager {
 	if bs, ok := solver.(batchSolver); ok {
 		batch = bs.SolveBatch
 	}
-	m.intern = newInternTable(opts.QuoterMemoryBudget, solver.Solve, batch)
+	m.intern = newInternTable(solver.Solve, batch)
 	if opts.TTL > 0 {
 		go m.sweeper()
 	}
@@ -146,8 +122,10 @@ func NewManager(solver Solver, reg *engine.Registry, opts Options) *Manager {
 // TTL expiry happens.
 func (m *Manager) Close() { m.stopOnce.Do(func() { close(m.quit) }) }
 
+// sweeper scans for expired campaigns four times per TTL, but at most
+// once a second and at least once a minute.
 func (m *Manager) sweeper() {
-	ticker := time.NewTicker(m.opts.SweepInterval)
+	ticker := time.NewTicker(min(max(m.opts.TTL/4, time.Second), time.Minute))
 	defer ticker.Stop()
 	for {
 		select {
@@ -219,16 +197,16 @@ func (m *Manager) decodeSpec(kind string, request json.RawMessage) (engine.Spec,
 }
 
 // acquireQuoter interns one spec's policy handle and ensures its table is
-// decoded: an intern hit on a warm table costs a map lookup; a miss (or an
-// evicted table) solves through the engine — warm-cache cheap when an
-// identical problem was solved before — and decodes once. The caller owns
-// one reference on the returned handle.
+// decoded: an intern hit on a resident table costs a map lookup; a miss
+// solves through the engine — warm-cache cheap when an identical problem
+// was solved before — and decodes once. The caller owns one reference on
+// the returned handle.
 func (m *Manager) acquireQuoter(ctx context.Context, kind string, spec engine.Spec) (*internedQuoter, bool, error) {
 	h, err := m.intern.acquire(kind, spec)
 	if err != nil {
 		return nil, false, err
 	}
-	_, warm, err := h.ensure(ctx, false)
+	warm, err := h.ensure(ctx, spec, false)
 	if err != nil {
 		m.intern.release(h)
 		return nil, false, err
@@ -245,7 +223,7 @@ func (m *Manager) releaseCampaign(c *campaign) {
 // Create registers a new campaign: intern the policy for (kind, request) —
 // identical campaigns share one decoded table, cold problems solve through
 // the engine — and, in adaptive mode, build the factor bank (pre-solved
-// on the engine's background lane, or lazily under Options.LazyBank).
+// on the engine's background lane).
 // The returned State carries the campaign ID every other call takes.
 func (m *Manager) Create(ctx context.Context, kind string, request json.RawMessage, adaptive *AdaptiveOptions) (*State, error) {
 	// Shed a full table before any solver work: a 429 must mean "the
@@ -298,7 +276,6 @@ func (m *Manager) Create(ctx context.Context, kind string, request json.RawMessa
 	m.campaigns[c.id] = c
 	registered = true
 	m.mu.Unlock()
-	m.created.Add(1)
 	if sink := m.eventSink(); sink != nil {
 		sink.CampaignCreated(kind, adaptive != nil)
 	}
@@ -314,29 +291,42 @@ func (m *Manager) Create(ctx context.Context, kind string, request json.RawMessa
 // the request, intern its policy, and, in adaptive mode, build the factor
 // bank. Create and both replay paths (snapshot entry and create event)
 // build through it, so a replayed campaign is constructed exactly as the
-// live one was. The caller sets the ID and timestamps, and owns the
-// campaign's intern references: any path that does not register it must
-// releaseCampaign it. warm reports a table served without a solve.
+// live one was. The request is fully checked before the first solve, so a
+// rejected create costs the engine nothing. The caller sets the ID and
+// timestamps, and owns the campaign's intern references: any path that
+// does not register it must releaseCampaign it. warm reports a table
+// served without a solve.
 func (m *Manager) newCampaign(ctx context.Context, kind string, request json.RawMessage, adaptive *AdaptiveOptions) (*campaign, bool, error) {
 	spec, err := m.decodeSpec(kind, request)
 	if err != nil {
 		return nil, false, err
 	}
+	base, isDeadline := spec.(*kinds.DeadlineRequest)
+	var norm AdaptiveOptions
+	if adaptive != nil {
+		if !isDeadline {
+			return nil, false, fmt.Errorf("%w, got %q", ErrAdaptiveUnsupported, kind)
+		}
+		if norm, err = adaptive.normalized(); err != nil {
+			return nil, false, &engine.InvalidSpecError{Err: err}
+		}
+	}
 	h, warm, err := m.acquireQuoter(ctx, kind, spec)
 	if err != nil {
 		return nil, false, err
 	}
+	tab := h.load()
 	c := &campaign{
 		kind:        kind,
 		request:     append([]byte(nil), request...),
 		fingerprint: h.key,
 		bank:        []*internedQuoter{h},
-		remaining:   h.InitialCounts(),
-		quoteBuf:    make([]int, 0, h.Types()),
+		remaining:   tab.InitialCounts(),
+		quoteBuf:    make([]int, 0, tab.Types()),
 		factor:      1,
 	}
 	if adaptive != nil {
-		if err := m.buildBank(ctx, c, spec, adaptive); err != nil {
+		if err := m.buildBank(ctx, c, base, norm); err != nil {
 			m.releaseCampaign(c)
 			return nil, false, err
 		}
@@ -351,24 +341,15 @@ func (m *Manager) newCampaign(ctx context.Context, kind string, request json.Raw
 // buildBank builds the adaptive factor bank: one interned handle per
 // factor of the base deadline problem with λ_t scaled, so identical banks
 // across campaigns (or across a restart's replay) share one decoded table
-// per factor, not one per campaign. Eager mode pre-solves every factor
+// per factor, not one per campaign. Every factor is pre-solved
 // concurrently through the engine's background lane — its worker pool,
 // queue, and singleflight table are the admission control, and the lane
 // keeps the grid from monopolizing workers against interactive solves.
-// Lazy mode (Options.LazyBank) solves only the starting factor; the rest
-// solve the first time a re-plan lands on them.
-func (m *Manager) buildBank(ctx context.Context, c *campaign, spec engine.Spec, adaptive *AdaptiveOptions) error {
-	base, ok := spec.(*kinds.DeadlineRequest)
-	if !ok {
-		return fmt.Errorf("%w, got %q", ErrAdaptiveUnsupported, c.kind)
-	}
-	norm, err := adaptive.normalized()
-	if err != nil {
-		return &engine.InvalidSpecError{Err: err}
-	}
+func (m *Manager) buildBank(ctx context.Context, c *campaign, base *kinds.DeadlineRequest, norm AdaptiveOptions) error {
 	// Acquire every factor's handle up front (a fingerprint and a map
-	// entry each); solving is a separate, per-mode decision.
+	// entry each), then solve them all at once.
 	bank := make([]*internedQuoter, len(norm.Factors))
+	specs := make([]engine.Spec, len(norm.Factors))
 	for i, f := range norm.Factors {
 		scaled := *base
 		scaled.Lambdas = make([]float64, len(base.Lambdas))
@@ -380,44 +361,33 @@ func (m *Manager) buildBank(ctx context.Context, c *campaign, spec engine.Spec, 
 			m.intern.releaseAll(bank[:i])
 			return fmt.Errorf("interning adaptive bank factor %g: %w", f, err)
 		}
-		bank[i] = h
+		bank[i], specs[i] = h, &scaled
 	}
-	// Start on the factor nearest 1.0 — the trained profile — exactly as
-	// the sim controller does before its first window closes.
-	start := nearestIndex(norm.Factors, 1)
-	if m.opts.LazyBank {
-		if _, _, err := bank[start].ensure(ctx, false); err != nil {
-			m.intern.releaseAll(bank)
-			return fmt.Errorf("solving adaptive bank factor %g: %w", norm.Factors[start], err)
-		}
-		// Unsolved slots answer Horizon/Types from the starting factor's
-		// shape — scaling λ_t moves prices, never dimensions.
-		m.intern.prefillMeta(bank, bank[start])
-	} else {
-		errs := make([]error, len(bank))
-		var wg sync.WaitGroup
-		for i := range bank {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				if _, _, err := bank[i].ensure(ctx, true); err != nil {
-					errs[i] = fmt.Errorf("solving adaptive bank factor %g: %w", norm.Factors[i], err)
-				}
-			}(i)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				m.intern.releaseAll(bank)
-				return err
+	errs := make([]error, len(bank))
+	var wg sync.WaitGroup
+	for i := range bank {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if _, err := bank[i].ensure(ctx, specs[i], true); err != nil {
+				errs[i] = fmt.Errorf("solving adaptive bank factor %g: %w", norm.Factors[i], err)
 			}
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			m.intern.releaseAll(bank)
+			return err
 		}
 	}
 	c.bank = bank
 	c.factors = norm.Factors
 	c.window = norm.WindowIntervals
 	c.baseLambdas = append([]float64(nil), base.Lambdas...)
-	c.activeIdx = start
+	// Start on the factor nearest 1.0 — the trained profile — exactly as
+	// the sim controller does before its first window closes.
+	c.activeIdx = nearestIndex(norm.Factors, 1)
 	return nil
 }
 
@@ -505,15 +475,6 @@ func (m *Manager) observeCampaign(tr *telemetry.Trace, c *campaign, arrivals flo
 	if sink := m.eventSink(); sink != nil {
 		sink.CampaignObserved(c.kind, c.adaptive(), arrivals, sumCompleted(completed), c.interval-1)
 	}
-	// Lazy banks: a re-plan that landed on a still-unsolved factor solves
-	// it now, asynchronously on the engine's background lane (deduped per
-	// handle), so the estimate's first drift toward a neighbor pre-warms
-	// that neighbor before the next quote needs it.
-	if c.adaptive() {
-		if h := c.active(); h.load() == nil {
-			go h.prefetch()
-		}
-	}
 	return c.stateLocked(), nil
 }
 
@@ -528,61 +489,36 @@ func sumCompleted(completed []int) int {
 }
 
 // Quote serves the policy's price for the campaign's current state — the
-// hot path: when the active table is resident, one mutex acquisition, one
-// atomic table load, and one lookup into the campaign's reusable price
-// buffer — zero heap allocations beyond the response envelope. A table
-// evicted under the memory budget (or a lazy bank slot quoted before its
-// prefetch lands) is re-decoded outside the campaign's mutex first.
+// hot path: one mutex acquisition, one atomic table load, and one lookup
+// into the campaign's reusable price buffer — zero heap allocations beyond
+// the response envelope. Every table a live campaign can switch to was
+// decoded before it went live, so a quote never waits on a solve.
 func (m *Manager) Quote(id string) (*Quote, error) {
 	return m.QuoteTraced(nil, id)
 }
 
 // QuoteTraced is Quote with request-tracing spans: the per-campaign
-// mutex lands on StageLockHold (in the rare evicted-table case the span
-// covers the whole quote critical path, including the re-ensure, whose
-// decode also shows separately on StageQuoterDecode). A nil trace
-// records nothing and adds nothing to the hot path beyond two nil
+// mutex (acquisition + critical section) lands on StageLockHold. A nil
+// trace records nothing and adds nothing to the hot path beyond two nil
 // checks; a live trace adds two atomic operations and zero allocations
-// (fenced by TestQuoteTracedAllocationBound).
+// (fenced by TestQuoteTracedAllocationBound). The only error is
+// ErrNotFound.
 func (m *Manager) QuoteTraced(tr *telemetry.Trace, id string) (*Quote, error) {
 	c, err := m.get(id)
 	if err != nil {
 		return nil, err
 	}
 	lockStart := tr.Now()
-	q, err := m.quoteCampaign(tr, c)
+	q := m.quoteCampaign(c)
 	tr.ObserveSince(telemetry.StageLockHold, lockStart)
-	return q, err
+	return q, nil
 }
 
-func (m *Manager) quoteCampaign(tr *telemetry.Trace, c *campaign) (*Quote, error) {
+func (m *Manager) quoteCampaign(c *campaign) *Quote {
 	c.mu.Lock()
-	h := c.active()
-	var tab Quoter = h.load()
-	for tab == nil {
-		c.mu.Unlock()
-		etab, _, err := h.ensure(telemetry.NewContext(context.Background(), tr), false)
-		if err != nil {
-			return nil, fmt.Errorf("campaign: re-decoding policy table: %w", err)
-		}
-		c.mu.Lock()
-		if c.active() == h {
-			// Quote from the table just ensured even if the budget already
-			// evicted it again — tables are immutable, so the price is the
-			// same; only recency bookkeeping would differ.
-			tab = etab
-		} else {
-			// A concurrent re-plan switched factors mid-ensure; chase the
-			// new active slot.
-			h = c.active()
-			tab = h.load()
-		}
-	}
 	defer c.mu.Unlock()
-	h.touch()
-	prices := c.quoteLocked(tab)
+	prices := c.quoteLocked(c.active().load())
 	c.lastTouched = m.opts.now()
-	m.quotes.Add(1)
 	q := &Quote{
 		ID:    c.id,
 		Price: prices[0],
@@ -599,7 +535,7 @@ func (m *Manager) quoteCampaign(tr *telemetry.Trace, c *campaign) (*Quote, error
 	if sink := m.eventSink(); sink != nil {
 		sink.CampaignQuoted(c.kind, c.adaptive(), q.Price)
 	}
-	return q, nil
+	return q
 }
 
 // State returns the campaign's current state without advancing anything.
@@ -656,24 +592,20 @@ func (m *Manager) Finish(id string) (*Summary, error) {
 type Metrics struct {
 	// Active is the number of live campaigns.
 	Active int64
-	// Created, Quotes, Replans, and Expired are lifetime counters
-	// (finished campaigns keep contributing to the totals).
-	Created int64
-	Quotes  int64
+	// Replans and Expired are lifetime counters (finished campaigns keep
+	// contributing to the totals).
 	Replans int64
 	Expired int64
 
 	// QuoterInterned is the number of distinct policy tables in the intern
 	// table; QuoterResidentBytes the decoded bytes currently resident
-	// across them (evicted entries count zero).
+	// across them.
 	QuoterInterned      int64
 	QuoterResidentBytes int64
 	// QuoterInternHits / QuoterInternMisses count intern-table lookups
-	// that found / created an entry; QuoterRedecodes counts tables decoded
-	// again after a budget eviction.
+	// that found / created an entry.
 	QuoterInternHits   int64
 	QuoterInternMisses int64
-	QuoterRedecodes    int64
 }
 
 // Metrics returns the current counter and gauge values.
@@ -684,14 +616,11 @@ func (m *Manager) Metrics() Metrics {
 	is := m.intern.stats()
 	return Metrics{
 		Active:              active,
-		Created:             m.created.Load(),
-		Quotes:              m.quotes.Load(),
 		Replans:             m.replans.Load(),
 		Expired:             m.expired.Load(),
 		QuoterInterned:      is.interned,
 		QuoterResidentBytes: is.residentBytes,
 		QuoterInternHits:    is.hits,
 		QuoterInternMisses:  is.misses,
-		QuoterRedecodes:     is.redecodes,
 	}
 }

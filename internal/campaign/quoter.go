@@ -33,8 +33,10 @@ type Quoter interface {
 }
 
 // policyTable is a decoded, compact policy table: a Quoter that also knows
-// its resident footprint, which is what the intern layer's byte budget
-// tiers on.
+// its resident footprint, which the intern table sums into its
+// resident-bytes gauge. A campaign's tables are all decoded before it goes
+// live and stay resident while it lives, so a quote never waits on a
+// solve.
 type policyTable interface {
 	Quoter
 	residentBytes() int64

@@ -303,7 +303,6 @@ func (m *Manager) ReplayWAL(ctx context.Context, src WALSource) (*WALReplayStats
 			break
 		}
 	}
-	m.created.Add(int64(len(rebuilt)))
 	stats.Campaigns = len(rebuilt)
 	committed = true
 	return stats, nil

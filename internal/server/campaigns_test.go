@@ -273,8 +273,8 @@ func TestCampaignMetrics(t *testing.T) {
 	}
 
 	m := s.Metrics()
-	if m.Campaigns.Active != 1 || m.Campaigns.Quotes != 3 {
-		t.Fatalf("snapshot %+v, want 1 active campaign and 3 quotes", m)
+	if m.Campaigns.Active != 1 {
+		t.Fatalf("snapshot %+v, want 1 active campaign", m)
 	}
 
 	res, err := http.Get(ts.URL + "/metrics")
@@ -288,7 +288,7 @@ func TestCampaignMetrics(t *testing.T) {
 	}
 	for _, want := range []string{
 		"crowdpricing_campaigns_active 1",
-		"crowdpricing_campaign_quotes_total 3",
+		`crowdpricing_cohort_quotes_total{cohort="deadline"} 3`,
 		"crowdpricing_campaign_replans_total 0",
 		"crowdpricing_campaigns_expired_total 0",
 	} {

@@ -87,8 +87,6 @@ var families = []metric{
 		series: one(func(x *scrape) any { return x.InFlight })},
 	{name: "crowdpricing_campaigns_active", typ: "gauge", help: "Live campaigns in the table.",
 		series: one(func(x *scrape) any { return x.Campaigns.Active })},
-	{name: "crowdpricing_campaign_quotes_total", typ: "counter", help: "Prices quoted from live campaigns.",
-		series: one(func(x *scrape) any { return x.Campaigns.Quotes })},
 	{name: "crowdpricing_campaign_replans_total", typ: "counter", help: "Adaptive policy switches across all campaigns.",
 		series: one(func(x *scrape) any { return x.Campaigns.Replans })},
 	{name: "crowdpricing_campaigns_expired_total", typ: "counter", help: "Campaigns expired by the idle TTL sweeper.",
@@ -101,8 +99,6 @@ var families = []metric{
 		series: one(func(x *scrape) any { return x.Campaigns.QuoterInternHits })},
 	{name: "crowdpricing_quoter_intern_misses_total", typ: "counter", help: "Campaign policy lookups that interned a new table.",
 		series: one(func(x *scrape) any { return x.Campaigns.QuoterInternMisses })},
-	{name: "crowdpricing_quoter_redecodes_total", typ: "counter", help: "Policy tables re-decoded after the memory budget evicted them.",
-		series: one(func(x *scrape) any { return x.Campaigns.QuoterRedecodes })},
 	{name: "crowdpricing_solves_total", typ: "counter", help: "Solver executions actually performed, by problem kind.", label: "kind",
 		series: func(x *scrape) []sample { return perKind(x.srv.registry.Kinds(), x.SolvesByKind) }},
 	{name: "crowdpricing_rejections_total", typ: "counter", help: "Cold solves shed with 429 because the admission queue was full, by problem kind.", label: "kind",

@@ -79,7 +79,6 @@ func TestMetricsPrometheusConventions(t *testing.T) {
 		"crowdpricing_quoter_resident_bytes",
 		"crowdpricing_quoter_intern_hits_total",
 		"crowdpricing_quoter_intern_misses_total",
-		"crowdpricing_quoter_redecodes_total",
 		"crowdpricing_stage_duration_seconds",
 		"crowdpricing_lambda_hat",
 		"crowdpricing_lambda_hat_lifetime",

@@ -104,14 +104,6 @@ type Options struct {
 	// CampaignTTL expires campaigns idle for longer than this
 	// (0 = campaign.DefaultTTL, 30 minutes; negative = never expire).
 	CampaignTTL time.Duration
-	// QuoterMemoryBudget bounds the bytes of decoded policy tables resident
-	// across the campaign runtime's interned quoters (0 = unlimited). Over
-	// budget, the least-recently-quoted tables are dropped and re-decoded
-	// from the engine's cached artifact bytes on next use.
-	QuoterMemoryBudget int64
-	// LazyBank defers adaptive bank solving to first use; see
-	// campaign.Options.LazyBank.
-	LazyBank bool
 	// TraceBuffer is how many of the slowest recent request traces
 	// /debug/requests retains per route (0 = telemetry.DefaultKeep;
 	// negative disables request tracing entirely, including the
@@ -193,11 +185,7 @@ func New(opts Options) *Server {
 		s.tracer = telemetry.NewTracer(opts.TraceBuffer, opts.TraceSeed)
 	}
 	s.analytics = analytics.New(opts.AnalyticsWindow)
-	s.campaigns = campaign.NewManager(s.engine, reg, campaign.Options{
-		TTL:                opts.CampaignTTL,
-		QuoterMemoryBudget: opts.QuoterMemoryBudget,
-		LazyBank:           opts.LazyBank,
-	})
+	s.campaigns = campaign.NewManager(s.engine, reg, campaign.Options{TTL: opts.CampaignTTL})
 	s.campaigns.AttachSink(s.analytics)
 	// One generic handler per registered kind: the route set is the
 	// registry, so adding a problem kind adds its endpoint with no code
