@@ -51,10 +51,10 @@
 // -debug-addr starts a second, private listener serving net/http/pprof —
 // off by default, and deliberately never on the public address.
 //
-// Endpoints: POST /v1/solve/{kind} (deadline | budget | tradeoff | multi),
-// POST /v1/solve/batch; POST /v1/campaigns, POST
-// /v1/campaigns/{id}/observe, GET /v1/campaigns/{id}[/price], DELETE
-// /v1/campaigns/{id}; GET /v1/analytics, /debug/requests, /healthz,
+// Endpoints: POST /v1/solve/{kind} (deadline | budget | tradeoff | multi);
+// POST /v1/campaigns, POST /v1/campaigns/{id}/observe, GET
+// /v1/campaigns/{id}[/price], DELETE /v1/campaigns/{id}; GET
+// /v1/analytics, /debug/requests, /healthz,
 // /metrics (Prometheus text format, including queue-depth/in-flight/
 // campaign gauges, per-kind solve and rejection counters, per-stage
 // duration histograms, and live λ̂/cohort analytics).

@@ -32,7 +32,7 @@
 // talks to a running daemon — its generic Solve(ctx, kind, req) covers any
 // registered kind, with typed wrappers for the classics; the request and
 // response types (DeadlineRequest, BudgetRequest, TradeoffRequest,
-// MultiRequest, BatchRequest, SolveResponse, …) are re-exported here.
+// MultiRequest, SolveResponse, …) are re-exported here.
 //
 // # Online campaigns
 //
@@ -153,15 +153,6 @@ type MultiRequest = server.MultiRequest
 // MultiSchedule is the solved general-k policy on the wire.
 type MultiSchedule = server.MultiSchedule
 
-// BatchRequest solves many problems in one round trip.
-type BatchRequest = server.BatchRequest
-
-// BatchItem is one problem of any registered kind inside a batch.
-type BatchItem = server.BatchItem
-
-// BatchResponse mirrors BatchRequest positionally.
-type BatchResponse = server.BatchResponse
-
 // SolveResponse is the envelope every solve endpoint returns; decode the
 // artifact with DecodePolicy, DecodeBudget, or DecodeTradeoff.
 type SolveResponse = server.SolveResponse
@@ -176,14 +167,11 @@ type TradeoffSchedule = server.TradeoffSchedule
 type LogisticParams = server.LogisticParams
 
 // PricingAPIError is a non-2xx reply from the pricing daemon; inspect
-// StatusCode (or IsBackpressure for 429 queue shedding) to pick a retry
-// strategy, or let PricingClient.SolveWithRetry handle backpressure
-// automatically.
+// StatusCode to pick a retry strategy. On 429 queue shedding
+// IsBackpressure reports true and RetryAfter carries the daemon's
+// Retry-After hint: the request did no work and can be sent again after
+// that wait.
 type PricingAPIError = server.APIError
-
-// RetryOptions tunes PricingClient.SolveWithRetry's jittered,
-// Retry-After-honoring backoff; the zero value is production-ready.
-type RetryOptions = server.RetryOptions
 
 // CampaignAdaptiveOptions enables the paper's §5.2.5 adaptive re-planning
 // on a deadline campaign (pre-solved factor bank, trailing-window rate

@@ -38,6 +38,8 @@ import (
 	"math"
 	"sync"
 	"time"
+
+	"crowdpricing/internal/sim"
 )
 
 // Campaign lifecycle errors, mapped to HTTP statuses by internal/server.
@@ -71,17 +73,11 @@ type AdaptiveOptions struct {
 	WindowIntervals int `json:"window_intervals,omitempty"`
 }
 
-// defaultFactors mirrors sim.DefaultAdaptiveConfig — −50%…+50% deviations
-// in 10% steps — but derives each factor from integers so the grid contains
-// exactly 1.0 (an accumulated 0.5+k·0.1 loop lands on 0.9999…, which would
-// leak into fingerprints and wire states).
-func defaultFactors() []float64 {
-	fs := make([]float64, 0, 11)
-	for i := 5; i <= 15; i++ {
-		fs = append(fs, float64(i)/10)
-	}
-	return fs
-}
+// defaultFactors is the §5.2.5 grid of sim.DefaultAdaptiveConfig, the one
+// place it is defined: −50%…+50% deviations in 10% steps, holding exactly
+// 1.0. The factors reach fingerprints and wire states, so the simulator
+// and the service must not drift apart.
+func defaultFactors() []float64 { return sim.DefaultAdaptiveConfig().Factors }
 
 // DefaultWindowIntervals is the default trailing-window length.
 const DefaultWindowIntervals = 9
@@ -301,8 +297,11 @@ type State struct {
 	Adaptive     bool    `json:"adaptive"`
 	Factor       float64 `json:"factor,omitempty"`
 	ActiveFactor float64 `json:"active_factor,omitempty"`
-	Quotes       int64   `json:"quotes"`
-	Replans      int64   `json:"replans"`
+	// Quotes counts the quotes this process has served for the campaign.
+	// Quotes are reads and are never logged, so a replayed campaign counts
+	// from zero.
+	Quotes  int64 `json:"quotes"`
+	Replans int64 `json:"replans"`
 }
 
 // Quote is one priced lookup: the price vector the solved policy dictates

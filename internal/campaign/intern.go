@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -172,9 +171,4 @@ func (h *internedQuoter) ensure(ctx context.Context, spec engine.Spec, backgroun
 	h.t.resident += tab.residentBytes()
 	h.t.mu.Unlock()
 	return res.CacheHit, nil
-}
-
-// String identifies the handle in errors.
-func (h *internedQuoter) String() string {
-	return fmt.Sprintf("interned %s policy %s", h.kind, h.key)
 }

@@ -226,10 +226,11 @@ func (m *Manager) releaseCampaign(c *campaign) {
 // on the engine's background lane).
 // The returned State carries the campaign ID every other call takes.
 func (m *Manager) Create(ctx context.Context, kind string, request json.RawMessage, adaptive *AdaptiveOptions) (*State, error) {
-	// Shed a full table before any solver work: a 429 must mean "the
-	// daemon did no work, retry later" (the contract SolveWithRetry leans
-	// on), not "the daemon ran a dozen solves and then refused". The check
-	// repeats authoritatively under the lock at insert time.
+	// Shed a full table before any solver work. The daemon answers
+	// ErrTableFull with 429 and Retry-After, and a 429 means "the daemon
+	// did no work, retry later", not "the daemon ran a dozen solves and
+	// then refused". The check repeats authoritatively under the lock at
+	// insert time.
 	m.mu.RLock()
 	full := len(m.campaigns) >= m.opts.MaxCampaigns
 	m.mu.RUnlock()

@@ -43,7 +43,6 @@ type campaignSnapshot struct {
 	ObservedTotal   float64   `json:"observed_arrivals_total"`
 	ActiveIdx       int       `json:"active_factor_index"`
 	Factor          float64   `json:"factor"`
-	Quotes          int64     `json:"quotes"`
 	Replans         int64     `json:"replans"`
 	CreatedUnixNano int64     `json:"created_unix_nano"`
 	TouchedUnixNano int64     `json:"last_touched_unix_nano"`
@@ -86,7 +85,6 @@ func (m *Manager) snapshotPayload() ([]byte, error) {
 			ObservedTotal:   c.observedTotal,
 			ActiveIdx:       c.activeIdx,
 			Factor:          c.factor,
-			Quotes:          c.quotes,
 			Replans:         c.replans,
 			CreatedUnixNano: c.created.UnixNano(),
 			TouchedUnixNano: c.lastTouched.UnixNano(),
@@ -157,7 +155,6 @@ func (m *Manager) rebuild(ctx context.Context, cs campaignSnapshot, now time.Tim
 		}
 		c.activeIdx = cs.ActiveIdx
 	}
-	c.quotes = cs.Quotes
 	c.replans = cs.Replans
 	c.lastLSN = cs.LastLSN
 	c.created = time.Unix(0, cs.CreatedUnixNano)

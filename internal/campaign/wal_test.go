@@ -350,6 +350,70 @@ func TestSnapshotWALEquivalence(t *testing.T) {
 	}
 }
 
+// TestQuoteCountRestartsAtZero: quotes are reads and are never logged, so
+// a replayed campaign counts quotes from zero whether or not a compaction
+// record sits in its history. A count carried by the compaction record
+// alone would make the restarted state depend on when the log compacted.
+func TestQuoteCountRestartsAtZero(t *testing.T) {
+	eng := engine.New(engine.Options{Workers: 2})
+	t.Cleanup(eng.Close)
+	ctx := context.Background()
+
+	replayedQuotes := func(compact bool) int64 {
+		t.Helper()
+		mem := wal.NewMemFS()
+		m := newWALManager(t, eng, Options{})
+		wlog, err := m.OpenWAL("wal", wal.Options{FS: mem, SyncInterval: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer wlog.Close()
+		m.AttachWAL(wlog)
+		st, err := m.Create(ctx, kinds.KindDeadline, sampleRequest(t, kinds.KindDeadline, 3, "small"), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		quote := func(n int) {
+			for i := 0; i < n; i++ {
+				if _, err := m.Quote(st.ID); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		quote(10)
+		if compact {
+			if err := wlog.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		quote(5)
+		if live, err := m.State(st.ID); err != nil || live.Quotes != 15 {
+			t.Fatalf("live state: %+v, %v; want 15 quotes", live, err)
+		}
+		if err := wlog.Sync(); err != nil {
+			t.Fatal(err)
+		}
+
+		r := newWALManager(t, eng, Options{})
+		stats, err := r.ReplayWAL(ctx, wal.NewReader(mem, "wal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if compact && stats.Snapshots != 1 {
+			t.Fatalf("replay crossed %d snapshot records, want 1 (compaction did not land)", stats.Snapshots)
+		}
+		got, err := r.State(st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got.Quotes
+	}
+	plain, compacted := replayedQuotes(false), replayedQuotes(true)
+	if plain != 0 || compacted != 0 {
+		t.Fatalf("replayed quote counts: %d without compaction, %d with; want 0 for both", plain, compacted)
+	}
+}
+
 // TestExpireEventLogged pins the sweeper fix: TTL expiry must reach the
 // log, or a crash after an expiry would resurrect the campaign at replay.
 func TestExpireEventLogged(t *testing.T) {

@@ -13,9 +13,9 @@ import (
 // (n₁, …, n_k, t), each type carries its own acceptance curve and price,
 // and completions per interval are independent Poissons. The joint state
 // and action spaces grow as ∏(Nᵢ+1) and C^k, so Solve enforces explicit
-// size budgets; the two-type specialization (MultiTypeProblem) remains the
-// practical entry point, and this type documents and tests the general
-// construction the paper sketches.
+// size budgets. This is the multi-type entry point: the service's "multi"
+// kind (internal/kinds) and the root package solve it. MultiTypeProblem is
+// the two-type special case of the construction the paper sketches.
 type MultiProblem struct {
 	// Counts holds the batch size per type.
 	Counts []int

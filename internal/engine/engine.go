@@ -115,9 +115,10 @@ type kindCounters struct {
 // SolveBatch enqueues on the background lane, which workers only drain
 // when no interactive work is waiting — so bulk pre-solves (an adaptive
 // campaign's 11-factor bank) cannot monopolize the pool against
-// interactive create/quote solves. Both lanes share the singleflight
-// table: identical work submitted on different lanes still costs one
-// solve. Create with New; an Engine is safe for arbitrary concurrent use.
+// interactive solves: one-shot solve requests and a campaign's initial
+// policy. Both lanes share the singleflight table: identical work
+// submitted on different lanes still costs one solve. Create with New; an
+// Engine is safe for arbitrary concurrent use.
 type Engine struct {
 	opts  Options
 	cache *lruCache
@@ -182,8 +183,10 @@ func (e *Engine) Solve(ctx context.Context, spec Spec) (*Result, error) {
 
 // SolveBatch is Solve on the background lane: identical semantics (cache,
 // singleflight, ErrQueueFull shedding), but the admitted call waits behind
-// all interactive work. Use it for bulk pre-solves whose latency nobody is
-// sitting on — adaptive bank factors, warmups.
+// all interactive work. Use it for bulk pre-solves that should yield to
+// single solves — adaptive bank factors, warmups. Yielding has a cost: an
+// adaptive create waits for its whole bank, so a busy interactive lane
+// slows that create rather than every other caller.
 func (e *Engine) SolveBatch(ctx context.Context, spec Spec) (*Result, error) {
 	return e.solve(ctx, spec, e.bgQueue)
 }

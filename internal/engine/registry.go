@@ -57,8 +57,8 @@ type Tunable interface {
 // KindDef is one registry entry: everything the generic layers need to
 // serve and load-test a problem kind.
 type KindDef struct {
-	// Kind is the wire name, used in the /v1/solve/{kind} route, batch
-	// items, and the bench mix.
+	// Kind is the wire name, used in the /v1/solve/{kind} route, campaign
+	// creates, and the bench mix.
 	Kind string
 	// Doc is a one-line human description for listings.
 	Doc string

@@ -4,23 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
 	"crowdpricing/internal/wal"
 )
-
-// newHTTPTestServer serves an arbitrary handler for client-side tests.
-func newHTTPTestServer(t *testing.T, h http.Handler) *httptest.Server {
-	t.Helper()
-	ts := httptest.NewServer(h)
-	t.Cleanup(ts.Close)
-	return ts
-}
 
 // campaignDeadlineRequest is a small, fast-solving deadline problem for
 // campaign lifecycle tests.
@@ -294,134 +284,6 @@ func TestCampaignMetrics(t *testing.T) {
 	} {
 		if !strings.Contains(body.String(), want) {
 			t.Errorf("/metrics missing %q", want)
-		}
-	}
-}
-
-// flakyHandler sheds the first `shed` solve requests with 429 +
-// Retry-After, then delegates to a real server — the shape of a daemon
-// recovering from a queue-full burst.
-func flakyHandler(t *testing.T, shed int, inner http.Handler) http.Handler {
-	t.Helper()
-	var attempts int
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		attempts++
-		if attempts <= shed {
-			w.Header().Set("Retry-After", "0")
-			w.WriteHeader(http.StatusTooManyRequests)
-			fmt.Fprintf(w, `{"error": "engine: solve queue is full, retry later"}`)
-			return
-		}
-		inner.ServeHTTP(w, r)
-	})
-}
-
-// TestSolveWithRetry: the client rides out transient 429 shedding and
-// returns the solve the daemon eventually accepts.
-func TestSolveWithRetry(t *testing.T) {
-	s := New(Options{})
-	t.Cleanup(s.Close)
-	ts := newHTTPTestServer(t, flakyHandler(t, 2, s.Handler()))
-	client := NewClient(ts.URL)
-
-	opts := RetryOptions{
-		MaxAttempts: 4,
-		BaseDelay:   time.Millisecond,
-		MaxDelay:    5 * time.Millisecond,
-		Jitter:      func() float64 { return 0.5 },
-	}
-	resp, err := client.SolveWithRetry(context.Background(), KindBudget, testBudgetRequest(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Kind != KindBudget || len(resp.Result) == 0 {
-		t.Fatalf("retried solve returned %+v", resp)
-	}
-}
-
-// TestSolveWithRetryExhausted: persistent backpressure surfaces the final
-// 429 after MaxAttempts tries.
-func TestSolveWithRetryExhausted(t *testing.T) {
-	s := New(Options{})
-	t.Cleanup(s.Close)
-	ts := newHTTPTestServer(t, flakyHandler(t, 1000, s.Handler()))
-	client := NewClient(ts.URL)
-
-	opts := RetryOptions{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}
-	_, err := client.SolveWithRetry(context.Background(), KindBudget, testBudgetRequest(), opts)
-	if !RetryOn429(err) {
-		t.Fatalf("exhausted retries returned %v, want the 429 APIError", err)
-	}
-	if apiErr := err.(*APIError); apiErr.RetryAfter != 0 {
-		// Retry-After: 0 parses as a zero hint — the header was honored as
-		// a floor of zero, not dropped.
-		t.Fatalf("RetryAfter = %v, want 0 from the 0-second header", apiErr.RetryAfter)
-	}
-}
-
-// TestSolveWithRetryNonRetryable: a 400 returns immediately, no retries.
-func TestSolveWithRetryNonRetryable(t *testing.T) {
-	var attempts int
-	ts := newHTTPTestServer(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		attempts++
-		w.WriteHeader(http.StatusBadRequest)
-		fmt.Fprintf(w, `{"error": "bad request"}`)
-	}))
-	client := NewClient(ts.URL)
-	_, err := client.SolveWithRetry(context.Background(), KindBudget, testBudgetRequest(),
-		RetryOptions{MaxAttempts: 5, BaseDelay: time.Millisecond})
-	if apiStatus(err) != http.StatusBadRequest {
-		t.Fatalf("err=%v, want 400", err)
-	}
-	if attempts != 1 {
-		t.Fatalf("client retried a 400 %d times", attempts)
-	}
-}
-
-// TestSolveWithRetryCtxBounded: a context that expires during the backoff
-// wait aborts promptly with ctx.Err().
-func TestSolveWithRetryCtxBounded(t *testing.T) {
-	ts := newHTTPTestServer(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Retry-After", "30")
-		w.WriteHeader(http.StatusTooManyRequests)
-	}))
-	client := NewClient(ts.URL)
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	begin := time.Now()
-	_, err := client.SolveWithRetry(ctx, KindBudget, testBudgetRequest(),
-		RetryOptions{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: time.Minute})
-	if err != context.DeadlineExceeded {
-		t.Fatalf("err=%v, want context.DeadlineExceeded", err)
-	}
-	if elapsed := time.Since(begin); elapsed > 5*time.Second {
-		t.Fatalf("retry waited %v past its context", elapsed)
-	}
-}
-
-// TestRetryBackoff pins the wait computation: doubling with proportional
-// jitter, floored by Retry-After, capped by MaxDelay.
-func TestRetryBackoff(t *testing.T) {
-	o := RetryOptions{
-		BaseDelay: 100 * time.Millisecond,
-		MaxDelay:  2 * time.Second,
-		Jitter:    func() float64 { return 0.5 }, // multiplier exactly 1.0
-	}.normalized()
-	for _, tc := range []struct {
-		attempt    int
-		retryAfter time.Duration
-		want       time.Duration
-	}{
-		{0, 0, 100 * time.Millisecond},
-		{1, 0, 200 * time.Millisecond},
-		{2, 0, 400 * time.Millisecond},
-		{0, time.Second, time.Second},     // Retry-After floors the wait
-		{30, 0, 2 * time.Second},          // shift overflow hits the cap
-		{0, time.Minute, 2 * time.Second}, // a hostile hint is capped
-		{4, 500 * time.Millisecond, 1600 * time.Millisecond},
-	} {
-		if got := o.backoff(tc.attempt, tc.retryAfter); got != tc.want {
-			t.Errorf("backoff(%d, %v) = %v, want %v", tc.attempt, tc.retryAfter, got, tc.want)
 		}
 	}
 }

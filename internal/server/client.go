@@ -43,7 +43,7 @@ type APIError struct {
 	Message string
 	// RetryAfter is the daemon's Retry-After hint (zero when the header was
 	// absent or unparseable). On backpressure replies it is how long the
-	// daemon suggests waiting before retrying; SolveWithRetry honors it.
+	// daemon suggests waiting before retrying.
 	RetryAfter time.Duration
 }
 
@@ -64,10 +64,6 @@ func (c *Client) httpClient() *http.Client {
 		return c.HTTP
 	}
 	return http.DefaultClient
-}
-
-func (c *Client) postJSON(ctx context.Context, path string, in, out any) error {
-	return c.do(ctx, http.MethodPost, path, in, out)
 }
 
 // do executes one JSON round trip: method on path with in as the body (nil
@@ -150,7 +146,7 @@ func readBody(res *http.Response) ([]byte, error) {
 // DecodeTradeoff for the classic kinds.
 func (c *Client) Solve(ctx context.Context, kind string, req any) (*SolveResponse, error) {
 	var out SolveResponse
-	if err := c.postJSON(ctx, "/v1/solve/"+kind, req, &out); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v1/solve/"+kind, req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -216,15 +212,6 @@ func (c *Client) FinishCampaign(ctx context.Context, id string) (*CampaignSummar
 	return &out, nil
 }
 
-// SolveBatch submits many problems in one round trip.
-func (c *Client) SolveBatch(ctx context.Context, req BatchRequest) (*BatchResponse, error) {
-	var out BatchResponse
-	if err := c.postJSON(ctx, "/v1/solve/batch", req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
 // Analytics reads the daemon's live analytics plane: the fleet λ̂ and
 // cohort fold plus, when tracing is on, per-stage latency summaries.
 func (c *Client) Analytics(ctx context.Context) (*AnalyticsResponse, error) {
@@ -246,20 +233,8 @@ func (c *Client) DebugRequests(ctx context.Context) ([]telemetry.TraceSummary, e
 
 // Healthz reads the daemon's liveness status.
 func (c *Client) Healthz(ctx context.Context) (*HealthStatus, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/healthz", nil)
-	if err != nil {
-		return nil, err
-	}
-	res, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer res.Body.Close()
-	if res.StatusCode != http.StatusOK {
-		return nil, &APIError{StatusCode: res.StatusCode, Status: res.Status}
-	}
 	var out HealthStatus
-	if err := json.NewDecoder(res.Body).Decode(&out); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/healthz", nil, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil

@@ -142,18 +142,6 @@ func TestClientContextTimeout(t *testing.T) {
 	}
 }
 
-// TestClientBatchErrorPaths exercises the batch call's non-200 handling.
-func TestClientBatchErrorPaths(t *testing.T) {
-	c := clientAgainst(t, func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusBadRequest)
-		w.Write([]byte(`{"error":"empty batch"}`))
-	})
-	if _, err := c.SolveBatch(context.Background(), BatchRequest{}); err == nil || !strings.Contains(err.Error(), "empty batch") {
-		t.Fatalf("err = %v, want the server's message", err)
-	}
-}
-
 // TestClientHealthzErrorPaths: non-200 and malformed bodies from /healthz.
 func TestClientHealthzErrorPaths(t *testing.T) {
 	t.Run("non-200", func(t *testing.T) {
@@ -170,6 +158,25 @@ func TestClientHealthzErrorPaths(t *testing.T) {
 		})
 		if _, err := c.Healthz(context.Background()); err == nil {
 			t.Fatal("malformed healthz body decoded without error")
+		}
+	})
+	// A draining daemon's structured reply reaches the caller like any
+	// other endpoint's: the message and the Retry-After hint both survive.
+	t.Run("error-body", func(t *testing.T) {
+		c := clientAgainst(t, func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			w.Header().Set("Retry-After", "3")
+			w.WriteHeader(http.StatusServiceUnavailable)
+			w.Write([]byte(`{"error":"draining"}`))
+		})
+		_, err := c.Healthz(context.Background())
+		var apiErr *APIError
+		if !errors.As(err, &apiErr) {
+			t.Fatalf("err = %v, want an *APIError", err)
+		}
+		if apiErr.StatusCode != http.StatusServiceUnavailable || apiErr.Message != "draining" || apiErr.RetryAfter != 3*time.Second {
+			t.Fatalf("status %d, message %q, RetryAfter %v; want 503, %q, 3s",
+				apiErr.StatusCode, apiErr.Message, apiErr.RetryAfter, "draining")
 		}
 	})
 }

@@ -163,7 +163,6 @@ func TestRequestAndErrorCountPerRoute(t *testing.T) {
 		}
 		return string(b)
 	}
-	batch := jsonBody(BatchRequest{Items: []BatchItem{batchItem(t, KindBudget, testBudgetRequest())}})
 	create := jsonBody(CreateCampaignRequest{Kind: KindDeadline, Request: json.RawMessage(jsonBody(campaignDeadlineRequest()))})
 
 	// The campaign routes need a live id: the create step records it.
@@ -211,7 +210,6 @@ func TestRequestAndErrorCountPerRoute(t *testing.T) {
 	step("solve", http.MethodPost, "/v1/solve/budget", jsonBody(testBudgetRequest()), http.StatusOK, false)
 	step("malformed solve", http.MethodPost, "/v1/solve/budget", "{", http.StatusBadRequest, true)
 	step("GET on a solve route", http.MethodGet, "/v1/solve/budget", "", http.StatusMethodNotAllowed, true)
-	step("batch", http.MethodPost, "/v1/solve/batch", batch, http.StatusOK, false)
 	step("campaign create", http.MethodPost, "/v1/campaigns", create, http.StatusOK, false)
 	step("campaign observe", http.MethodPost, "/v1/campaigns/{id}/observe", `{"arrivals": 12, "completed": 1}`, http.StatusOK, false)
 	step("campaign price", http.MethodGet, "/v1/campaigns/{id}/price", "", http.StatusOK, false)

@@ -18,7 +18,6 @@
 //	POST /v1/solve/{kind}     any registered kind: deadline (Section 3),
 //	                          budget (Section 4), tradeoff (Section 6),
 //	                          multi (Section 6 extension), …
-//	POST /v1/solve/batch      many problems of any kinds, one round trip
 //	GET  /healthz             liveness + uptime
 //	GET  /metrics             Prometheus-format counters, queue gauges,
 //	                          per-kind solve/rejection counters, latency +
@@ -34,7 +33,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -43,7 +41,6 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -66,14 +63,6 @@ const (
 	DefaultRequestTimeout = 2 * time.Minute
 	// DefaultQueueDepth bounds the engine's cold-solve admission queue.
 	DefaultQueueDepth = engine.DefaultQueueDepth
-	// MaxBatchItems bounds a single batch request.
-	MaxBatchItems = 256
-	// batchWorkers caps how many batch items this server submits to the
-	// engine concurrently within one request; items beyond it queue.
-	// Waiters on an in-flight identical solve hold a slot too, which is
-	// fine — they are blocked, not burning CPU, and the cap exists to keep
-	// one batch from monopolizing the engine's admission queue.
-	batchWorkers = 16
 )
 
 // Options configures a Server. The zero value is production-ready.
@@ -189,17 +178,11 @@ func New(opts Options) *Server {
 	s.campaigns.AttachSink(s.analytics)
 	// One generic handler per registered kind: the route set is the
 	// registry, so adding a problem kind adds its endpoint with no code
-	// here. Kind names that would collide with the server's own routes are
-	// rejected up front — otherwise the mux's duplicate-pattern panic would
-	// surface with no hint of the cause.
+	// here.
 	for _, kind := range reg.Kinds() {
-		if kind == "batch" {
-			panic(fmt.Sprintf("server: registry kind %q collides with the reserved /v1/solve/batch route", kind))
-		}
 		def, _ := reg.Lookup(kind)
 		s.route("/v1/solve/"+kind, s.post(s.handleKind(def)))
 	}
-	s.route("/v1/solve/batch", s.post(s.handleBatch))
 	// The stateful campaign API: method-scoped patterns, the modern mux
 	// idiom — the wildcard {id} binds through r.PathValue.
 	s.route("POST /v1/campaigns", s.handleCampaignCreate)
@@ -413,9 +396,10 @@ func (s *Server) respond(w http.ResponseWriter, resp *SolveResponse, err error) 
 	}
 }
 
-// maxBodyBytes bounds request bodies so one connection cannot buffer
-// unbounded JSON into memory. 32 MiB comfortably fits the largest
-// acceptable batch (MaxBatchItems items at MaxIntervals lambdas each).
+// maxBodyBytes bounds two things. On the server it caps every request body
+// decodeInto reads, so one connection cannot buffer unbounded JSON into
+// memory. On the client it is the largest Content-Length that readBody
+// trusts to size its buffer up front.
 const maxBodyBytes = 32 << 20
 
 func decodeInto(w http.ResponseWriter, r *http.Request, v any) error {
@@ -449,89 +433,6 @@ func (s *Server) handleKind(def engine.KindDef) http.HandlerFunc {
 		resp, err := s.solveSpec(ctx, spec)
 		s.respond(w, resp, err)
 	}
-}
-
-// batchJob pairs a decoded spec (or its decode error) with the result slot
-// it answers into.
-type batchJob struct {
-	spec engine.Spec
-	err  error
-	slot *BatchResult
-}
-
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req BatchRequest
-	if err := decodeInto(w, r, &req); err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	total := len(req.Items)
-	if total == 0 {
-		s.fail(w, http.StatusBadRequest, errors.New("empty batch"))
-		return
-	}
-	if total > MaxBatchItems {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("batch has %d items, limit is %d", total, MaxBatchItems))
-		return
-	}
-	ctx, cancel := s.requestCtx(r)
-	defer cancel()
-
-	resp := BatchResponse{Items: make([]BatchResult, total)}
-	jobs := make([]batchJob, 0, total)
-	// Items resolve their kind through the registry; a bad kind or body
-	// fails that item alone, never the batch.
-	for i := range req.Items {
-		job := batchJob{slot: &resp.Items[i]}
-		def, ok := s.registry.Lookup(req.Items[i].Kind)
-		if !ok {
-			job.err = fmt.Errorf("unknown problem kind %q", req.Items[i].Kind)
-		} else {
-			spec := def.New()
-			if err := strictUnmarshal(req.Items[i].Request, spec); err != nil {
-				job.err = fmt.Errorf("bad %s request: %w", req.Items[i].Kind, err)
-			} else {
-				job.spec = spec
-			}
-		}
-		jobs = append(jobs, job)
-	}
-
-	// Items run concurrently so identical ones collapse onto one solve via
-	// the engine's singleflight layer (a batch of N clones costs one
-	// solve), but the fan-out is capped: distinct items queue on the
-	// semaphore instead of flooding the engine's admission queue.
-	sem := make(chan struct{}, batchWorkers)
-	var wg sync.WaitGroup
-	for i := range jobs {
-		job := &jobs[i]
-		if job.err != nil {
-			job.slot.Error = job.err.Error()
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			res, err := s.solveSpec(ctx, job.spec)
-			if err != nil {
-				job.slot.Error = err.Error()
-				return
-			}
-			job.slot.Response = res
-		}()
-	}
-	wg.Wait()
-	s.ok(w, resp)
-}
-
-// strictUnmarshal decodes raw into v rejecting unknown fields, matching the
-// top-level decoder's strictness for nested batch items.
-func strictUnmarshal(raw json.RawMessage, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
 }
 
 // HealthStatus is the /healthz body.

@@ -262,80 +262,6 @@ func TestTradeoffEndpoint(t *testing.T) {
 	}
 }
 
-// batchItem wraps one request as a generic batch item.
-func batchItem(t testing.TB, kind string, req any) BatchItem {
-	t.Helper()
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return BatchItem{Kind: kind, Request: body}
-}
-
-// TestBatchDedup: a batch holding the same deadline problem three times
-// plus a budget and a tradeoff item costs exactly three solves.
-func TestBatchDedup(t *testing.T) {
-	s, ts := newTestServer(t, Options{})
-	client := NewClient(ts.URL)
-	dreq := batchItem(t, KindDeadline, testDeadlineRequest())
-	batch := BatchRequest{Items: []BatchItem{
-		dreq, dreq, dreq,
-		batchItem(t, KindBudget, testBudgetRequest()),
-		batchItem(t, KindTradeoff, testTradeoffRequest()),
-	}}
-	resp, err := client.SolveBatch(context.Background(), batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Items) != 5 {
-		t.Fatalf("batch answered %d items, want 5", len(resp.Items))
-	}
-	for i, r := range resp.Items[:3] {
-		if r.Error != "" {
-			t.Fatalf("deadline item %d: %s", i, r.Error)
-		}
-		if !bytes.Equal(r.Response.Result, resp.Items[0].Response.Result) {
-			t.Errorf("deadline item %d policy differs within the batch", i)
-		}
-	}
-	budget, tradeoff := resp.Items[3], resp.Items[4]
-	if budget.Error != "" || tradeoff.Error != "" {
-		t.Fatalf("batch items failed: %q %q", budget.Error, tradeoff.Error)
-	}
-	if budget.Response.Kind != KindBudget || tradeoff.Response.Kind != KindTradeoff {
-		t.Errorf("items answered out of position: kinds %q, %q", budget.Response.Kind, tradeoff.Response.Kind)
-	}
-	if m := s.Metrics(); m.Solves != 3 {
-		t.Errorf("batch performed %d solves, want 3 (1 deadline + 1 budget + 1 tradeoff)", m.Solves)
-	}
-
-	// A bad item fails alone, not the batch.
-	bad := testDeadlineRequest()
-	bad.N = 0
-	mixed, err := client.SolveBatch(context.Background(), BatchRequest{
-		Items: []BatchItem{batchItem(t, KindDeadline, bad), dreq},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mixed.Items[0].Error == "" {
-		t.Error("invalid batch item reported no error")
-	}
-	if mixed.Items[1].Error != "" || mixed.Items[1].Response == nil {
-		t.Error("valid batch item was dragged down by the invalid one")
-	}
-	if !mixed.Items[1].Response.CacheHit {
-		t.Error("repeated problem in second batch missed the cache")
-	}
-}
-
-// Small valid request bodies, one per classic kind.
-const (
-	smallDeadlineBody = `{"n": 4, "horizon_hours": 2, "intervals": 2, "lambdas": [5, 5], "accept": {"s": 15, "b": -0.39, "m": 2000}, "min_price": 1, "max_price": 10, "penalty": 40}`
-	smallBudgetBody   = `{"n": 10, "budget": 100, "accept": {"s": 15, "b": -0.39, "m": 2000}, "min_price": 1, "max_price": 20}`
-	smallTradeoffBody = `{"n": 10, "alpha": 1, "lambda": 10, "accept": {"s": 15, "b": -0.39, "m": 2000}, "min_price": 1, "max_price": 5}`
-)
-
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	post := func(path, body string) *http.Response {
@@ -355,14 +281,10 @@ func TestBadRequests(t *testing.T) {
 		{"invalid problem", "/v1/solve/deadline", `{"n": 0, "horizon_hours": 1, "intervals": 1, "lambdas": [1], "accept": {"s": 15, "b": 0, "m": 2000}, "min_price": 1, "max_price": 5}`, http.StatusBadRequest},
 		{"bad budget method", "/v1/solve/budget", `{"n": 10, "budget": 100, "accept": {"s": 15, "b": 0, "m": 2000}, "min_price": 1, "max_price": 5, "method": "magic"}`, http.StatusBadRequest},
 		{"bad tradeoff formulation", "/v1/solve/tradeoff", `{"n": 10, "alpha": 1, "lambda": 10, "accept": {"s": 15, "b": 0, "m": 2000}, "min_price": 1, "max_price": 5, "formulation": "magic"}`, http.StatusBadRequest},
-		{"empty batch", "/v1/solve/batch", `{}`, http.StatusBadRequest},
-		// Items is the batch's only field: the typed arrays of earlier
-		// versions are unknown fields to the strict decoder, even when
-		// every problem in them is valid.
-		{"typed deadline batch array", "/v1/solve/batch", `{"deadline": [` + smallDeadlineBody + `]}`, http.StatusBadRequest},
-		{"typed budget batch array", "/v1/solve/batch", `{"budget": [` + smallBudgetBody + `]}`, http.StatusBadRequest},
-		{"typed tradeoff batch array", "/v1/solve/batch", `{"tradeoff": [` + smallTradeoffBody + `]}`, http.StatusBadRequest},
-		{"typed batch array beside items", "/v1/solve/batch", `{"items": [{"kind": "budget", "request": ` + smallBudgetBody + `}], "budget": [` + smallBudgetBody + `]}`, http.StatusBadRequest},
+		// Solving is one request per problem: "batch" names no route of its
+		// own and no registered kind, so even a list of valid problems is
+		// not served.
+		{"batch is not a kind", "/v1/solve/" + "batch", `{"items": [{"kind": "budget", "request": {"n": 10, "budget": 100, "accept": {"s": 15, "b": -0.39, "m": 2000}, "min_price": 1, "max_price": 20}}]}`, http.StatusNotFound},
 	}
 	for _, tc := range cases {
 		if res := post(tc.path, tc.body); res.StatusCode != tc.want {
@@ -416,15 +338,6 @@ func TestServiceLimits(t *testing.T) {
 	// No limit rejection ran a solver or occupied a cache slot.
 	if m := s.Metrics(); m.Solves != 0 || m.CacheEntries != 0 {
 		t.Errorf("metrics after rejections = %+v, want 0 solves and 0 cache entries", m)
-	}
-
-	// A batch over MaxBatchItems is rejected whole.
-	over := make([]BatchItem, MaxBatchItems+1)
-	for i := range over {
-		over[i] = batchItem(t, KindBudget, testBudgetRequest())
-	}
-	if _, err := client.SolveBatch(ctx, BatchRequest{Items: over}); err == nil || !strings.Contains(err.Error(), "400") {
-		t.Errorf("oversized batch: err = %v, want 400", err)
 	}
 }
 
@@ -544,6 +457,9 @@ func TestQueueOverflowReturns429(t *testing.T) {
 	}
 	if !apiErr.IsBackpressure() {
 		t.Error("APIError.IsBackpressure() = false for a 429")
+	}
+	if apiErr.RetryAfter != time.Second {
+		t.Errorf("APIError.RetryAfter = %v, want 1s from the daemon's Retry-After: 1", apiErr.RetryAfter)
 	}
 	if got := s.Metrics().RejectedByKind["stub"]; got != 1 {
 		t.Errorf("rejections{kind=stub} = %d, want 1", got)
@@ -674,9 +590,9 @@ func TestCacheEvictionEndToEnd(t *testing.T) {
 }
 
 // TestMultiKindGeneric is the registry's payoff test: the fourth kind
-// ("multi", the paper's general-k extension) is served over HTTP, through
-// the generic client path, and inside generic batch items — with zero
-// per-kind code in the server, client, or batch layers.
+// ("multi", the paper's general-k extension) is served over HTTP and
+// through the generic client path, with zero per-kind code in the server
+// or client.
 func TestMultiKindGeneric(t *testing.T) {
 	s, ts := newTestServer(t, Options{})
 	client := NewClient(ts.URL)
@@ -707,33 +623,6 @@ func TestMultiKindGeneric(t *testing.T) {
 	}
 	if !warm.CacheHit || !bytes.Equal(warm.Result, cold.Result) {
 		t.Error("repeated multi request missed the cache or returned different bytes")
-	}
-
-	// The same problem through a generic batch item is the same artifact —
-	// and a warm hit, since the single endpoint just solved it.
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := client.SolveBatch(ctx, BatchRequest{Items: []BatchItem{
-		{Kind: KindMulti, Request: body},
-		{Kind: "no-such-kind", Request: body},
-		batchItem(t, KindBudget, testBudgetRequest()),
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := batch.Items[0]; got.Error != "" || !bytes.Equal(got.Response.Result, cold.Result) {
-		t.Errorf("batch multi item: error %q, bytes match %v", got.Error, got.Error == "" && bytes.Equal(got.Response.Result, cold.Result))
-	}
-	if !batch.Items[0].Response.CacheHit {
-		t.Error("batch multi item missed the warm cache")
-	}
-	if got := batch.Items[1]; got.Error == "" || !strings.Contains(got.Error, "unknown problem kind") {
-		t.Errorf("unknown-kind batch item error = %q, want an unknown-kind error", got.Error)
-	}
-	if batch.Items[2].Error != "" {
-		t.Errorf("budget batch item failed: %s", batch.Items[2].Error)
 	}
 
 	if m := s.Metrics(); m.SolvesByKind[KindMulti] != 1 {

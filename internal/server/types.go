@@ -11,8 +11,8 @@ import (
 // The wire-level problem specifications live in internal/kinds (one Spec
 // implementation per problem kind, registered with the engine's registry);
 // this file re-exports them under their historical server names so existing
-// callers keep compiling, and defines the server-owned envelope types
-// (SolveResponse, batch requests) that wrap any kind generically.
+// callers keep compiling, and defines the server-owned SolveResponse
+// envelope that wraps any kind generically.
 
 // LogisticParams is the wire form of the Equation-3 acceptance curve.
 type LogisticParams = kinds.LogisticParams
@@ -139,39 +139,6 @@ func (r *SolveResponse) DecodeTradeoff() (*TradeoffSchedule, error) {
 		return nil, err
 	}
 	return &s, nil
-}
-
-// BatchItem is one problem of any registered kind inside a batch: the kind
-// name plus its request body verbatim.
-type BatchItem struct {
-	Kind    string          `json:"kind"`
-	Request json.RawMessage `json:"request"`
-}
-
-// BatchRequest solves many problems in one round trip. Each item names a
-// registered kind and carries that kind's request body, so any kind —
-// including ones added after this client was written — is batchable with
-// zero server changes. The items run concurrently on the daemon, and
-// duplicates — within the batch or against other in-flight requests — are
-// deduplicated by the same fingerprint machinery as the single endpoints.
-// Items is the only field: a body that still carries the typed
-// deadline/budget/tradeoff arrays of earlier versions is rejected with
-// HTTP 400 by the strict decoder.
-type BatchRequest struct {
-	Items []BatchItem `json:"items,omitempty"`
-}
-
-// BatchResult is the per-item outcome: exactly one of Response or Error is
-// set. A failed item never fails the batch.
-type BatchResult struct {
-	Response *SolveResponse `json:"response,omitempty"`
-	Error    string         `json:"error,omitempty"`
-}
-
-// BatchResponse mirrors BatchRequest positionally: Items[i] answers
-// request Items[i].
-type BatchResponse struct {
-	Items []BatchResult `json:"items,omitempty"`
 }
 
 // errorResponse is the JSON body of every non-2xx reply.

@@ -28,12 +28,16 @@ type AdaptiveConfig struct {
 	WindowIntervals int
 }
 
-// DefaultAdaptiveConfig covers −50%…+50% rate deviations with a 3-hour
-// window at 20-minute intervals.
+// DefaultAdaptiveConfig covers −50%…+50% rate deviations in 10% steps
+// with a 3-hour window at 20-minute intervals. Each factor is i/10 for an
+// integer i, so the grid holds exactly 1.0: accumulating f += 0.1 would
+// land on 0.9999999999999999 and solve the "unchanged rate" policy on a
+// perturbed λ. This is the one definition of the §5.2.5 grid; the
+// campaign service's default is this grid too.
 func DefaultAdaptiveConfig() AdaptiveConfig {
-	var factors []float64
-	for f := 0.5; f <= 1.51; f += 0.1 {
-		factors = append(factors, f)
+	factors := make([]float64, 0, 11)
+	for i := 5; i <= 15; i++ {
+		factors = append(factors, float64(i)/10)
 	}
 	return AdaptiveConfig{Factors: factors, WindowIntervals: 9}
 }

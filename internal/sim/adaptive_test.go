@@ -1,10 +1,35 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"crowdpricing/internal/dist"
 )
+
+// TestDefaultFactorGrid pins the §5.2.5 grid bit for bit. An accumulated
+// f += 0.1 loop yields 0.7999999999999999, 0.9999999999999999 and four
+// more near misses, so the "unchanged rate" policy would be solved on a
+// perturbed λ and the grid would differ from the campaign service's.
+func TestDefaultFactorGrid(t *testing.T) {
+	want := []float64{0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2, 1.3, 1.4, 1.5}
+	got := DefaultAdaptiveConfig().Factors
+	if len(got) != len(want) {
+		t.Fatalf("grid has %d factors, want %d: %v", len(got), len(want), got)
+	}
+	ones := 0
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Errorf("factor %d = %v, want exactly %v", i, got[i], want[i])
+		}
+		if got[i] == 1 {
+			ones++
+		}
+	}
+	if ones != 1 {
+		t.Errorf("grid holds 1.0 %d times, want exactly once: %v", ones, got)
+	}
+}
 
 func TestAdaptiveBankValidation(t *testing.T) {
 	p := deadlineProblem(20, 9)
