@@ -26,7 +26,7 @@ type snapshotFile struct {
 // state). Policies are deliberately NOT stored: replay re-solves the
 // request through the engine, which is deterministic — the rebuilt
 // campaign quotes bit-identical prices — and keeps records small (a
-// paper-scale deadline artifact is ~305 KB; its request is ~1 KB).
+// paper-scale deadline artifact is ~45 KB; its request is ~1 KB).
 type campaignSnapshot struct {
 	ID       string           `json:"id"`
 	Kind     string           `json:"kind"`

@@ -95,15 +95,21 @@ func (p *DeadlineProblem) Validate() error {
 	return nil
 }
 
-// DeadlinePolicy is a solved deadline pricing policy: the optimal price and
-// cost-to-go for every (remaining tasks, interval) state.
+// DeadlinePolicy is a solved deadline pricing policy: the optimal price for
+// every (remaining tasks, interval) state and the expected total cost of
+// following it from the initial state.
 type DeadlinePolicy struct {
 	Problem *DeadlineProblem
 	// Price[t][n] is the optimal reward (cents) at interval t with n tasks
 	// remaining, for t in [0, Intervals) and n in [0, N].
 	Price [][]int
+	// Value is the optimal expected total cost from the initial state (N
+	// tasks remaining at interval 0), Opt[0][N].
+	Value float64
 	// Opt[t][n] is the optimal expected cost-to-go, t in [0, Intervals]
-	// (row Intervals holds the terminal penalties).
+	// (row Intervals holds the terminal penalties). It is the solver's
+	// working table: the solvers return it, but it is not serialized, so a
+	// policy restored by UnmarshalJSON has a nil Opt.
 	Opt [][]float64
 }
 
@@ -361,6 +367,7 @@ func (p *DeadlineProblem) SolveSimple() (*DeadlinePolicy, error) {
 			pol.Opt[t][n], pol.Price[t][n] = p.bestPrice(tab, next, n, p.MinPrice, p.MaxPrice)
 		})
 	}
+	pol.Value = pol.Opt[0][p.N]
 	return pol, nil
 }
 
@@ -415,6 +422,7 @@ func (p *DeadlineProblem) SolveEfficient() (*DeadlinePolicy, error) {
 		solveRange(1, p.N, p.MinPrice, p.MaxPrice)
 		g.Wait()
 	}
+	pol.Value = pol.Opt[0][p.N]
 	return pol, nil
 }
 

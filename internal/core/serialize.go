@@ -14,22 +14,24 @@ import (
 	"crowdpricing/internal/choice"
 )
 
-// policyJSON is the wire form of a solved deadline policy. Only the
+// policyJSON is the wire form of a solved deadline policy: the problem, the
+// price table and the policy's value. The cost-to-go table stays out; it is
+// the solver's working state and ~6× the bytes of the prices. Only the
 // parametric Logistic acceptance curve serializes; policies built over
 // custom AcceptanceFn implementations must be re-solved on load.
 type policyJSON struct {
-	N         int         `json:"n"`
-	Horizon   float64     `json:"horizon_hours"`
-	Intervals int         `json:"intervals"`
-	Lambdas   []float64   `json:"lambdas"`
-	Accept    acceptJSON  `json:"accept"`
-	MinPrice  int         `json:"min_price"`
-	MaxPrice  int         `json:"max_price"`
-	Penalty   float64     `json:"penalty"`
-	Alpha     float64     `json:"alpha"`
-	TruncEps  float64     `json:"trunc_eps"`
-	Price     [][]int     `json:"price"`
-	Opt       [][]float64 `json:"opt"`
+	N         int        `json:"n"`
+	Horizon   float64    `json:"horizon_hours"`
+	Intervals int        `json:"intervals"`
+	Lambdas   []float64  `json:"lambdas"`
+	Accept    acceptJSON `json:"accept"`
+	MinPrice  int        `json:"min_price"`
+	MaxPrice  int        `json:"max_price"`
+	Penalty   float64    `json:"penalty"`
+	Alpha     float64    `json:"alpha"`
+	TruncEps  float64    `json:"trunc_eps"`
+	Price     [][]int    `json:"price"`
+	Value     float64    `json:"value"`
 }
 
 type acceptJSON struct {
@@ -38,9 +40,9 @@ type acceptJSON struct {
 	M float64 `json:"m"`
 }
 
-// MarshalJSON serializes the policy, including its problem parameters and
-// value function, so a solved plan can be stored and reloaded without
-// re-running the DP. It fails if the acceptance curve is not a
+// MarshalJSON serializes the policy's problem parameters, price table and
+// value, so a solved plan can be stored and reloaded without re-running
+// the DP. Opt is not written. It fails if the acceptance curve is not a
 // choice.Logistic.
 func (pol *DeadlinePolicy) MarshalJSON() ([]byte, error) {
 	if pol.Problem == nil {
@@ -62,12 +64,14 @@ func (pol *DeadlinePolicy) MarshalJSON() ([]byte, error) {
 		Alpha:     pol.Problem.Alpha,
 		TruncEps:  pol.Problem.TruncEps,
 		Price:     pol.Price,
-		Opt:       pol.Opt,
+		Value:     pol.Value,
 	})
 }
 
 // UnmarshalJSON restores a policy serialized by MarshalJSON, validating the
-// problem and the table dimensions.
+// problem and the price table's dimensions and range. The restored policy
+// has a nil Opt. A file written before the wire form dropped the cost-to-go
+// table still loads: its "opt" field is ignored and its Value reads 0.
 func (pol *DeadlinePolicy) UnmarshalJSON(data []byte) error {
 	var pj policyJSON
 	if err := json.Unmarshal(data, &pj); err != nil {
@@ -88,9 +92,8 @@ func (pol *DeadlinePolicy) UnmarshalJSON(data []byte) error {
 	if err := p.Validate(); err != nil {
 		return fmt.Errorf("core: stored policy problem invalid: %w", err)
 	}
-	if len(pj.Price) != p.Intervals || len(pj.Opt) != p.Intervals+1 {
-		return fmt.Errorf("core: stored tables have %d/%d rows, want %d/%d",
-			len(pj.Price), len(pj.Opt), p.Intervals, p.Intervals+1)
+	if len(pj.Price) != p.Intervals {
+		return fmt.Errorf("core: stored price table has %d rows, want %d", len(pj.Price), p.Intervals)
 	}
 	for t, row := range pj.Price {
 		if len(row) != p.N+1 {
@@ -103,14 +106,7 @@ func (pol *DeadlinePolicy) UnmarshalJSON(data []byte) error {
 			}
 		}
 	}
-	for t, row := range pj.Opt {
-		if len(row) != p.N+1 {
-			return fmt.Errorf("core: opt row %d has %d entries, want %d", t, len(row), p.N+1)
-		}
-	}
-	pol.Problem = p
-	pol.Price = pj.Price
-	pol.Opt = pj.Opt
+	*pol = DeadlinePolicy{Problem: p, Price: pj.Price, Value: pj.Value}
 	return nil
 }
 

@@ -1,80 +1,195 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
+	"os"
+	"reflect"
+	"slices"
 	"testing"
 )
 
 func TestPolicyJSONRoundTrip(t *testing.T) {
 	p := testProblem(25, 9)
-	pol, err := p.SolveEfficient()
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := json.Marshal(pol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back DeadlinePolicy
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	// Identical tables.
-	for tt := 0; tt < p.Intervals; tt++ {
-		for n := 0; n <= p.N; n++ {
-			if back.Price[tt][n] != pol.Price[tt][n] {
-				t.Fatalf("price changed at (%d,%d)", n, tt)
+	for _, solver := range []struct {
+		name  string
+		solve func() (*DeadlinePolicy, error)
+	}{{"simple", p.SolveSimple}, {"efficient", p.SolveEfficient}} {
+		name := solver.name
+		pol, err := solver.solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pol.Value != pol.Opt[0][p.N] {
+			t.Fatalf("%s: Value %v, want Opt[0][N] = %v", name, pol.Value, pol.Opt[0][p.N])
+		}
+		data, err := json.Marshal(pol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back DeadlinePolicy
+		if err := json.Unmarshal(data, &back); err != nil {
+			t.Fatal(err)
+		}
+		// Identical prices and value; the cost-to-go table stays behind.
+		for tt := 0; tt < p.Intervals; tt++ {
+			for n := 0; n <= p.N; n++ {
+				if back.Price[tt][n] != pol.Price[tt][n] {
+					t.Fatalf("%s: price changed at (%d,%d)", name, n, tt)
+				}
 			}
 		}
-	}
-	for tt := 0; tt <= p.Intervals; tt++ {
-		for n := 0; n <= p.N; n++ {
-			if back.Opt[tt][n] != pol.Opt[tt][n] {
-				t.Fatalf("opt changed at (%d,%d)", n, tt)
-			}
+		if back.Value != pol.Value {
+			t.Errorf("%s: value changed: %v vs %v", name, back.Value, pol.Value)
 		}
-	}
-	// The restored policy evaluates identically (the kernel rebuilds from
-	// the restored problem).
-	a, b := pol.Evaluate(), back.Evaluate()
-	if math.Abs(a.ExpectedCost-b.ExpectedCost) > 1e-9 {
-		t.Errorf("evaluation changed: %v vs %v", a.ExpectedCost, b.ExpectedCost)
+		if back.Opt != nil {
+			t.Errorf("%s: decoded policy has an Opt table", name)
+		}
+		// The restored policy evaluates identically (the kernel rebuilds from
+		// the restored problem).
+		a, b := pol.Evaluate(), back.Evaluate()
+		if math.Abs(a.ExpectedCost-b.ExpectedCost) > 1e-9 {
+			t.Errorf("%s: evaluation changed: %v vs %v", name, a.ExpectedCost, b.ExpectedCost)
+		}
 	}
 }
 
-func TestPolicyJSONRejectsCorrupted(t *testing.T) {
+// policyJSONCases returns the JSON of a small solved policy and copies of
+// it with one field broken in each, every one of which UnmarshalJSON must
+// reject.
+func policyJSONCases(tb testing.TB) (valid []byte, corrupted [][]byte) {
 	p := testProblem(10, 4)
 	pol, err := p.SolveEfficient()
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	data, err := json.Marshal(pol)
+	valid, err = json.Marshal(pol)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	shortRow := slices.Clone(pol.Price)
+	shortRow[1] = shortRow[1][:p.N]
 	cases := []func(*map[string]any){
 		func(m *map[string]any) { (*m)["intervals"] = 3 },                 // wrong table rows
 		func(m *map[string]any) { (*m)["n"] = 0 },                         // invalid problem
 		func(m *map[string]any) { (*m)["price"] = [][]int{{999}} },        // out-of-range price
-		func(m *map[string]any) { (*m)["opt"] = [][]float64{{1}, {2}} },   // wrong opt rows
+		func(m *map[string]any) { (*m)["price"] = shortRow },              // price row of the wrong length
 		func(m *map[string]any) { (*m)["lambdas"] = []float64{1, 2, -3} }, // bad lambda
 	}
-	for i, corrupt := range cases {
+	for _, corrupt := range cases {
 		var m map[string]any
-		if err := json.Unmarshal(data, &m); err != nil {
-			t.Fatal(err)
+		if err := json.Unmarshal(valid, &m); err != nil {
+			tb.Fatal(err)
 		}
 		corrupt(&m)
 		bad, err := json.Marshal(m)
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
+		corrupted = append(corrupted, bad)
+	}
+	return valid, corrupted
+}
+
+func TestPolicyJSONRejectsCorrupted(t *testing.T) {
+	_, corrupted := policyJSONCases(t)
+	for i, bad := range corrupted {
 		var back DeadlinePolicy
 		if err := json.Unmarshal(bad, &back); err == nil {
 			t.Errorf("corruption %d accepted", i)
 		}
 	}
+}
+
+// optFormatPolicy is a policy file written before the wire form dropped
+// the cost-to-go table: testProblem(12, 6) solved and marshalled with its
+// "opt" rows and no "value".
+const optFormatPolicy = "testdata/policy_with_opt.json"
+
+// TestPolicyJSONLoadsOptFormat pins loading of files written in the older
+// form: the prices are the solver's, the ignored opt leaves Opt nil and
+// Value 0, and re-marshalling writes no opt key.
+func TestPolicyJSONLoadsOptFormat(t *testing.T) {
+	data, err := os.ReadFile(optFormatPolicy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(data, []byte(`"opt":`)) {
+		t.Fatalf("%s has no opt field", optFormatPolicy)
+	}
+	var pol DeadlinePolicy
+	if err := json.Unmarshal(data, &pol); err != nil {
+		t.Fatal(err)
+	}
+	if pol.Opt != nil || pol.Value != 0 {
+		t.Errorf("loaded Opt = %v, Value = %v; want nil and 0", pol.Opt, pol.Value)
+	}
+	fresh, err := pol.Problem.SolveEfficient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tt, row := range fresh.Price {
+		for n, c := range row {
+			if pol.Price[tt][n] != c {
+				t.Fatalf("price at (%d,%d) = %d, a fresh solve gives %d", n, tt, pol.Price[tt][n], c)
+			}
+		}
+	}
+	out, err := json.Marshal(&pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(out, &fields); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := fields["opt"]; ok {
+		t.Error("re-marshalled policy still has an opt key")
+	}
+}
+
+// FuzzDeadlinePolicyJSON feeds arbitrary bytes to the policy decoder, the
+// boundary every stored or served deadline artifact crosses on its way
+// back in. No input may panic. An accepted input re-marshals to bytes that
+// decode to the same problem, prices and value, and marshalling that
+// policy again gives the same bytes.
+func FuzzDeadlinePolicyJSON(f *testing.F) {
+	valid, corrupted := policyJSONCases(f)
+	f.Add(valid)
+	fixture, err := os.ReadFile(optFormatPolicy)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(fixture)
+	for _, bad := range corrupted {
+		f.Add(bad)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var first DeadlinePolicy
+		if err := first.UnmarshalJSON(b); err != nil {
+			return
+		}
+		out, err := first.MarshalJSON()
+		if err != nil {
+			t.Fatalf("accepted policy does not marshal: %v", err)
+		}
+		var second DeadlinePolicy
+		if err := second.UnmarshalJSON(out); err != nil {
+			t.Fatalf("re-marshalled policy rejected: %v\n%s", err, out)
+		}
+		if !reflect.DeepEqual(second.Problem, first.Problem) || !reflect.DeepEqual(second.Price, first.Price) ||
+			second.Value != first.Value {
+			t.Fatalf("round trip changed the policy:\n in %s\nout %s", b, out)
+		}
+		again, err := second.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, out) {
+			t.Fatalf("marshal is not stable:\n first %s\nsecond %s", out, again)
+		}
+	})
 }
 
 type opaqueAccept struct{}

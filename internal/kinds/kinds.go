@@ -2,8 +2,8 @@
 // problem kind the pricing service solves, and registers them with the
 // engine's kind registry. Each request type is a JSON codec over one
 // internal/core problem plus an engine.Spec implementation (validate,
-// fingerprint, solve), so the HTTP server, the typed client, the batch
-// fan-out, and the load generator stay kind-generic: adding a problem kind
+// fingerprint, solve), so the HTTP server, the typed client, the campaign
+// runtime and the load generator stay kind-generic: adding a problem kind
 // is one Spec implementation here plus one Register call in Default — no
 // per-kind code anywhere else.
 package kinds
@@ -18,8 +18,8 @@ import (
 	"crowdpricing/internal/engine"
 )
 
-// Kind names, as they appear in /v1/solve/{kind} routes, batch items,
-// metrics labels, and bench mixes.
+// Kind names, as they appear in /v1/solve/{kind} routes, campaign create
+// requests, metrics labels, and bench mixes.
 const (
 	KindDeadline = "deadline"
 	KindBudget   = "budget"
@@ -162,7 +162,7 @@ func (r *DeadlineRequest) Fingerprint() (string, error) {
 // Solve implements engine.Spec, running Algorithm 2 (ImprovedDP). The
 // artifact is the policy's own MarshalJSON output, called directly:
 // json.Marshal(pol) would produce the same bytes but re-validate and copy
-// all of them (~305 KB at paper scale) after the method returned.
+// all of them (~45 KB at paper scale) after the method returned.
 func (r *DeadlineRequest) Solve(ctx context.Context) ([]byte, error) {
 	pol, err := r.problem().SolveEfficient()
 	if err != nil {

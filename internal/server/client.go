@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"sync"
 	"time"
 
 	"crowdpricing/internal/telemetry"
@@ -100,28 +101,39 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		}
 		return apiErr
 	}
-	data, err := readBody(res)
+	buf := bodyBuffers.Get().(*[]byte)
+	defer bodyBuffers.Put(buf)
+	data, err := readBody(res, (*buf)[:0])
 	if err != nil {
 		return err
 	}
+	*buf = data[:0]
 	return json.Unmarshal(data, out)
 }
 
-// readBody reads a response body into one buffer. A Content-Length up to
-// maxBodyBytes sizes the buffer up front, so a paper-scale solve response
-// (~305 KB) costs one allocation instead of the doubling garbage a
-// json.Decoder leaves behind. The header is only a hint: past the cap, or
-// when absent, the buffer grows as bytes arrive, so a response that
-// declares a huge length and sends little costs what it sent.
-func readBody(res *http.Response) ([]byte, error) {
+// bodyBuffers recycles the buffers do reads responses into. json.Unmarshal
+// copies every byte it keeps, so a buffer is free again once its body is
+// decoded, and back-to-back solves of one size read into the same memory.
+var bodyBuffers = sync.Pool{New: func() any { return new([]byte) }}
+
+// readBody reads a response body into b's backing array, or into one new
+// buffer when that is too small. A Content-Length up to maxBodyBytes sizes
+// the buffer up front, so a paper-scale solve response (~45 KB) costs at
+// most one allocation instead of the doubling garbage a json.Decoder
+// leaves behind. The header is only a hint: past the cap, or when absent,
+// the buffer grows as bytes arrive, so a response that declares a huge
+// length and sends little costs what it sent.
+func readBody(res *http.Response, b []byte) ([]byte, error) {
 	size := res.ContentLength
 	if size < 0 || size > maxBodyBytes {
 		size = 512
 	}
 	// io.ReadAll's loop, starting from the hinted size instead of 512
 	// bytes. The spare byte lets the read that reports EOF land without a
-	// grow, so a correct hint costs exactly one allocation.
-	b := make([]byte, 0, size+1)
+	// grow, so a correct hint costs at most one allocation.
+	if int64(cap(b)) < size+1 {
+		b = make([]byte, 0, size+1)
+	}
 	for {
 		n, err := res.Body.Read(b[len(b):cap(b)])
 		b = b[:len(b)+n]

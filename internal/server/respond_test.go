@@ -191,12 +191,25 @@ func TestSaturatedCurveRequestSolves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for tt, row := range pol.Opt {
+	if math.IsNaN(pol.Value) || math.IsInf(pol.Value, 0) {
+		t.Fatalf("served Value = %v", pol.Value)
+	}
+	// The artifact carries no cost-to-go table, so check the whole table
+	// on the same problem solved in-process, and the served value against
+	// it.
+	local, err := pol.Problem.SolveEfficient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tt, row := range local.Opt {
 		for n, v := range row {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				t.Fatalf("Opt[%d][%d] = %v", tt, n, v)
 			}
 		}
+	}
+	if pol.Value != local.Value {
+		t.Errorf("served Value = %v, in-process solve gives %v", pol.Value, local.Value)
 	}
 	for tt, row := range pol.Price {
 		for n, c := range row {

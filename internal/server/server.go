@@ -56,8 +56,8 @@ import (
 // Defaults for Options zero values.
 const (
 	// DefaultCacheSize bounds the policy cache. A paper-scale deadline
-	// policy (N=200, 72 intervals) serializes to ~305 KB, so the default
-	// caps cache memory around a third of a gigabyte.
+	// policy (N=200, 72 intervals) serializes to ~45 KB, so the default
+	// caps cache memory around 46 MB.
 	DefaultCacheSize = engine.DefaultCacheSize
 	// DefaultRequestTimeout bounds how long a request waits for its solve.
 	DefaultRequestTimeout = 2 * time.Minute

@@ -103,7 +103,8 @@ func (r *SolveResponse) Decode(v any) error {
 }
 
 // DecodePolicy decodes a deadline Result into a solved policy ready for
-// PriceAt / Evaluate.
+// PriceAt / Evaluate. The artifact carries the prices and the policy's
+// Value, not its cost-to-go table, so the policy's Opt is nil.
 func (r *SolveResponse) DecodePolicy() (*core.DeadlinePolicy, error) {
 	if r.Kind != KindDeadline {
 		return nil, fmt.Errorf("server: DecodePolicy on %q response", r.Kind)
