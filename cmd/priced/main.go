@@ -189,7 +189,8 @@ func main() {
 	defer srv.Close()
 
 	// Campaign durability, in boot order: recover and open the event log,
-	// replay it into the table, then attach it so every later mutation is
+	// replay it into the table (the same pass streams its recorded history
+	// into the analytics plane), then attach it so every later mutation is
 	// logged.
 	if *walDir != "" {
 		wlog, err := srv.Campaigns().OpenWAL(*walDir, wal.Options{SyncInterval: *walSync})

@@ -16,9 +16,12 @@
 //	      fold every recorded create/observe/finish into the aggregator
 //	      that serves /v1/analytics live and print the fleet λ̂ re-fit,
 //	      the per-interval arrival profile (the piecewise NHPP rate fit)
-//	      and the per-cohort summaries as JSON. -window is the λ̂ re-fit's
-//	      trailing window in observed intervals, matching the daemon's
-//	      -analytics-window (default 256); -figures also writes the
+//	      and the per-cohort summaries as JSON. It reads the records
+//	      with the pass a restart's replay runs, so it refuses a log
+//	      whose records a restart would refuse and prints the analytics
+//	      a daemon restarted on the log starts from. -window is the λ̂
+//	      re-fit's trailing window in observed intervals, matching the
+//	      daemon's -analytics-window (default 256); -figures also writes the
 //	      profile as TSV (interval index, fitted rate, mean arrivals,
 //	      observe count) for gnuplot/pgfplots. The output is byte-identical
 //	      on every run over the same log, so recorded production traffic

@@ -7,12 +7,14 @@
 // a single campaign lock.
 //
 // The aggregator implements campaign.EventSink, so the same fold serves
-// three feeds: live traffic (Manager.AttachSink), the recorded history
-// of an event log at attach time, and offline replay in cmd/wal's stats
-// command (both via campaign.FoldWAL). The fold is deterministic by
-// construction — plain accumulation in event-stream order, no clocks, no
-// map-order dependence — so replaying a fixed-seed WAL twice yields
-// bit-identical λ̂ fits, an acceptance gate tested here and in CI.
+// three feeds: live traffic (Manager.AttachSink), the recorded history of
+// an event log, which Manager.ReplayWAL streams to the attached sink as
+// it reads the log at boot, and offline replay in cmd/wal's stats command
+// (campaign.FoldWAL, the same pass without the rebuild). The fold is
+// deterministic by construction — plain accumulation in event-stream
+// order, no clocks, no map-order dependence — so replaying a fixed-seed
+// WAL twice yields bit-identical λ̂ fits, an acceptance gate tested here
+// and in CI.
 //
 // Estimators, all per DP interval (the paper's time unit):
 //
@@ -46,9 +48,10 @@ const maxProfileIntervals = 1024
 
 // Aggregator folds campaign lifecycle events into fleet-wide and
 // per-cohort summaries. Build with New, attach with
-// campaign.Manager.AttachSink (live) or feed through campaign.FoldWAL
-// (recorded); safe for arbitrary concurrent use. Its mutex is a leaf:
-// no sink method calls out of the package.
+// campaign.Manager.AttachSink (live traffic, and the recorded log during
+// ReplayWAL) or feed through campaign.FoldWAL (recorded, offline); safe
+// for arbitrary concurrent use. Its mutex is a leaf: no sink method calls
+// out of the package.
 type Aggregator struct {
 	mu     sync.Mutex
 	window int

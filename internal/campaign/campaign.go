@@ -74,13 +74,10 @@ type AdaptiveOptions struct {
 }
 
 // defaultFactors is the §5.2.5 grid of sim.DefaultAdaptiveConfig, the one
-// place it is defined: −50%…+50% deviations in 10% steps, holding exactly
-// 1.0. The factors reach fingerprints and wire states, so the simulator
-// and the service must not drift apart.
+// place it and the default window are defined: −50%…+50% deviations in
+// 10% steps, holding exactly 1.0. The factors reach fingerprints and wire
+// states, so the simulator and the service must not drift apart.
 func defaultFactors() []float64 { return sim.DefaultAdaptiveConfig().Factors }
-
-// DefaultWindowIntervals is the default trailing-window length.
-const DefaultWindowIntervals = 9
 
 // MaxAdaptiveFactors bounds an adaptive campaign's factor grid (about six
 // times the default 11). The grid is request input, and every factor costs
@@ -96,7 +93,7 @@ func (o *AdaptiveOptions) normalized() (AdaptiveOptions, error) {
 		return out, fmt.Errorf("campaign: adaptive grid has %d factors, over the limit of %d", len(out.Factors), MaxAdaptiveFactors)
 	}
 	if out.WindowIntervals == 0 {
-		out.WindowIntervals = DefaultWindowIntervals
+		out.WindowIntervals = sim.DefaultAdaptiveConfig().WindowIntervals
 	}
 	if out.WindowIntervals < 1 {
 		return out, fmt.Errorf("campaign: adaptive window must cover at least one interval, got %d", out.WindowIntervals)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"crowdpricing/internal/core"
 	"crowdpricing/internal/engine"
 	"crowdpricing/internal/kinds"
+	"crowdpricing/internal/sim"
 	"crowdpricing/internal/wal"
 )
 
@@ -410,9 +412,15 @@ func TestAdaptiveRequiresDeadline(t *testing.T) {
 	}
 }
 
-// TestAdaptiveGridBounded: a factor grid over MaxAdaptiveFactors is invalid
+// TestAdaptiveGridBounded: the zero options take the simulator's §5.2.5
+// grid and window, and a factor grid over MaxAdaptiveFactors is invalid
 // input, rejected before any solve or intern entry.
 func TestAdaptiveGridBounded(t *testing.T) {
+	norm, err := (&AdaptiveOptions{}).normalized()
+	if def := sim.DefaultAdaptiveConfig(); err != nil || !reflect.DeepEqual(sim.AdaptiveConfig(norm), def) {
+		t.Fatalf("zero adaptive options normalize to %+v (err %v), want sim's default %+v", norm, err, def)
+	}
+
 	m, eng := newInternManager(t, Options{})
 	factors := make([]float64, MaxAdaptiveFactors+1)
 	for i := range factors {

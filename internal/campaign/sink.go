@@ -7,12 +7,13 @@ package campaign
 // implements it.
 //
 // Sink methods are called with scalar arguments only, synchronously from
-// the mutation paths (sometimes under a per-campaign mutex), so an
-// implementation must be fast, must not block, and must treat its own
-// locks as leaves — it may never call back into the Manager.
+// the mutation paths (sometimes under a per-campaign mutex) and from the
+// pass that reads a WAL, so an implementation must be fast, must not
+// block, and must treat its own locks as leaves — it may never call back
+// into the Manager.
 type EventSink interface {
 	// CampaignCreated fires once per successful Create (and once per
-	// campaign folded from a WAL by FoldWAL).
+	// campaign a WAL records, when ReplayWAL or FoldWAL reads it).
 	CampaignCreated(kind string, adaptive bool)
 	// CampaignObserved fires per applied observe: the interval's arrivals,
 	// the summed completions, and the zero-based index of the interval
@@ -31,6 +32,7 @@ type EventSink interface {
 type sinkHolder struct{ sink EventSink }
 
 // AttachSink starts streaming lifecycle events to s. Attach before
+// ReplayWAL, so s also receives the log's recorded history, and before
 // serving mutations; a nil s detaches.
 func (m *Manager) AttachSink(s EventSink) {
 	if s == nil {

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -67,10 +68,33 @@ func (s *countingSink) CampaignExpired(kind string, adaptive bool) {
 	s.expired++
 }
 
+// totals renders every count, so two sinks compare with one string
+// equality (fmt prints the created map in key order).
+func (s *countingSink) totals() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return fmt.Sprintf("created=%v observed=%d arrivals=%g completed=%d quoted=%d finished=%d expired=%d",
+		s.created, s.observed, s.arrivals, s.complete, s.quoted, s.finished, s.expired)
+}
+
+// replayCounts replays the log in mem into a fresh Manager with a
+// countingSink attached and returns what the replay streamed.
+func replayCounts(t *testing.T, eng *engine.Engine, mem *wal.MemFS) *countingSink {
+	t.Helper()
+	sink := newCountingSink()
+	m := newWALManager(t, eng, Options{})
+	m.AttachSink(sink)
+	if _, err := m.ReplayWAL(context.Background(), wal.NewReader(mem, "wal")); err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	return sink
+}
+
 // TestSinkLiveStreamAndFoldAgree drives a full lifecycle — creates (one
 // adaptive), observes, a quote, a finish, a TTL expiry — through a live
 // sink and a WAL, then folds the log offline: every logged total must
-// agree, and quotes (never logged) must fold to zero.
+// agree, and quotes (never logged) must fold to zero. A restart's replay
+// of the same log streams exactly what the offline fold does.
 func TestSinkLiveStreamAndFoldAgree(t *testing.T) {
 	eng := engine.New(engine.Options{Workers: 2})
 	t.Cleanup(eng.Close)
@@ -166,12 +190,16 @@ func TestSinkLiveStreamAndFoldAgree(t *testing.T) {
 		t.Fatalf("fold finished/expired/quoted = %d/%d/%d, want 1/2/0",
 			fold.finished, fold.expired, fold.quoted)
 	}
+	if got, want := replayCounts(t, eng, mem).totals(), fold.totals(); got != want {
+		t.Fatalf("replay streamed %s\nthe offline fold %s", got, want)
+	}
 }
 
 // TestFoldWALAcrossCompaction: after a compaction snapshot, per-interval
 // history is gone — the fold must still produce exact arrival totals
 // (spread uniformly across the recorded interval count) plus the trailing
-// post-snapshot events verbatim.
+// post-snapshot events verbatim, and a replay of the log must stream the
+// same.
 func TestFoldWALAcrossCompaction(t *testing.T) {
 	eng := engine.New(engine.Options{Workers: 2})
 	t.Cleanup(eng.Close)
@@ -229,6 +257,58 @@ func TestFoldWALAcrossCompaction(t *testing.T) {
 	}
 	if fold.observed != 3 || fold.arrivals != 12 {
 		t.Fatalf("fold observes = %d (arrivals %g), want 3 totalling 12", fold.observed, fold.arrivals)
+	}
+	if got, want := replayCounts(t, eng, mem).totals(), fold.totals(); got != want {
+		t.Fatalf("replay streamed %s\nthe offline fold %s", got, want)
+	}
+}
+
+// TestFoldWALRefusesWhatReplayRefuses: the offline fold interprets records
+// with the replay's own rules, so wal stats refuses a log whose records a
+// restart refuses instead of, say, counting a duplicated campaign twice.
+func TestFoldWALRefusesWhatReplayRefuses(t *testing.T) {
+	create := func(id string, seq int64) string {
+		return fmt.Sprintf(`{"id": %q, "seq": %d, "kind": "deadline", "request": {}}`, id, seq)
+	}
+	entry := `{"id": "c1", "kind": "deadline", "request": {}, "remaining": [4], "interval": 0}`
+	type record struct {
+		typ  byte
+		body string
+	}
+	for name, records := range map[string][]record{
+		"second create for a live id": {
+			{WALRecordCreate, create("c1", 1)},
+			{WALRecordCreate, create("c1", 2)},
+		},
+		"snapshot naming an id twice": {
+			{WALRecordSnapshot, `{"schema_version": 1, "next_seq": 1, "campaigns": [` + entry + `, ` + entry + `]}`},
+		},
+		"create without an id": {
+			{WALRecordCreate, create("", 1)},
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			mem := wal.NewMemFS()
+			l, err := wal.Open("wal", wal.Options{FS: mem, SyncInterval: time.Hour})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range records {
+				if _, err := l.Append(r.typ, []byte(r.body)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			fold := newCountingSink()
+			if err := FoldWAL(wal.NewReader(mem, "wal"), fold); err == nil {
+				t.Errorf("FoldWAL accepted the log and streamed %s", fold.totals())
+			}
+			if _, err := newTestManager(t, Options{}).ReplayWAL(context.Background(), wal.NewReader(mem, "wal")); err == nil {
+				t.Error("ReplayWAL accepted the log")
+			}
+		})
 	}
 }
 

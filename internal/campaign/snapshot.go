@@ -110,9 +110,6 @@ func (m *Manager) snapshotPayload() ([]byte, error) {
 
 // rebuild re-solves one snapshot entry and replays its dynamic state.
 func (m *Manager) rebuild(ctx context.Context, cs campaignSnapshot, now time.Time) (*campaign, error) {
-	if cs.ID == "" {
-		return nil, fmt.Errorf("missing id")
-	}
 	c, _, err := m.newCampaign(ctx, cs.Kind, cs.Request, cs.Adaptive)
 	if err != nil {
 		return nil, err

@@ -128,34 +128,46 @@ type WALReplayStats struct {
 }
 
 // walFold accumulates one campaign's replayed history: a base (either a
-// snapshot entry or a create event) plus ordered observe events.
+// snapshot entry or a create event) plus ordered observe events. kind,
+// adaptive and interval (the intervals observed so far) label the events
+// the pass streams to a sink.
 type walFold struct {
 	base     *campaignSnapshot
 	create   *walCreateEvent
 	observes []walObserveEvent
 	lastLSN  uint64
+	kind     string
+	adaptive bool
+	interval int
 }
 
-// ReplayWAL folds src's records into live campaigns: each campaign's
-// base state (latest snapshot entry, else its create event) is rebuilt
-// through the engine's deterministic re-solve and its observe events are
-// re-applied through the same code path Observe uses online, so replayed
-// campaigns quote bit-identical prices. Events with LSNs at or below a
-// snapshot entry's high-water mark are already folded into that entry and
-// are skipped — the rule that makes compaction's physical reordering
-// (snapshot record ahead of buffered older events) harmless.
+// readWAL is the one interpreter of the campaign record schema: it decodes
+// each of src's records once, in log order, into the folds of the
+// campaigns live at the log's end (keyed by ID), the highest ID sequence
+// number recorded, and the record counts of stats. Events with LSNs at or
+// below a fold's high-water mark are already folded into a snapshot entry
+// and are skipped — the rule that makes compaction's physical reordering
+// (snapshot record ahead of buffered older events) harmless. A malformed
+// record, an unknown record type, a create without an ID or for a live
+// one, and a snapshot entry without an ID or repeating one are errors.
 //
-// ReplayWAL is all-or-nothing — a malformed record, an unsolvable
-// request, or invalid state aborts with no campaigns inserted, so a daemon
-// never boots with half a table — and resumes the ID sequence past every
-// replayed campaign, so new campaigns never reuse a replayed ID.
-func (m *Manager) ReplayWAL(ctx context.Context, src WALSource) (*WALReplayStats, error) {
-	stats := &WALReplayStats{}
-	folds := make(map[string]*walFold)
-	var nextSeq int64
+// The same pass streams every applied record to sink (nil streams
+// nowhere) as the lifecycle events the live Manager emits. A snapshot
+// entry whose history was compacted away streams approximately: one
+// create plus its recorded arrival total spread uniformly across its
+// recorded interval count (exact totals, smoothed profile). Campaigns
+// folded earlier but absent from a snapshot were removed in the
+// compacted-away history, whose removal records are gone: they close out
+// as finished, in sorted ID order, keeping the stream (and any float fold
+// downstream) deterministic. Quotes are never logged, so none stream.
+func readWAL(src WALSource, sink EventSink) (folds map[string]*walFold, nextSeq int64, stats *WALReplayStats, err error) {
+	if sink == nil {
+		sink = nopSink{}
+	}
+	folds = make(map[string]*walFold)
+	stats = &WALReplayStats{}
 	removed := make(map[string]bool)
-
-	err := src.Replay(func(rec wal.Record) error {
+	err = src.Replay(func(rec wal.Record) error {
 		stats.Records++
 		switch rec.Type {
 		case WALRecordCreate:
@@ -173,10 +185,9 @@ func (m *Manager) ReplayWAL(ctx context.Context, src WALSource) (*WALReplayStats
 				return fmt.Errorf("campaign: duplicate create for %q (lsn %d)", ev.ID, rec.LSN)
 			}
 			ev.Request = append(json.RawMessage(nil), ev.Request...)
-			folds[ev.ID] = &walFold{create: &ev, lastLSN: rec.LSN}
-			if ev.Seq > nextSeq {
-				nextSeq = ev.Seq
-			}
+			folds[ev.ID] = &walFold{create: &ev, lastLSN: rec.LSN, kind: ev.Kind, adaptive: ev.Adaptive != nil}
+			nextSeq = max(nextSeq, ev.Seq)
+			sink.CampaignCreated(ev.Kind, ev.Adaptive != nil)
 		case WALRecordObserve:
 			var ev walObserveEvent
 			if err := json.Unmarshal(rec.Data, &ev); err != nil {
@@ -188,6 +199,8 @@ func (m *Manager) ReplayWAL(ctx context.Context, src WALSource) (*WALReplayStats
 			}
 			f.observes = append(f.observes, ev)
 			f.lastLSN = rec.LSN
+			sink.CampaignObserved(f.kind, f.adaptive, ev.Arrivals, sumCompleted(ev.Completed), f.interval)
+			f.interval++
 		case WALRecordFinish, WALRecordExpire:
 			var ev walRefEvent
 			if err := json.Unmarshal(rec.Data, &ev); err != nil {
@@ -199,6 +212,11 @@ func (m *Manager) ReplayWAL(ctx context.Context, src WALSource) (*WALReplayStats
 			}
 			delete(folds, ev.ID)
 			removed[ev.ID] = true
+			if rec.Type == WALRecordFinish {
+				sink.CampaignFinished(f.kind, f.adaptive)
+			} else {
+				sink.CampaignExpired(f.kind, f.adaptive)
+			}
 		case WALRecordSnapshot:
 			var file snapshotFile
 			if err := json.Unmarshal(rec.Data, &file); err != nil {
@@ -210,26 +228,76 @@ func (m *Manager) ReplayWAL(ctx context.Context, src WALSource) (*WALReplayStats
 			}
 			stats.Snapshots++
 			// A snapshot record supersedes everything before it.
-			folds = make(map[string]*walFold, len(file.Campaigns))
+			next := make(map[string]*walFold, len(file.Campaigns))
 			for i := range file.Campaigns {
-				cs := file.Campaigns[i]
-				if _, dup := folds[cs.ID]; dup {
+				cs := &file.Campaigns[i]
+				if cs.ID == "" {
+					return fmt.Errorf("campaign: snapshot record (lsn %d) has an entry without id", rec.LSN)
+				}
+				if _, dup := next[cs.ID]; dup {
 					return fmt.Errorf("campaign: snapshot record (lsn %d) contains ID %q twice", rec.LSN, cs.ID)
 				}
-				folds[cs.ID] = &walFold{base: &cs, lastLSN: cs.LastLSN}
+				f := &walFold{base: cs, lastLSN: cs.LastLSN, kind: cs.Kind, adaptive: cs.Adaptive != nil, interval: cs.Interval}
+				next[cs.ID] = f
+				if folds[cs.ID] != nil {
+					continue // streamed from its own records already
+				}
+				sink.CampaignCreated(f.kind, f.adaptive)
+				for t := 0; t < cs.Interval; t++ {
+					sink.CampaignObserved(f.kind, f.adaptive, cs.ObservedTotal/float64(cs.Interval), 0, t)
+				}
 			}
-			if file.NextSeq > nextSeq {
-				nextSeq = file.NextSeq
+			var gone []string
+			for id := range folds {
+				if next[id] == nil {
+					gone = append(gone, id)
+				}
 			}
+			sort.Strings(gone)
+			for _, id := range gone {
+				sink.CampaignFinished(folds[id].kind, folds[id].adaptive)
+			}
+			folds = next
+			nextSeq = max(nextSeq, file.NextSeq)
 		default:
 			return fmt.Errorf("campaign: unknown record type %d (lsn %d) — log written by a newer binary?", rec.Type, rec.LSN)
 		}
 		return nil
 	})
+	stats.Removed = len(removed)
+	return folds, nextSeq, stats, err
+}
+
+// nopSink is the sink of a pass nobody listens to.
+type nopSink struct{}
+
+func (nopSink) CampaignCreated(string, bool)                     {}
+func (nopSink) CampaignObserved(string, bool, float64, int, int) {}
+func (nopSink) CampaignQuoted(string, bool, int)                 {}
+func (nopSink) CampaignFinished(string, bool)                    {}
+func (nopSink) CampaignExpired(string, bool)                     {}
+
+// ReplayWAL folds src's records into live campaigns: each campaign's
+// base state (latest snapshot entry, else its create event) is rebuilt
+// through the engine's deterministic re-solve and its observe events are
+// re-applied through the same code path Observe uses online, so replayed
+// campaigns quote bit-identical prices. The records are read in one pass
+// (readWAL), which also streams the recorded history to the manager's
+// attached sink: at boot that is how the analytics plane learns the
+// traffic before the restart, counted once.
+//
+// ReplayWAL is all-or-nothing for the campaign table — a malformed
+// record, an unsolvable request, or invalid state aborts with no
+// campaigns inserted, so a daemon never boots with half a table — but not
+// for the sink: a replay that fails after the pass has already streamed
+// the log's events, so its caller must not serve on. It resumes the ID
+// sequence past every replayed campaign, so new campaigns never reuse a
+// replayed ID.
+func (m *Manager) ReplayWAL(ctx context.Context, src WALSource) (*WALReplayStats, error) {
+	folds, nextSeq, stats, err := readWAL(src, m.eventSink())
 	if err != nil {
 		return nil, err
 	}
-	stats.Removed = len(removed)
 
 	ids := make([]string, 0, len(folds))
 	for id := range folds {
@@ -311,114 +379,12 @@ func (m *Manager) ReplayWAL(ctx context.Context, src WALSource) (*WALReplayStats
 // FoldWAL streams src's records into sink as lifecycle events — the
 // offline twin of the live AttachSink stream, so an analytics aggregator
 // folds a recorded event log and live traffic through one code path and
-// cmd/wal's stats command regenerates rate fits from recorded traffic. Unlike
-// ReplayWAL it runs no solver: the fold is pure bookkeeping, so it works
-// read-only (wal.NewReader) and in O(records).
-//
-// Compaction snapshots are folded approximately for campaigns whose
-// per-interval history was compacted away: one create plus the recorded
-// arrival total spread uniformly across the recorded interval count
-// (exact totals, smoothed profile); quotes are never logged, so folded
-// aggregates report zero quote activity by construction.
+// cmd/wal's stats command regenerates rate fits from recorded traffic. It
+// is ReplayWAL's pass without the rebuild: it runs no solver, so it works
+// read-only (wal.NewReader) and in O(records), and it refuses every log
+// whose records ReplayWAL refuses. It cannot see what only a re-solve
+// finds (an unsolvable request, state that does not fit its policy).
 func FoldWAL(src WALSource, sink EventSink) error {
-	type liveCampaign struct {
-		kind     string
-		adaptive bool
-		interval int
-		lastLSN  uint64
-	}
-	live := make(map[string]*liveCampaign)
-	return src.Replay(func(rec wal.Record) error {
-		switch rec.Type {
-		case WALRecordCreate:
-			var ev walCreateEvent
-			if err := json.Unmarshal(rec.Data, &ev); err != nil {
-				return fmt.Errorf("campaign: bad create record (lsn %d): %w", rec.LSN, err)
-			}
-			if lc, ok := live[ev.ID]; ok && rec.LSN <= lc.lastLSN {
-				return nil // already folded via a snapshot entry
-			}
-			live[ev.ID] = &liveCampaign{kind: ev.Kind, adaptive: ev.Adaptive != nil, lastLSN: rec.LSN}
-			sink.CampaignCreated(ev.Kind, ev.Adaptive != nil)
-		case WALRecordObserve:
-			var ev walObserveEvent
-			if err := json.Unmarshal(rec.Data, &ev); err != nil {
-				return fmt.Errorf("campaign: bad observe record (lsn %d): %w", rec.LSN, err)
-			}
-			lc, ok := live[ev.ID]
-			if !ok || rec.LSN <= lc.lastLSN {
-				return nil // campaign removed, or event folded into its snapshot entry
-			}
-			sink.CampaignObserved(lc.kind, lc.adaptive, ev.Arrivals, sumCompleted(ev.Completed), lc.interval)
-			lc.interval++
-			lc.lastLSN = rec.LSN
-		case WALRecordFinish, WALRecordExpire:
-			var ev walRefEvent
-			if err := json.Unmarshal(rec.Data, &ev); err != nil {
-				return fmt.Errorf("campaign: bad removal record (lsn %d): %w", rec.LSN, err)
-			}
-			lc, ok := live[ev.ID]
-			if !ok || rec.LSN <= lc.lastLSN {
-				return nil
-			}
-			delete(live, ev.ID)
-			if rec.Type == WALRecordFinish {
-				sink.CampaignFinished(lc.kind, lc.adaptive)
-			} else {
-				sink.CampaignExpired(lc.kind, lc.adaptive)
-			}
-		case WALRecordSnapshot:
-			var file snapshotFile
-			if err := json.Unmarshal(rec.Data, &file); err != nil {
-				return fmt.Errorf("campaign: bad snapshot record (lsn %d): %w", rec.LSN, err)
-			}
-			if file.SchemaVersion != snapshotSchemaVersion {
-				return fmt.Errorf("campaign: snapshot record schema version %d, this binary expects %d",
-					file.SchemaVersion, snapshotSchemaVersion)
-			}
-			inSnapshot := make(map[string]bool, len(file.Campaigns))
-			for i := range file.Campaigns {
-				cs := &file.Campaigns[i]
-				inSnapshot[cs.ID] = true
-				if lc, ok := live[cs.ID]; ok {
-					// Already folded from its own records; the entry only
-					// advances the dedup high-water mark.
-					if cs.LastLSN > lc.lastLSN {
-						lc.lastLSN = cs.LastLSN
-					}
-					lc.interval = cs.Interval
-					continue
-				}
-				adaptive := cs.Adaptive != nil
-				sink.CampaignCreated(cs.Kind, adaptive)
-				if cs.Interval > 0 {
-					mean := cs.ObservedTotal / float64(cs.Interval)
-					for t := 0; t < cs.Interval; t++ {
-						sink.CampaignObserved(cs.Kind, adaptive, mean, 0, t)
-					}
-				}
-				live[cs.ID] = &liveCampaign{kind: cs.Kind, adaptive: adaptive, interval: cs.Interval, lastLSN: cs.LastLSN}
-			}
-			// Campaigns folded earlier but absent from the snapshot were
-			// removed in the compacted-away history; their removal records
-			// are gone, so close them out as finished — in sorted ID order,
-			// keeping the event stream (and any float folds downstream)
-			// deterministic.
-			var gone []string
-			for id := range live {
-				if !inSnapshot[id] {
-					gone = append(gone, id)
-				}
-			}
-			sort.Strings(gone)
-			for _, id := range gone {
-				lc := live[id]
-				delete(live, id)
-				sink.CampaignFinished(lc.kind, lc.adaptive)
-			}
-		default:
-			return fmt.Errorf("campaign: unknown record type %d (lsn %d) — log written by a newer binary?", rec.Type, rec.LSN)
-		}
-		return nil
-	})
+	_, _, _, err := readWAL(src, sink)
+	return err
 }

@@ -5,10 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"crowdpricing/internal/analytics"
+	"crowdpricing/internal/campaign"
 	"crowdpricing/internal/wal"
 )
 
@@ -117,11 +121,28 @@ func bootWAL(t *testing.T, s *Server, fsys wal.FS) *wal.Log {
 	return l
 }
 
+// openCounter is a wal.FS that counts read-only opens per file name: how
+// many times a boot reads each log segment.
+type openCounter struct {
+	wal.FS
+	mu    sync.Mutex
+	opens map[string]int
+}
+
+func (c *openCounter) Open(name string) (wal.File, error) {
+	c.mu.Lock()
+	c.opens[filepath.Base(name)]++
+	c.mu.Unlock()
+	return c.FS.Open(name)
+}
+
 // TestCampaignSnapshotRestartHTTP proves the restart story end-to-end:
 // campaigns created and advanced over HTTP on daemon A, whose event log is
 // compacted into a snapshot record mid-history and then closed (a graceful
 // stop), and a brand-new daemon B booted on the same log quotes
-// byte-identical prices.
+// byte-identical prices. B's boot reads each segment twice (the recovery
+// scan, then replay), and its analytics plane holds the recorded history
+// exactly once, as the offline fold of the log reads it.
 func TestCampaignSnapshotRestartHTTP(t *testing.T) {
 	mem := wal.NewMemFS()
 	srvA, tsA := newTestServer(t, Options{})
@@ -154,9 +175,40 @@ func TestCampaignSnapshotRestartHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	segments, err := mem.ReadDir("wal")
+	if err != nil || len(segments) == 0 {
+		t.Fatalf("daemon A's log segments: %v (err %v)", segments, err)
+	}
+	counted := &openCounter{FS: mem, opens: make(map[string]int)}
 	srvB, tsB := newTestServer(t, Options{})
-	bootWAL(t, srvB, mem)
+	bootWAL(t, srvB, counted)
+	for _, name := range segments {
+		if n := counted.opens[name]; n != 2 {
+			t.Errorf("boot opened segment %s %d times, want 2 (recovery scan, replay)", name, n)
+		}
+	}
+
 	clientB := NewClient(tsB.URL)
+	got, err := clientB.Analytics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fold := analytics.New(0)
+	if err := campaign.FoldWAL(wal.NewReader(mem, "wal"), fold); err != nil {
+		t.Fatal(err)
+	}
+	gotJSON, err := json.Marshal(got.Analytics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON, err := json.Marshal(fold.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotJSON, wantJSON) || got.Analytics.Observes != 3 {
+		t.Fatalf("restored daemon's analytics %s\nthe log folds to %s (3 observes)", gotJSON, wantJSON)
+	}
+
 	qb, err := clientB.CampaignPrice(ctx, st.ID)
 	if err != nil {
 		t.Fatal(err)

@@ -137,7 +137,8 @@ type Server struct {
 	// tracer is the request-tracing plane (nil when disabled): per-stage
 	// duration histograms plus the per-route keep-slowest traces behind
 	// /debug/requests. analytics is the live λ̂/cohort fold, fed by the
-	// campaign manager's event sink and, at AttachWAL, the recorded log.
+	// campaign manager's event sink: live traffic, and the recorded log
+	// while ReplayWAL reads it at boot.
 	tracer    *telemetry.Tracer
 	analytics *analytics.Aggregator
 	logger    *slog.Logger
@@ -269,19 +270,14 @@ func (s *Server) route(path string, h http.HandlerFunc) {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // AttachWAL makes the campaign event log live: the campaign manager
-// starts emitting events to it and /metrics renders its counters. The
-// log's recorded history is folded into the analytics plane first, so λ̂
-// and the cohort summaries carry pre-restart traffic (ReplayWAL rebuilds
-// state without emitting sink events — the fold here is the only source
-// of recorded history, never a double count). Call it after replaying the
-// log at boot (Campaigns().ReplayWAL) and before serving mutations.
+// starts emitting events to it and /metrics renders its counters. It
+// reads nothing from the log: the recorded history entered the analytics
+// plane during replay (Campaigns().ReplayWAL streams it to the manager's
+// sink, which is this server's aggregator), so λ̂ and the cohort
+// summaries carry pre-restart traffic, counted once. Call it after
+// replaying the log at boot and before serving mutations.
 func (s *Server) AttachWAL(l *wal.Log) {
 	s.wal.Store(l)
-	if err := campaign.FoldWAL(l, s.analytics); err != nil {
-		// Analytics over a partly unreadable log is degraded, not fatal —
-		// the transactional plane already replayed what it could.
-		s.logger.Warn("analytics: folding event-log history failed", "error", err)
-	}
 	s.campaigns.AttachWAL(l)
 }
 

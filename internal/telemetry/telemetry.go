@@ -48,7 +48,7 @@ const (
 	// in-flight solve of an identical request).
 	StageSolve
 	// StageQuoterDecode is policy-table decode in the campaign intern
-	// layer — first decode or a re-decode after a budget eviction.
+	// layer: the one decode of a table, when its first holder interns it.
 	StageQuoterDecode
 	// StageLockHold is the per-campaign mutex: acquisition wait plus the
 	// O(1) critical section of an observe or quote.
@@ -98,8 +98,9 @@ func Nanotime() int64 { return int64(time.Since(sessionBase)) }
 // with Tracer.Finish; a nil *Trace is valid everywhere and records
 // nothing, so instrumentation call sites need no enabled-checks.
 //
-// Span methods are safe for concurrent use (batch handlers fan out under
-// one trace); spans accumulate, so a stage crossed twice reports the sum.
+// Span methods are safe for concurrent use (an adaptive campaign create
+// pre-solves its factor bank concurrently under one trace); spans
+// accumulate, so a stage crossed twice reports the sum.
 type Trace struct {
 	id     uint64
 	route  string
