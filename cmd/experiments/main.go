@@ -34,91 +34,7 @@ func main() {
 	trials := flag.Int("trials", 200, "Monte Carlo trials for the sensitivity studies")
 	flag.Parse()
 
-	ids := flag.Args()
-	if len(ids) == 0 {
-		ids = []string{"table1", "table2", "fig1", "fig5", "fig6", "fig7a", "fig7b",
-			"fig8", "fig8d", "fig9", "fig10", "fig10adaptive", "fig11", "fig12",
-			"fig1314", "fig15", "quality"}
-	}
-	var w *exp.Workload
-	workload := func() *exp.Workload {
-		if w == nil {
-			w = exp.DefaultWorkload()
-		}
-		return w
-	}
-	out := os.Stdout
-	for _, id := range ids {
-		fmt.Fprintf(out, "\n==== %s ====\n", id)
-		switch id {
-		case "table1":
-			exp.PrintTable1(out, exp.Table1())
-		case "table2":
-			exp.PrintTable2(out, exp.Table2(*seed))
-		case "fig1":
-			exp.PrintFigure1(out, exp.Figure1())
-		case "fig5":
-			exp.PrintFigure5(out, exp.Figure5(*seed))
-		case "fig6":
-			exp.PrintFigure6(out, exp.Figure6(*seed))
-		case "fig7a":
-			res, err := exp.Figure7a(workload())
-			check(err)
-			exp.PrintFigure7a(out, res)
-		case "fig7b":
-			cells, err := exp.Figure7b(workload())
-			check(err)
-			exp.PrintReductionCells(out, "Figure 7(b): cost reduction across N and T", cells)
-		case "fig8":
-			s, b, m, err := exp.Figure8abc(workload())
-			check(err)
-			exp.PrintReductionCells(out, "Figure 8(a): cost reduction vs s", s)
-			exp.PrintReductionCells(out, "Figure 8(b): cost reduction vs b", b)
-			exp.PrintReductionCells(out, "Figure 8(c): cost reduction vs M", m)
-		case "fig8d":
-			rows, err := exp.Figure8d(workload())
-			check(err)
-			exp.PrintFigure8d(out, rows)
-		case "fig9":
-			rows, err := exp.Figure9(workload(), *trials, *seed)
-			check(err)
-			exp.PrintFigure9(out, rows)
-		case "fig10":
-			rows, err := exp.Figure10(workload(), *trials, *seed)
-			check(err)
-			exp.PrintFigure10(out, rows)
-		case "fig10adaptive":
-			rows, err := exp.Figure10Adaptive(workload(), *trials, *seed)
-			check(err)
-			exp.PrintFigure10Adaptive(out, rows)
-		case "fig11":
-			res, err := exp.Figure11(workload(), *trials, *seed)
-			check(err)
-			exp.PrintFigure11(out, res)
-		case "fig12":
-			res, err := exp.Figure12(*seed)
-			check(err)
-			exp.PrintFigure12(out, res)
-		case "fig1314":
-			res, err := exp.Figure1314(*seed)
-			check(err)
-			exp.PrintFigure1314(out, res)
-		case "fig15":
-			rows, err := exp.Figure15(*seed)
-			check(err)
-			exp.PrintFigure15(out, rows)
-		case "quality":
-			rows, err := exp.QualityExtension(workload())
-			check(err)
-			exp.PrintQualityExtension(out, rows)
-		default:
-			log.Fatalf("unknown experiment %q", id)
-		}
-	}
-}
-
-func check(err error) {
-	if err != nil {
+	if err := exp.Render(os.Stdout, flag.Args(), *seed, *trials); err != nil {
 		log.Fatal(err)
 	}
 }
