@@ -29,6 +29,11 @@
 // metric regressed past -threshold against -baseline; 3 the -max-p99 /
 // -max-error-rate sanity ceiling was exceeded (the CI smoke gate).
 //
+// In-process, each solve runs serially on one engine worker, so
+// -solve-concurrency is the only solve parallelism. The old -workers flag,
+// which fanned one deadline solve out over goroutines, is gone: loadbench
+// started with it fails at flag parsing.
+//
 // Flags:
 //
 //	-duration duration    measurement window (default 10s)
@@ -50,8 +55,7 @@
 //	                      this directory — the durability leg, for measuring
 //	                      WAL overhead against a log-less baseline run
 //	-cache int            in-process mode: policy cache capacity (default 1024)
-//	-workers int          in-process mode: goroutines inside each cold deadline solve (default 0 = all CPUs)
-//	-solve-concurrency int  in-process mode: engine solve worker pool (default 0 = all CPUs)
+//	-solve-concurrency int  in-process mode: engine solve worker pool, how many solves run at once (default 0 = all CPUs)
 //	-queue int            in-process mode: admission queue depth; overflow sheds 429 (default 4096)
 //	-concurrency int      cap on in-flight requests (default 4096)
 //	-out string           write the JSON report here (default "BENCH_loadbench.json"; "" skips)
@@ -104,7 +108,6 @@ func main() {
 		url         = flag.String("url", "", "target daemon base URL; empty runs in-process")
 		walDir      = flag.String("campaign-wal-dir", "", `in-process mode: attach a campaign event log at this directory ("" disables)`)
 		cacheSize   = flag.Int("cache", server.DefaultCacheSize, "in-process mode: policy cache capacity")
-		workers     = flag.Int("workers", 0, "in-process mode: goroutines inside each cold deadline solve (0 = all CPUs)")
 		solveConc   = flag.Int("solve-concurrency", 0, "in-process mode: engine solve worker pool (0 = all CPUs)")
 		queueDepth  = flag.Int("queue", server.DefaultQueueDepth, "in-process mode: admission queue depth; overflow sheds 429")
 		concurrency = flag.Int("concurrency", 4096, "cap on in-flight requests")
@@ -148,7 +151,6 @@ func main() {
 		url:         *url,
 		walDir:      *walDir,
 		cacheSize:   *cacheSize,
-		workers:     *workers,
 		solveConc:   *solveConc,
 		queueDepth:  *queueDepth,
 		concurrency: *concurrency,
@@ -156,8 +158,8 @@ func main() {
 }
 
 type singleFlags struct {
-	url, walDir                                            string
-	cacheSize, workers, solveConc, queueDepth, concurrency int
+	url, walDir                                   string
+	cacheSize, solveConc, queueDepth, concurrency int
 }
 
 type gateFlags struct {
@@ -182,10 +184,9 @@ func runSingle(ctx context.Context, sched *bench.Schedule, f singleFlags, gates 
 	} else {
 		var srv *server.Server
 		base, srv = bench.NewInProcessTarget(server.Options{
-			CacheSize:     f.cacheSize,
-			SolverWorkers: f.workers,
-			Workers:       f.solveConc,
-			QueueDepth:    f.queueDepth,
+			CacheSize:  f.cacheSize,
+			Workers:    f.solveConc,
+			QueueDepth: f.queueDepth,
 		})
 		if f.walDir != "" {
 			// The durability leg: same schedule, every campaign mutation

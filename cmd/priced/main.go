@@ -6,7 +6,10 @@
 // admission control: cold solves run on a bounded worker pool behind a
 // bounded queue, and overload is shed with HTTP 429 instead of unbounded
 // goroutines. Warm requests return in microseconds; N simultaneous
-// identical requests cost exactly one solve.
+// identical requests cost exactly one solve. Each solve runs serially on
+// one pool worker, so -concurrency is the daemon's only solve parallelism.
+// The old -workers flag, which fanned one deadline solve out over
+// goroutines, is gone: a daemon started with it fails at flag parsing.
 //
 // Start it, then POST problems as JSON:
 //
@@ -65,9 +68,6 @@
 //	      listen address (default ":8080")
 //	-cache int
 //	      maximum number of cached policies (default 1024)
-//	-workers int
-//	      goroutines inside each cold deadline solve; 0 means all CPUs
-//	      (default 0)
 //	-concurrency int
 //	      engine solve worker pool — how many cold solves run at once;
 //	      0 means all CPUs (default 0)
@@ -135,7 +135,6 @@ func main() {
 	}
 	addr := flag.String("addr", ":8080", "listen address")
 	cacheSize := flag.Int("cache", server.DefaultCacheSize, "maximum number of cached policies")
-	workers := flag.Int("workers", 0, "goroutines inside each cold deadline solve; 0 means all CPUs")
 	concurrency := flag.Int("concurrency", 0, "engine solve worker pool; 0 means all CPUs")
 	queueDepth := flag.Int("queue", server.DefaultQueueDepth, "admission queue depth; overflow is shed with HTTP 429")
 	timeout := flag.Duration("timeout", server.DefaultRequestTimeout, "per-request solve timeout")
@@ -176,7 +175,6 @@ func main() {
 	}
 	srv := server.New(server.Options{
 		CacheSize:       *cacheSize,
-		SolverWorkers:   *workers,
 		RequestTimeout:  *timeout,
 		Workers:         *concurrency,
 		QueueDepth:      *queueDepth,

@@ -58,15 +58,14 @@
 //	go test ./...    # unit, property, and statistical tests
 //	go vet ./...     # static checks (also run by CI)
 //
-// The deadline solvers are benchmarked in internal/core; compare the serial
-// backward induction against the worker-pool fan-out with:
+// The deadline solvers are benchmarked in internal/core:
 //
 //	go test ./internal/core/ -run XXX -bench 'PaperScale|Large'
 //
 // All simulation randomness flows through internal/dist's seeded generator,
-// so every test and figure is reproducible run-to-run; the MDP solvers are
-// parallel by default (see DeadlineProblem.Workers) and produce policies
-// bit-identical to the serial path at any worker count.
+// so every test and figure is reproducible run-to-run. The MDP solvers are
+// exact and serial, so equal problems give bit-identical policies; the
+// pricing service runs many solves side by side instead of splitting one.
 package crowdpricing
 
 import (

@@ -6,9 +6,8 @@ import (
 	"crowdpricing/internal/choice"
 )
 
-// benchDeadline builds a paper-scale instance; workers = 1 measures the
-// serial backward induction, 0 the full worker-pool fan-out.
-func benchDeadline(n, intervals, workers int) *DeadlineProblem {
+// benchDeadline builds an instance at the paper's 20-minute arrival rate.
+func benchDeadline(n, intervals int) *DeadlineProblem {
 	lambdas := make([]float64, intervals)
 	for i := range lambdas {
 		lambdas[i] = 1733
@@ -17,12 +16,11 @@ func benchDeadline(n, intervals, workers int) *DeadlineProblem {
 		N: n, Horizon: float64(intervals) / 3, Intervals: intervals,
 		Lambdas: lambdas, Accept: choice.Paper13,
 		MinPrice: 0, MaxPrice: 40, Penalty: 500, TruncEps: 1e-9,
-		Workers: workers,
 	}
 }
 
 func BenchmarkSolveEfficientSmall(b *testing.B) {
-	p := benchDeadline(50, 18, 1)
+	p := benchDeadline(50, 18)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := p.SolveEfficient(); err != nil {
@@ -32,60 +30,39 @@ func BenchmarkSolveEfficientSmall(b *testing.B) {
 }
 
 func BenchmarkSolveEfficientPaperScale(b *testing.B) {
-	for _, bc := range []struct {
-		name    string
-		workers int
-	}{{"serial", 1}, {"parallel", 0}} {
-		b.Run(bc.name, func(b *testing.B) {
-			p := benchDeadline(200, 72, bc.workers)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := p.SolveEfficient(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	p := benchDeadline(200, 72)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.SolveEfficient(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 func BenchmarkSolveSimplePaperScale(b *testing.B) {
-	for _, bc := range []struct {
-		name    string
-		workers int
-	}{{"serial", 1}, {"parallel", 0}} {
-		b.Run(bc.name, func(b *testing.B) {
-			p := benchDeadline(200, 72, bc.workers)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := p.SolveSimple(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	p := benchDeadline(200, 72)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.SolveSimple(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
-// BenchmarkSolveSimpleLarge is the regime the parallel fan-out targets:
-// thousands of states per interval.
+// BenchmarkSolveSimpleLarge is the large-batch regime: a thousand states
+// per interval.
 func BenchmarkSolveSimpleLarge(b *testing.B) {
-	for _, bc := range []struct {
-		name    string
-		workers int
-	}{{"serial", 1}, {"parallel", 0}} {
-		b.Run(bc.name, func(b *testing.B) {
-			p := benchDeadline(1000, 24, bc.workers)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := p.SolveSimple(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	p := benchDeadline(1000, 24)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.SolveSimple(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 func BenchmarkEvaluatePolicy(b *testing.B) {
-	p := benchDeadline(200, 72, 0)
+	p := benchDeadline(200, 72)
 	pol, err := p.SolveEfficient()
 	if err != nil {
 		b.Fatal(err)

@@ -23,9 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"crowdpricing/internal/choice"
 	"crowdpricing/internal/dist"
@@ -58,13 +55,6 @@ type DeadlineProblem struct {
 	// TruncEps is the Poisson truncation threshold ε of Section 3.2.
 	// Zero means no truncation (exact sums over the full support).
 	TruncEps float64
-	// Workers is the number of goroutines used to solve states within each
-	// time interval of the backward induction. 0 means GOMAXPROCS; 1 forces
-	// the serial path. Any value produces bit-identical policies — states
-	// within an interval are independent given the next interval's value
-	// row, so parallelism changes scheduling, never arithmetic. Workers is
-	// a runtime knob, not a problem parameter, and is not serialized.
-	Workers int
 }
 
 // Validate reports whether the problem is well formed.
@@ -140,103 +130,13 @@ type intervalTable struct {
 	cum [][]float64
 }
 
-// workers resolves the Workers knob: 0 expands to GOMAXPROCS. parallelFor
-// clamps per call, so no dimension-specific cap is needed here.
-func (p *DeadlineProblem) workers() int {
-	w := p.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// workerGroup is a sync.WaitGroup that carries a worker goroutine's panic
-// back to the goroutine that waits. A panic on a goroutine of its own kills
-// the process whatever its caller recovers; re-raised by Wait, it reaches
-// the caller's recover instead (the solve engine turns it into an error for
-// that one request). The zero value is ready to use.
-type workerGroup struct {
-	wg   sync.WaitGroup
-	once sync.Once
-	val  any
-}
-
-// Go runs fn on a new goroutine, catching its panic.
-func (g *workerGroup) Go(fn func()) {
-	g.wg.Add(1)
-	go func() {
-		defer g.wg.Done()
-		defer func() {
-			if r := recover(); r != nil {
-				g.once.Do(func() { g.val = r })
-			}
-		}()
-		fn()
-	}()
-}
-
-// Wait blocks until every goroutine started by Go has returned, then
-// re-raises the first panic one of them caught.
-func (g *workerGroup) Wait() {
-	g.wg.Wait()
-	if g.val != nil {
-		panic(g.val)
-	}
-}
-
-// parallelFor runs fn(i) for every i in [lo, hi] on a pool of workers
-// pulling fixed-size chunks off an atomic cursor (dynamic scheduling — the
-// per-state cost of the DP grows with n, so static striping would leave the
-// low-n workers idle). workers <= 1 degrades to the plain serial loop. A
-// panic in fn is re-raised on the calling goroutine once every worker has
-// stopped.
-func parallelFor(lo, hi, workers int, fn func(i int)) {
-	n := hi - lo + 1
-	if n <= 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := lo; i <= hi; i++ {
-			fn(i)
-		}
-		return
-	}
-	const chunk = 8
-	var cursor atomic.Int64
-	var g workerGroup
-	for w := 0; w < workers; w++ {
-		g.Go(func() {
-			for {
-				start := lo + int(cursor.Add(chunk)) - chunk
-				if start > hi {
-					return
-				}
-				end := start + chunk - 1
-				if end > hi {
-					end = hi
-				}
-				for i := start; i <= end; i++ {
-					fn(i)
-				}
-			}
-		})
-	}
-	g.Wait()
-}
-
 func (p *DeadlineProblem) buildTable(t int) intervalTable {
 	nPrices := p.MaxPrice - p.MinPrice + 1
 	tab := intervalTable{
 		pmf: make([][]float64, nPrices),
 		cum: make([][]float64, nPrices),
 	}
-	parallelFor(0, nPrices-1, p.workers(), func(ci int) {
+	for ci := 0; ci < nPrices; ci++ {
 		mean := p.Lambdas[t] * p.Accept.Accept(p.MinPrice+ci)
 		limit := p.N + 1
 		if p.TruncEps > 0 {
@@ -246,7 +146,7 @@ func (p *DeadlineProblem) buildTable(t int) intervalTable {
 			}
 		}
 		tab.pmf[ci], tab.cum[ci] = poissonTable(mean, limit)
-	})
+	}
 	return tab
 }
 
@@ -332,9 +232,8 @@ func (p *DeadlineProblem) terminalCosts() []float64 {
 }
 
 // bestPrice scans prices [priceLo, priceHi] for state n and returns the
-// minimizing cost and price. Both solvers — serial or parallel — evaluate
-// every state through this one function, which is what makes the parallel
-// policies bit-identical to the serial ones.
+// minimizing cost and price. Both solvers evaluate every state through
+// this one function, so they differ only in which prices they scan.
 func (p *DeadlineProblem) bestPrice(tab intervalTable, next []float64, n, priceLo, priceHi int) (float64, int) {
 	bestCost := math.Inf(1)
 	best := priceLo
@@ -349,23 +248,19 @@ func (p *DeadlineProblem) bestPrice(tab intervalTable, next []float64, n, priceL
 }
 
 // SolveSimple runs Algorithm 1 (SimpleDP): a full scan over every price for
-// every state. Complexity O(N²·NT·C) before truncation. Within each
-// interval the states are solved on a worker pool (see Workers); each state
-// depends only on the next interval's value row and writes its own
-// Opt/Price cells, so the fan-out needs no synchronization beyond the
-// interval barrier.
+// every state. Complexity O(N²·NT·C) before truncation. The solve is exact
+// and serial: equal problems give bit-identical policies.
 func (p *DeadlineProblem) SolveSimple() (*DeadlinePolicy, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	pol := p.newPolicy()
-	w := p.workers()
 	for t := p.Intervals - 1; t >= 0; t-- {
 		tab := p.buildTable(t)
 		next := pol.Opt[t+1]
-		parallelFor(1, p.N, w, func(n int) {
+		for n := 1; n <= p.N; n++ {
 			pol.Opt[t][n], pol.Price[t][n] = p.bestPrice(tab, next, n, p.MinPrice, p.MaxPrice)
-		})
+		}
 	}
 	pol.Value = pol.Opt[0][p.N]
 	return pol, nil
@@ -374,25 +269,17 @@ func (p *DeadlineProblem) SolveSimple() (*DeadlinePolicy, error) {
 // SolveEfficient runs Algorithm 2 (ImprovedDP): for each interval it finds
 // the optimal price of the midpoint state first and uses the monotonicity of
 // Price(n, t) in n (Conjecture 1) to bound the price search range of the two
-// halves, for complexity O(NT·N·(N + C·log N)). The two halves of each
-// split are independent once the midpoint is solved, so the recursion
-// fans out across the worker pool: a branch forks onto a new goroutine when
-// a worker slot is free and its subrange is big enough to pay for the
-// handoff, and runs inline otherwise.
+// halves, for complexity O(NT·N·(N + C·log N)). Like SolveSimple it is exact
+// and serial: equal problems give bit-identical policies, which is what
+// lets the service cache a solved policy under its problem's Fingerprint.
 func (p *DeadlineProblem) SolveEfficient() (*DeadlinePolicy, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	pol := p.newPolicy()
-	w := p.workers()
-	// minFork keeps goroutine churn bounded: a subrange smaller than this
-	// runs inline, so at most ~2·N/minFork forks happen per interval.
-	const minFork = 16
-	sem := make(chan struct{}, w-1)
 	for t := p.Intervals - 1; t >= 0; t-- {
 		tab := p.buildTable(t)
 		next := pol.Opt[t+1]
-		var g workerGroup
 		var solveRange func(lo, hi, priceLo, priceHi int)
 		solveRange = func(lo, hi, priceLo, priceHi int) {
 			if lo > hi {
@@ -402,25 +289,10 @@ func (p *DeadlineProblem) SolveEfficient() (*DeadlinePolicy, error) {
 			bestCost, bestPrice := p.bestPrice(tab, next, mid, priceLo, priceHi)
 			pol.Opt[t][mid] = bestCost
 			pol.Price[t][mid] = bestPrice
-			forked := false
-			if w > 1 && mid-lo >= minFork {
-				select {
-				case sem <- struct{}{}:
-					forked = true
-					g.Go(func() {
-						defer func() { <-sem }()
-						solveRange(lo, mid-1, priceLo, bestPrice)
-					})
-				default:
-				}
-			}
-			if !forked {
-				solveRange(lo, mid-1, priceLo, bestPrice)
-			}
+			solveRange(lo, mid-1, priceLo, bestPrice)
 			solveRange(mid+1, hi, bestPrice, priceHi)
 		}
 		solveRange(1, p.N, p.MinPrice, p.MaxPrice)
-		g.Wait()
 	}
 	pol.Value = pol.Opt[0][p.N]
 	return pol, nil

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"crowdpricing/internal/choice"
@@ -389,62 +388,8 @@ func TestDynamicAdaptsPricesToProgress(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSerial: the worker-pool fan-out must be bit-identical
-// to the serial backward induction — same Price tables and exactly equal
-// (not just close) Opt values, for both solvers, across worker counts.
-func TestParallelMatchesSerial(t *testing.T) {
-	for _, dims := range []struct{ n, intervals int }{{40, 9}, {97, 13}} {
-		serial := *testProblem(dims.n, dims.intervals)
-		serial.Workers = 1
-		wantSimple, err := serial.SolveSimple()
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantEff, err := serial.SolveEfficient()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{0, 2, 3, 8, 64} {
-			par := *testProblem(dims.n, dims.intervals)
-			par.Workers = workers
-			gotSimple, err := par.SolveSimple()
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotEff, err := par.SolveEfficient()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, c := range []struct {
-				name      string
-				want, got *DeadlinePolicy
-			}{
-				{"SolveSimple", wantSimple, gotSimple},
-				{"SolveEfficient", wantEff, gotEff},
-			} {
-				for tt := range c.want.Price {
-					for n := range c.want.Price[tt] {
-						if c.got.Price[tt][n] != c.want.Price[tt][n] {
-							t.Fatalf("%s workers=%d: Price[%d][%d] = %d, serial %d",
-								c.name, workers, tt, n, c.got.Price[tt][n], c.want.Price[tt][n])
-						}
-					}
-				}
-				for tt := range c.want.Opt {
-					for n := range c.want.Opt[tt] {
-						if c.got.Opt[tt][n] != c.want.Opt[tt][n] {
-							t.Fatalf("%s workers=%d: Opt[%d][%d] = %v, serial %v (not bit-identical)",
-								c.name, workers, tt, n, c.got.Opt[tt][n], c.want.Opt[tt][n])
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 // panicAccept is an acceptance curve that panics above a reward, standing
-// in for any bug that panics inside a solver worker.
+// in for any bug that panics inside a solve.
 type panicAccept struct{ above int }
 
 func (a panicAccept) Accept(cents int) float64 {
@@ -461,47 +406,14 @@ func recovered(fn func()) (r any) {
 	return nil
 }
 
-// TestWorkerGroupRethrowsPanic: a panic on a worker goroutine comes back
-// out of Wait on the waiting goroutine, where a recover can stop it,
-// instead of killing the process. Every worker still runs to its end.
-func TestWorkerGroupRethrowsPanic(t *testing.T) {
-	var g workerGroup
-	var done atomic.Int64
-	for i := 0; i < 4; i++ {
-		g.Go(func() {
-			defer done.Add(1)
-			if i == 2 {
-				panic("worker 2 failed")
-			}
-		})
-	}
-	if r := recovered(g.Wait); r != "worker 2 failed" {
-		t.Fatalf("Wait re-raised %v, want the worker's panic", r)
-	}
-	if done.Load() != 4 {
-		t.Fatalf("%d of 4 workers finished before Wait returned", done.Load())
-	}
-
-	r := recovered(func() {
-		parallelFor(0, 999, 4, func(i int) {
-			if i == 500 {
-				panic("body failed")
-			}
-		})
-	})
-	if r != "body failed" {
-		t.Fatalf("parallelFor re-raised %v, want the body's panic", r)
-	}
-}
-
 // TestParallelSolvePanicReachesCaller: an acceptance curve that panics
-// inside the parallel table build surfaces as a panic on the goroutine
-// that called the solver, for both solvers, so a recover there (the solve
-// engine's per-call containment) holds for parallel solves too.
+// inside the table build surfaces as a panic on the goroutine that called
+// the solver, for both solvers, so a recover there (the solve engine's
+// per-call containment) holds. A panic on a goroutine the solver started
+// would kill the process instead, whatever its caller recovers.
 func TestParallelSolvePanicReachesCaller(t *testing.T) {
 	p := testProblem(40, 6)
 	p.Accept = panicAccept{above: 20}
-	p.Workers = 4
 	for _, solver := range []struct {
 		name  string
 		solve func() (*DeadlinePolicy, error)

@@ -88,11 +88,9 @@ func TestFingerprintStableAcrossRuns(t *testing.T) {
 }
 
 // TestFingerprintEqualProblems checks that structurally equal problems hash
-// equal even when built independently, and that the runtime-only Workers
-// knob does not participate.
+// equal even when built independently.
 func TestFingerprintEqualProblems(t *testing.T) {
 	a, b := fpDeadlineProblem(), fpDeadlineProblem()
-	b.Workers = 16 // runtime knob: same policy, same cache entry
 	fa, err := a.Fingerprint()
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +100,7 @@ func TestFingerprintEqualProblems(t *testing.T) {
 		t.Fatal(err)
 	}
 	if fa != fb {
-		t.Errorf("equal problems (Workers aside) hash differently: %s vs %s", fa, fb)
+		t.Errorf("equal problems hash differently: %s vs %s", fa, fb)
 	}
 }
 

@@ -172,9 +172,9 @@ func fingerprintAccept(f *fpHasher, fn choice.AcceptanceFn) error {
 
 // Fingerprint returns a stable content hash of the problem: two problems
 // have equal fingerprints iff every parameter that influences the solved
-// policy is equal. The Workers knob is deliberately excluded — it changes
-// scheduling, never the policy — so a shared cache keyed by Fingerprint
-// serves the same artifact regardless of each caller's parallelism setting.
+// policy is equal. The solvers are exact and serial, so equal problems
+// solve to bit-identical policies, and a shared cache keyed by Fingerprint
+// serves every caller the artifact it would have solved itself.
 // The problem must validate; fingerprinting an invalid problem is an error
 // so malformed requests can never occupy cache slots.
 func (p *DeadlineProblem) Fingerprint() (string, error) {

@@ -35,9 +35,6 @@ type Options struct {
 	// QueueDepth bounds the cold-solve admission queue
 	// (0 = DefaultQueueDepth).
 	QueueDepth int
-	// SolverParallelism is the per-solve internal parallelism hint applied
-	// to Tunable specs (0 = the solver's own default).
-	SolverParallelism int
 }
 
 // ErrQueueFull is returned when the admission queue is at capacity: the
@@ -202,9 +199,6 @@ func (e *Engine) solve(ctx context.Context, spec Spec, lane chan *call) (*Result
 	if val, ok := e.cache.Get(key); ok {
 		e.cacheHits.Add(1)
 		return &Result{Fingerprint: key, Value: val, CacheHit: true}, nil
-	}
-	if tn, ok := spec.(Tunable); ok && e.opts.SolverParallelism > 0 {
-		tn.SetSolverParallelism(e.opts.SolverParallelism)
 	}
 
 	//crowdlint:allow determinism -- SolveMillis is wall-clock instrumentation, not part of the artifact

@@ -46,10 +46,10 @@ type Spec interface {
 	Solve(ctx context.Context) ([]byte, error)
 }
 
-// Tunable is optionally implemented by Specs whose solver accepts an
-// internal-parallelism hint (e.g. the deadline MDP's worker fan-out). The
-// engine applies its configured SolverParallelism before solving; the hint
-// must never influence the solved artifact or the fingerprint.
+// Tunable is a leftover: no spec implements it and the engine never calls
+// it. Each solve runs serially, and the worker pool is the engine's only
+// parallelism. It stays only because perfbench's traced spec still
+// forwards it, and goes together with that forwarder.
 type Tunable interface {
 	SetSolverParallelism(workers int)
 }

@@ -72,8 +72,7 @@ const (
 
 // DeadlineRequest asks for a fixed-deadline dynamic pricing policy
 // (Section 3 of the paper): complete N tasks within HorizonHours at minimum
-// expected cost. It mirrors core.DeadlineProblem field for field, minus the
-// runtime-only Workers knob, which the engine owns.
+// expected cost. It mirrors core.DeadlineProblem field for field.
 type DeadlineRequest struct {
 	// N is the number of tasks in the batch.
 	N int `json:"n"`
@@ -95,18 +94,10 @@ type DeadlineRequest struct {
 	Alpha   float64 `json:"alpha,omitempty"`
 	// TruncEps is the Poisson truncation threshold (0 = exact sums).
 	TruncEps float64 `json:"trunc_eps,omitempty"`
-
-	// workers is the engine's solver-parallelism hint; runtime-only, never
-	// on the wire, never in the fingerprint.
-	workers int
 }
 
 // Kind implements engine.Spec.
 func (r *DeadlineRequest) Kind() string { return KindDeadline }
-
-// SetSolverParallelism implements engine.Tunable: the deadline MDP fans its
-// backward induction out over this many goroutines.
-func (r *DeadlineRequest) SetSolverParallelism(workers int) { r.workers = workers }
 
 func (r *DeadlineRequest) checkLimits() error {
 	switch {
@@ -134,7 +125,6 @@ func (r *DeadlineRequest) problem() *core.DeadlineProblem {
 		Penalty:   r.Penalty,
 		Alpha:     r.Alpha,
 		TruncEps:  r.TruncEps,
-		Workers:   r.workers,
 	}
 }
 

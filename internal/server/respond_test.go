@@ -176,7 +176,7 @@ func TestNonJSONArtifactIs500(t *testing.T) {
 // int(NaN) on a solver worker goroutine, out of reach of the engine's
 // recover.
 func TestSaturatedCurveRequestSolves(t *testing.T) {
-	_, ts := newTestServer(t, Options{SolverWorkers: 4})
+	_, ts := newTestServer(t, Options{})
 	const body = `{"n":16,"horizon_hours":4,"intervals":8,"lambdas":[4,4,4,4,4,4,4,4],` +
 		`"accept":{"s":1,"b":0,"m":2000},"min_price":1,"max_price":800,"penalty":1000}`
 	status, raw, _ := postRaw(t, ts.URL+"/v1/solve/deadline", body)

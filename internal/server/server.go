@@ -70,9 +70,6 @@ type Options struct {
 	// CacheSize is the maximum number of cached policies (0 =
 	// DefaultCacheSize).
 	CacheSize int
-	// SolverWorkers is the goroutine count inside each cold deadline solve,
-	// core.DeadlineProblem.Workers (0 = GOMAXPROCS).
-	SolverWorkers int
 	// RequestTimeout is how long a request may wait for its solve before
 	// the daemon answers 504 (0 = DefaultRequestTimeout). The solve itself
 	// keeps running and warms the cache for the retry.
@@ -157,10 +154,9 @@ func New(opts Options) *Server {
 		opts:     opts,
 		registry: reg,
 		engine: engine.New(engine.Options{
-			CacheSize:         opts.CacheSize,
-			Workers:           opts.Workers,
-			QueueDepth:        opts.QueueDepth,
-			SolverParallelism: opts.SolverWorkers,
+			CacheSize:  opts.CacheSize,
+			Workers:    opts.Workers,
+			QueueDepth: opts.QueueDepth,
 		}),
 		mux: http.NewServeMux(),
 		//crowdlint:allow determinism -- process start time feeds the uptime gauge only
