@@ -12,6 +12,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"crowdpricing/internal/choice"
 	"crowdpricing/internal/core"
@@ -68,7 +69,26 @@ const (
 	// tractability budgets on top.
 	MaxMultiTypes  = 4
 	MaxMultiStates = 100_000
+	// MaxArrivals bounds every λ_t, the expected worker arrivals in one
+	// interval, of the deadline and multi kinds. It is 577× the 1,733
+	// arrivals per 20-minute interval of a 5,200/hour marketplace. The
+	// Poisson truncation walk costs grow like √λ, and once λ·p(c) reaches
+	// 2⁶³, int(mean) is math.MinInt64 on amd64: the exact solve indexes a
+	// table there and the truncation walk never ends.
+	MaxArrivals = 1_000_000
 )
+
+// checkArrivals requires every λ_t to be finite and at most MaxArrivals.
+// Adaptive campaigns need no check of their own: a factor that scales λ_t
+// past the limit fails its spec's Fingerprint before any bank solve.
+func checkArrivals(lambdas []float64) error {
+	for t, l := range lambdas {
+		if math.IsInf(l, 0) || math.IsNaN(l) || l > MaxArrivals {
+			return fmt.Errorf("lambda %g at interval %d is outside the service limit: arrivals per interval must be finite and at most %d", l, t, MaxArrivals)
+		}
+	}
+	return nil
+}
 
 // DeadlineRequest asks for a fixed-deadline dynamic pricing policy
 // (Section 3 of the paper): complete N tasks within HorizonHours at minimum
@@ -110,7 +130,7 @@ func (r *DeadlineRequest) checkLimits() error {
 	case r.MaxPrice-r.MinPrice > MaxPriceRange:
 		return fmt.Errorf("price range %d exceeds the service limit %d", r.MaxPrice-r.MinPrice, MaxPriceRange)
 	}
-	return nil
+	return checkArrivals(r.Lambdas)
 }
 
 func (r *DeadlineRequest) problem() *core.DeadlineProblem {
@@ -466,7 +486,7 @@ func (r *MultiRequest) checkLimits() error {
 	if r.MaxPrice-r.MinPrice > MaxPriceRange {
 		return fmt.Errorf("price range %d exceeds the service limit %d", r.MaxPrice-r.MinPrice, MaxPriceRange)
 	}
-	return nil
+	return checkArrivals(r.Lambdas)
 }
 
 func (r *MultiRequest) problem() *core.MultiProblem {

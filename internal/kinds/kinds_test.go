@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
+
+	"crowdpricing/internal/engine"
 )
 
 // TestDefaultRegistryOrder pins the canonical kind order every generic
@@ -147,6 +150,28 @@ func TestServiceLimits(t *testing.T) {
 	mu2.Counts = []int{1, 1, 1, 1, 1}
 	if err := mu2.Validate(); err == nil || !strings.Contains(err.Error(), "service limit") {
 		t.Errorf("too many multi types validated: %v", err)
+	}
+}
+
+// TestArrivalLimit: a λ_t of exactly MaxArrivals is served, and one above
+// it, infinite or NaN fails Validate and Fingerprint for both kinds that
+// take per-interval arrivals.
+func TestArrivalLimit(t *testing.T) {
+	for _, l := range []float64{MaxArrivals, math.Nextafter(MaxArrivals, math.Inf(1)), math.Inf(1), math.NaN()} {
+		dl := sampleDeadline(1, "small").(*DeadlineRequest)
+		mu := sampleMulti(1, "small").(*MultiRequest)
+		dl.Lambdas[0], mu.Lambdas[0] = l, l
+		for _, spec := range []engine.Spec{dl, mu} {
+			_, fpErr := spec.Fingerprint()
+			for _, err := range []error{spec.Validate(), fpErr} {
+				if l == MaxArrivals && err != nil {
+					t.Errorf("%T λ=%g: %v", spec, l, err)
+				}
+				if l != MaxArrivals && (err == nil || !strings.Contains(err.Error(), "service limit")) {
+					t.Errorf("%T λ=%g: error %v, want the service limit", spec, l, err)
+				}
+			}
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"crowdpricing/internal/engine"
 	"crowdpricing/internal/kinds"
@@ -216,6 +217,38 @@ func TestSaturatedCurveRequestSolves(t *testing.T) {
 			if c < 1 || c > 800 {
 				t.Fatalf("Price[%d][%d] = %d outside [1, 800]", tt, n, c)
 			}
+		}
+	}
+}
+
+// TestHugeArrivalRateRejected: a λ_t past kinds.MaxArrivals gets a 400
+// naming the limit before any solve. Without the limit, λ·p(c) ≥ 2⁶³ made
+// int(mean) wrap to math.MinInt64: the exact solve panicked indexing a
+// Poisson table (a 500), the truncated one spun forever in the truncation
+// walk and held a solver worker (a 504 at the request timeout). The multi
+// kind shares those helpers, and an adaptive factor can scale a sane λ_t
+// past the limit. The short RequestTimeout makes a missing check fail fast
+// instead of hanging the test.
+func TestHugeArrivalRateRejected(t *testing.T) {
+	_, ts := newTestServer(t, Options{RequestTimeout: 2 * time.Second})
+	const accept = `{"s":15,"b":0.4,"m":20}`
+	for _, c := range []struct{ name, path, body string }{
+		{"deadline exact", "/v1/solve/deadline",
+			`{"n":10,"horizon_hours":1,"intervals":1,"lambdas":[1e300],"accept":` + accept +
+				`,"min_price":1,"max_price":2,"penalty":10}`},
+		{"deadline truncated", "/v1/solve/deadline",
+			`{"n":10,"horizon_hours":1,"intervals":1,"lambdas":[1e300],"accept":` + accept +
+				`,"min_price":1,"max_price":2,"penalty":10,"trunc_eps":1e-9}`},
+		{"multi", "/v1/solve/multi",
+			`{"counts":[2,2],"intervals":2,"lambdas":[4,1e300],"accepts":[` + accept + `,` + accept +
+				`],"min_price":1,"max_price":2,"penalty":10,"trunc_eps":1e-9}`},
+		{"adaptive factor", "/v1/campaigns",
+			`{"kind":"deadline","request":{"n":10,"horizon_hours":1,"intervals":2,"lambdas":[4,4],"accept":` + accept +
+				`,"min_price":1,"max_price":2,"penalty":10,"trunc_eps":1e-9},"adaptive":{"factors":[1,1e300]}}`},
+	} {
+		status, raw, _ := postRaw(t, ts.URL+c.path, c.body)
+		if status != http.StatusBadRequest || !strings.Contains(string(raw), "service limit") {
+			t.Errorf("%s: status %d, body %s; want 400 naming the service limit", c.name, status, raw)
 		}
 	}
 }
