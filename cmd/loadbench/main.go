@@ -30,9 +30,8 @@
 // -max-error-rate sanity ceiling was exceeded (the CI smoke gate).
 //
 // In-process, each solve runs serially on one engine worker, so
-// -solve-concurrency is the only solve parallelism. The old -workers flag,
-// which fanned one deadline solve out over goroutines, is gone: loadbench
-// started with it fails at flag parsing.
+// -solve-concurrency is the only solve parallelism: there is no per-solve
+// -workers flag, and loadbench started with one fails at flag parsing.
 //
 // Flags:
 //

@@ -7,9 +7,9 @@
 // bounded queue, and overload is shed with HTTP 429 instead of unbounded
 // goroutines. Warm requests return in microseconds; N simultaneous
 // identical requests cost exactly one solve. Each solve runs serially on
-// one pool worker, so -concurrency is the daemon's only solve parallelism.
-// The old -workers flag, which fanned one deadline solve out over
-// goroutines, is gone: a daemon started with it fails at flag parsing.
+// one pool worker, so -concurrency is the daemon's only solve parallelism:
+// there is no per-solve -workers flag, and a daemon started with one fails
+// at flag parsing.
 //
 // Start it, then POST problems as JSON:
 //
