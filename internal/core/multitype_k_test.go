@@ -44,6 +44,16 @@ func TestMultiKValidate(t *testing.T) {
 	if err := wide.Validate(); err == nil {
 		t.Error("oversized action space accepted")
 	}
+	// Inside both budgets (10,201 states, 19,881 price vectors), but the
+	// DP would sum 5.3e11 terms, hours of one solver worker.
+	slow := &MultiProblem{
+		Counts: []int{100, 100}, Intervals: 1, Lambdas: []float64{1733},
+		Accepts:  []choice.AcceptanceFn{choice.Paper13, choice.Paper13},
+		MinPrice: 1, MaxPrice: 141, Penalty: 300,
+	}
+	if err := slow.Validate(); err == nil {
+		t.Error("intractable joint DP accepted")
+	}
 }
 
 // TestMultiKOneTypeMatchesDeadlineDP: with k = 1 the general DP must

@@ -65,8 +65,10 @@ const (
 	MaxExactTasks  = 500
 	MaxExactBudget = 50_000
 	// MaxMultiTypes and MaxMultiStates bound the general-k joint DP, whose
-	// state space is ∏(Nᵢ+1); the core solver enforces its own (looser)
-	// tractability budgets on top.
+	// state space is ∏(Nᵢ+1). The core solver's budgets apply on top: a
+	// looser state budget, a price-vector budget and a bound on the DP's
+	// work, which also refuses requests inside every limit here (counts
+	// [100,100] over prices 1-141 would run for hours).
 	MaxMultiTypes  = 4
 	MaxMultiStates = 100_000
 	// MaxArrivals bounds every λ_t, the expected worker arrivals in one

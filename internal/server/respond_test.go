@@ -253,6 +253,25 @@ func TestHugeArrivalRateRejected(t *testing.T) {
 	}
 }
 
+// TestIntractableMultiRejected: a multi request inside every service limit
+// and inside core's state and price-vector budgets, whose joint DP would
+// sum 5.3e11 terms (hours on one solver worker), gets a 400 before any
+// solve. A solve outlives its request's timeout, so without the work
+// budget the short RequestTimeout answers 504 and leaves the worker busy.
+func TestIntractableMultiRejected(t *testing.T) {
+	s, ts := newTestServer(t, Options{RequestTimeout: 2 * time.Second})
+	const accept = `{"s":15,"b":-0.39,"m":2000}`
+	body := `{"counts":[100,100],"intervals":1,"lambdas":[1733],"accepts":[` + accept + `,` + accept +
+		`],"min_price":1,"max_price":141,"penalty":300}`
+	status, raw, _ := postRaw(t, ts.URL+"/v1/solve/multi", body)
+	if status != http.StatusBadRequest || !strings.Contains(string(raw), "inner terms") {
+		t.Errorf("status %d, body %s; want 400 naming the work budget", status, raw)
+	}
+	if m := s.Metrics(); m.Solves != 0 {
+		t.Errorf("%d solves started, want 0", m.Solves)
+	}
+}
+
 // TestWarmSolveAllocationFence bounds the bytes one warm paper-scale
 // Client.Solve allocates, client and server together, at 3× the artifact.
 // The artifact is written to the socket as cached and read into one
