@@ -108,12 +108,75 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		return err
 	}
 	*buf = data[:0]
+	if resp, ok := out.(*SolveResponse); ok {
+		return decodeSolve(data, resp)
+	}
 	return json.Unmarshal(data, out)
 }
 
+// decodeSolve decodes a solve response body into out. A body that
+// splitSolve can split decodes with one scan of its artifact; every other
+// body goes through json.Unmarshal, so the outcome is json.Unmarshal's
+// either way, error for error.
+func decodeSolve(data []byte, out *SolveResponse) error {
+	if resp, ok := splitSolve(data); ok {
+		*out = resp
+		return nil
+	}
+	return json.Unmarshal(data, out)
+}
+
+// resultKey is the envelope member writeSolve writes last, just ahead of
+// the artifact.
+var resultKey = []byte(`"result":`)
+
+// jsonSpace is JSON's insignificant whitespace. bytes.TrimSpace would also
+// strip Unicode spaces, which json.Unmarshal rejects.
+const jsonSpace = " \t\r\n"
+
+// splitSolve decodes body in one scan of its artifact when body has the
+// layout writeSolve produces: the head fields, then "result":, then the
+// artifact, then }. json.Unmarshal validates the whole body and then scans
+// the artifact again to find its end; here the artifact is validated once
+// and copied. It reports false for every body it cannot show decodes as
+// json.Unmarshal would decode it. At the first "result": in body,
+//   - the byte before it is { or ,, which rules out a match inside an
+//     escaped key such as "x\"result";
+//   - the body up to the artifact, with null} appended, decodes into a
+//     SolveResponse, so the match is a member of the top-level object: a
+//     match inside a nested value leaves that head unbalanced, and one at
+//     a string's closing quote leaves a bare word in it;
+//   - after the artifact come only whitespace and one }, and json.Valid
+//     accepts the artifact, so "result" is that object's last member.
+//
+// Result is then a copy of the artifact without its surrounding whitespace,
+// as json.Unmarshal would leave it.
+func splitSolve(body []byte) (SolveResponse, bool) {
+	var resp SolveResponse
+	i := bytes.Index(body, resultKey)
+	if i < 1 || (body[i-1] != '{' && body[i-1] != ',') {
+		return resp, false
+	}
+	end := i + len(resultKey)
+	tail := bytes.TrimRight(body[end:], jsonSpace)
+	if len(tail) == 0 || tail[len(tail)-1] != '}' {
+		return resp, false
+	}
+	artifact := bytes.Trim(tail[:len(tail)-1], jsonSpace)
+	// The full slice expression makes append copy the head instead of
+	// writing "null}" over the artifact.
+	head := append(body[:end:end], "null}"...)
+	if json.Unmarshal(head, &resp) != nil || !json.Valid(artifact) {
+		return resp, false
+	}
+	resp.Result = append(json.RawMessage(nil), artifact...)
+	return resp, true
+}
+
 // bodyBuffers recycles the buffers do reads responses into. json.Unmarshal
-// copies every byte it keeps, so a buffer is free again once its body is
-// decoded, and back-to-back solves of one size read into the same memory.
+// and splitSolve copy every byte they keep, so a buffer is free again once
+// its body is decoded, and back-to-back solves of one size read into the
+// same memory.
 var bodyBuffers = sync.Pool{New: func() any { return new([]byte) }}
 
 // readBody reads a response body into b's backing array, or into one new
@@ -156,6 +219,13 @@ func readBody(res *http.Response, b []byte) ([]byte, error) {
 // JSON-marshalable value with the right shape works. Decode the result
 // with SolveResponse.Decode, or DecodePolicy / DecodeBudget /
 // DecodeTradeoff for the classic kinds.
+//
+// The envelope is decoded with one scan of the artifact, relying on result
+// being its last field as the daemon writes it. The client checks that the
+// body is one JSON object whose head fields decode into a SolveResponse
+// and whose last member is a valid result; any other body is decoded by
+// json.Unmarshal, so the returned envelope and error are the same as
+// json.Unmarshal's on every body.
 func (c *Client) Solve(ctx context.Context, kind string, req any) (*SolveResponse, error) {
 	var out SolveResponse
 	if err := c.do(ctx, http.MethodPost, "/v1/solve/"+kind, req, &out); err != nil {

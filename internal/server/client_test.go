@@ -2,13 +2,18 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"crowdpricing/internal/kinds"
 )
 
 // clientAgainst returns a Client pointed at a stub handler.
@@ -188,4 +193,52 @@ func TestClientConnectionRefused(t *testing.T) {
 	if _, err := c.Solve(context.Background(), KindBudget, testBudgetRequest()); err == nil {
 		t.Fatal("nil error against a dead endpoint")
 	}
+}
+
+// FuzzDecodeSolve: on any bytes, the client's solve decoder and
+// json.Unmarshal into a SolveResponse fail with the same error or succeed
+// with equal envelopes. Next to a real writeSolve body, the seeds put the
+// first "result": inside an escaped key, a nested object or a string, after
+// a case-folded or repeated key, ahead of more members, a second document
+// or a Unicode space, or after a head field of the wrong type.
+func FuzzDecodeSolve(f *testing.F) {
+	s := New(Options{})
+	defer s.Close()
+	def, _ := kinds.Default().Lookup(kinds.KindDeadline)
+	resp, err := s.solveSpec(context.Background(), def.Sample(1, "small"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	s.writeSolve(rec, resp)
+	f.Add(rec.Body.Bytes())
+	for _, body := range []string{
+		`{"kind":"deadline","result":`,
+		`<html>ok</html>`,
+		`{"x\"result":[1]}`,
+		`{"RESULT":null,"x\"result":[1]}`,
+		`{"RESULT":[1],"result":[2]}`,
+		`{"result":[1],"result":[2]}`,
+		`{"a":{"result":[1]},"b":2}`,
+		`{"a":"x,"result":[1]}`,
+		`{ "result" : [1] }`,
+		`{"result":1}{"a":2}`,
+		`{"result":null}`,
+		`{"cache_hit":"yes","result":[1]}`,
+		`{"result": [1] , "kind":"x"}`,
+		"{\"result\":[1]\u00a0}",
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var got, want SolveResponse
+		gotErr := decodeSolve(body, &got)
+		wantErr := json.Unmarshal(body, &want)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("decodeSolve error %v, json.Unmarshal error %v", gotErr, wantErr)
+		}
+		if gotErr == nil && !reflect.DeepEqual(got, want) {
+			t.Fatalf("decodeSolve gave %+v, json.Unmarshal %+v", got, want)
+		}
+	})
 }

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -56,7 +57,10 @@ func postRaw(t *testing.T, url, body string) (int, []byte, int64) {
 // fingerprint and artifact hold HTML-escaped characters, the body equals
 // json.NewEncoder(&buf).Encode of the same SolveResponse, and the
 // Content-Length header declares its exact length. The deadline artifact
-// equals json.Marshal of the policy it decodes to.
+// equals json.Marshal of the policy it decodes to. Every body also takes
+// the client's one-scan branch (splitSolve) to the envelope json.Unmarshal
+// gives, so a change that moves result off the envelope's end fails here
+// instead of silently costing Client.Solve a second scan of the artifact.
 func TestSolveEnvelopeBytes(t *testing.T) {
 	reg := engine.NewRegistry()
 	for _, kind := range kinds.Default().Kinds() {
@@ -95,6 +99,9 @@ func TestSolveEnvelopeBytes(t *testing.T) {
 			var resp SolveResponse
 			if err := json.Unmarshal(raw, &resp); err != nil {
 				t.Fatalf("%s: %v", p.name, err)
+			}
+			if split, ok := splitSolve(raw); !ok || !reflect.DeepEqual(split, resp) {
+				t.Errorf("%s (hit=%v): one-scan decode applied %v, differs from json.Unmarshal", p.name, wantHit, ok)
 			}
 			if resp.CacheHit != wantHit || resp.Kind != p.kind {
 				t.Fatalf("%s: kind %q cache_hit %v, want %q and %v", p.name, resp.Kind, resp.CacheHit, p.kind, wantHit)
@@ -143,6 +150,9 @@ func TestSolveEnvelopeBytes(t *testing.T) {
 		}
 		if got := rec.Body.Bytes(); !bytes.Equal(got, want.Bytes()) {
 			t.Errorf("solve_ms %g: body %s, json.Encoder writes %s", ms, got, want.Bytes())
+		}
+		if split, ok := splitSolve(rec.Body.Bytes()); !ok || !reflect.DeepEqual(&split, resp) {
+			t.Errorf("solve_ms %g: one-scan decode applied %v, gave %+v", ms, ok, split)
 		}
 		if got := rec.Header().Get("Content-Length"); got != strconv.Itoa(want.Len()) {
 			t.Errorf("solve_ms %g: Content-Length %s, want %d", ms, got, want.Len())

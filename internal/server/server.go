@@ -348,7 +348,10 @@ func (s *Server) solveSpec(ctx context.Context, spec engine.Spec) (*SolveRespons
 // JSON. The head fields go through json.Marshal, so their escaping and the
 // solve_ms format are unchanged: for an artifact encoding/json produced
 // (compact, HTML-escaped) the body is byte-identical to
-// json.NewEncoder(w).Encode(resp).
+// json.NewEncoder(w).Encode(resp). Its reader is Client.Solve, which reads
+// the artifact with one scan because result is the envelope's last field
+// (splitSolve); a body laid out otherwise still decodes, at the cost of a
+// second scan.
 func (s *Server) writeSolve(w http.ResponseWriter, resp *SolveResponse) {
 	head := *resp
 	head.Result = nil
