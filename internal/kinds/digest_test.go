@@ -12,7 +12,7 @@ import (
 
 // digestSizes is the sampler size each kind's artifacts are pinned at: the
 // largest that keeps TestArtifactDigestsGolden well under a second. Multi's
-// paper-scale joint DP takes ~0.3 s per seed, so it is pinned at medium.
+// paper-scale joint DP takes ~0.2 s per seed, so it is pinned at medium.
 var digestSizes = map[string]string{
 	KindDeadline: "paper",
 	KindBudget:   "paper",
