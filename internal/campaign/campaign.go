@@ -29,7 +29,11 @@
 // policies (base λ_t scaled by each factor) is pre-solved at creation, the
 // arrival-rate scale is re-estimated from a trailing window on every
 // Observe, and the campaign switches to the nearest factor's policy — a
-// quantized re-plan with zero solver work at decision time.
+// quantized re-plan with zero solver work at decision time. The grid check
+// (sim.AdaptiveConfig.Validate), the λ scaling (sim.ScaledLambdas), the
+// estimate (sim.EstimateScale) and the nearest-factor rule
+// (sim.NearestFactor) are the simulator's own, so both make the same
+// decisions.
 package campaign
 
 import (
@@ -84,6 +88,8 @@ func defaultFactors() []float64 { return sim.DefaultAdaptiveConfig().Factors }
 // a solve at create and a decoded table for the campaign's life.
 const MaxAdaptiveFactors = 64
 
+// normalized fills the zero fields with sim's defaults and checks the
+// result against MaxAdaptiveFactors and sim's grid rules.
 func (o *AdaptiveOptions) normalized() (AdaptiveOptions, error) {
 	out := AdaptiveOptions{Factors: o.Factors, WindowIntervals: o.WindowIntervals}
 	if len(out.Factors) == 0 {
@@ -95,18 +101,7 @@ func (o *AdaptiveOptions) normalized() (AdaptiveOptions, error) {
 	if out.WindowIntervals == 0 {
 		out.WindowIntervals = sim.DefaultAdaptiveConfig().WindowIntervals
 	}
-	if out.WindowIntervals < 1 {
-		return out, fmt.Errorf("campaign: adaptive window must cover at least one interval, got %d", out.WindowIntervals)
-	}
-	for i, f := range out.Factors {
-		if f <= 0 || math.IsNaN(f) || math.IsInf(f, 0) {
-			return out, fmt.Errorf("campaign: adaptive factor %v is not a positive finite number", f)
-		}
-		if i > 0 && out.Factors[i] <= out.Factors[i-1] {
-			return out, errors.New("campaign: adaptive factors must be sorted strictly ascending")
-		}
-	}
-	return out, nil
+	return out, sim.AdaptiveConfig(out).Validate()
 }
 
 // campaign is one live campaign. The Manager's table maps IDs to campaigns;
@@ -200,29 +195,19 @@ func (c *campaign) observeLocked(arrivals float64, completed []int) error {
 	return nil
 }
 
-// replanLocked recomputes the scale estimate exactly as
-// sim.RunAdaptiveDeadline does — observed over expected arrivals across the
-// trailing window — and follows the nearest factor's policy. Intervals past
-// the policy horizon have no trained expectation, so they contribute to
-// neither sum; once the whole window is past the horizon the estimate
-// freezes (the sim controller never runs past the horizon at all). Callers
+// replanLocked re-estimates the rate scale with the simulator's rules,
+// sim.EstimateScale over the trailing window and sim.NearestFactor, and
+// follows the nearest factor's policy. Intervals past the policy horizon
+// have no trained expectation, so once the whole window is past the
+// horizon the estimate freezes (the simulator never runs past it). Callers
 // hold mu.
 func (c *campaign) replanLocked() {
-	var obs, expct float64
-	for i, a := range c.observed {
-		// The window's entries cover intervals [interval−len, interval).
-		k := c.interval - len(c.observed) + i
-		if k < 0 || k >= len(c.baseLambdas) {
-			continue
-		}
-		obs += a
-		expct += c.baseLambdas[k]
-	}
-	if expct <= 0 {
+	scale, ok := sim.EstimateScale(c.observed, c.baseLambdas, c.interval)
+	if !ok {
 		return // no expectation to compare against; keep the current policy
 	}
-	c.factor = obs / expct
-	if best := nearestIndex(c.factors, c.factor); best != c.activeIdx {
+	c.factor = scale
+	if best := sim.NearestFactor(c.factors, scale); best != c.activeIdx {
 		c.activeIdx = best
 		c.replans++
 	}
@@ -232,9 +217,9 @@ func (c *campaign) replanLocked() {
 // appended into the campaign's reusable scratch so a warm quote performs
 // zero heap allocations. tab is the active handle's decoded table, loaded
 // by the caller. Callers hold mu.
-func (c *campaign) quoteLocked(tab Quoter) []int {
+func (c *campaign) quoteLocked(tab *priceTable) []int {
 	c.quotes++
-	c.quoteBuf = tab.AppendQuote(c.quoteBuf[:0], c.remaining, c.interval)
+	c.quoteBuf = tab.appendQuote(c.quoteBuf[:0], c.remaining, c.interval)
 	return c.quoteBuf
 }
 
@@ -255,7 +240,7 @@ func (c *campaign) stateLocked() *State {
 		Kind:        c.kind,
 		Fingerprint: c.fingerprint,
 		Interval:    c.interval,
-		Horizon:     c.active().load().Horizon(),
+		Horizon:     c.active().load().horizon,
 		Remaining:   append([]int(nil), c.remaining...),
 		Done:        c.doneLocked(),
 		Adaptive:    c.adaptive(),

@@ -52,7 +52,7 @@ type internedQuoter struct {
 	refs int
 
 	// tab is the decoded table, nil until the first ensure succeeds.
-	tab atomic.Pointer[policyTable]
+	tab atomic.Pointer[priceTable]
 
 	// decodeMu serializes solve+decode so a thundering herd on a cold
 	// entry costs one decode.
@@ -125,12 +125,7 @@ func (t *internTable) stats() internStats {
 }
 
 // load returns the decoded table, or nil before the first ensure succeeds.
-func (h *internedQuoter) load() policyTable {
-	if p := h.tab.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
+func (h *internedQuoter) load() *priceTable { return h.tab.Load() }
 
 // ensure makes the decoded table resident, solving spec (the problem h was
 // acquired for) and decoding the artifact on first use. The caller holds a
@@ -167,7 +162,7 @@ func (h *internedQuoter) ensure(ctx context.Context, spec engine.Spec, backgroun
 		return false, err
 	}
 	h.t.mu.Lock()
-	h.tab.Store(&tab)
+	h.tab.Store(tab)
 	h.t.resident += tab.residentBytes()
 	h.t.mu.Unlock()
 	return res.CacheHit, nil

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,6 +12,7 @@ import (
 
 	"crowdpricing/internal/engine"
 	"crowdpricing/internal/kinds"
+	"crowdpricing/internal/sim"
 	"crowdpricing/internal/telemetry"
 	"crowdpricing/internal/wal"
 )
@@ -322,8 +322,8 @@ func (m *Manager) newCampaign(ctx context.Context, kind string, request json.Raw
 		request:     append([]byte(nil), request...),
 		fingerprint: h.key,
 		bank:        []*internedQuoter{h},
-		remaining:   tab.InitialCounts(),
-		quoteBuf:    make([]int, 0, tab.Types()),
+		remaining:   append([]int(nil), tab.counts...),
+		quoteBuf:    make([]int, 0, len(tab.counts)),
 		factor:      1,
 	}
 	if adaptive != nil {
@@ -353,10 +353,7 @@ func (m *Manager) buildBank(ctx context.Context, c *campaign, base *kinds.Deadli
 	specs := make([]engine.Spec, len(norm.Factors))
 	for i, f := range norm.Factors {
 		scaled := *base
-		scaled.Lambdas = make([]float64, len(base.Lambdas))
-		for t, l := range base.Lambdas {
-			scaled.Lambdas[t] = l * f
-		}
+		scaled.Lambdas = sim.ScaledLambdas(base.Lambdas, f)
 		h, err := m.intern.acquire(c.kind, &scaled)
 		if err != nil {
 			m.intern.releaseAll(bank[:i])
@@ -388,21 +385,8 @@ func (m *Manager) buildBank(ctx context.Context, c *campaign, base *kinds.Deadli
 	c.baseLambdas = append([]float64(nil), base.Lambdas...)
 	// Start on the factor nearest 1.0 — the trained profile — exactly as
 	// the sim controller does before its first window closes.
-	c.activeIdx = nearestIndex(norm.Factors, 1)
+	c.activeIdx = sim.NearestFactor(norm.Factors, 1)
 	return nil
-}
-
-// nearestIndex returns the index of the factor closest to x — the single
-// quantization rule shared by the initial bank selection and every
-// re-plan.
-func nearestIndex(fs []float64, x float64) int {
-	best, bestD := 0, math.Abs(fs[0]-x)
-	for i, f := range fs {
-		if d := math.Abs(f - x); d < bestD {
-			best, bestD = i, d
-		}
-	}
-	return best
 }
 
 // campaignID derives a readable, collision-free ID: a process-local
@@ -443,6 +427,14 @@ func (m *Manager) Observe(id string, arrivals float64, completed []int) (*State,
 // mutex (acquisition + critical section) lands on StageLockHold and the
 // event-log append on StageWALAppend. A nil trace records nothing.
 func (m *Manager) ObserveTraced(tr *telemetry.Trace, id string, arrivals float64, completed []int) (*State, error) {
+	// The service limit on every λ_t bounds an observed count too, so sums
+	// and scale estimates stay finite and every state encodes. It is checked
+	// here, not in observeLocked, so a log an earlier binary wrote with a
+	// larger count still replays.
+	if arrivals > kinds.MaxArrivals {
+		return nil, fmt.Errorf("%w: observed arrivals %g outside the service limit: arrivals per interval must be at most %d",
+			ErrBadInput, arrivals, kinds.MaxArrivals)
+	}
 	c, err := m.get(id)
 	if err != nil {
 		return nil, err

@@ -14,9 +14,11 @@ import (
 // in one interval are independent Poissons (workers who pick up type-i tasks
 // do so with probability pᵢ(cᵢ)).
 //
-// The implementation is restricted to two types: the general k-type state
-// space is O(∏Nᵢ) and the paper itself notes the DP "is similar"; two types
-// demonstrate the construction while staying tractable.
+// It is the two-type reference implementation of the construction the
+// paper sketches: no service or library path solves through it. The
+// service and the root package solve every k, two included, with
+// MultiProblem.Solve, and TestMultiKTwoTypesMatchesSpecialized holds the
+// two equal on a two-type problem.
 type MultiTypeProblem struct {
 	// N1, N2 are the batch sizes of the two task types.
 	N1, N2 int

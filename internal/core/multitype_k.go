@@ -134,7 +134,8 @@ func (pol *MultiPolicy) PricesAt(counts []int, t int) []int {
 
 // Solve runs backward induction over the joint state space, enumerating all
 // price vectors per state. Use only at extension scale (see the size
-// budgets); MultiTypeProblem covers the common two-type case.
+// budgets). Every k, two included, is solved here; MultiTypeProblem is the
+// two-type reference TestMultiKTwoTypesMatchesSpecialized compares against.
 func (p *MultiProblem) Solve() (*MultiPolicy, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err

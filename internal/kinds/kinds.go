@@ -76,7 +76,9 @@ const (
 	// arrivals per 20-minute interval of a 5,200/hour marketplace. The
 	// Poisson truncation walk costs grow like √λ, and once λ·p(c) reaches
 	// 2⁶³, int(mean) is math.MinInt64 on amd64: the exact solve indexes a
-	// table there and the truncation walk never ends.
+	// table there and the truncation walk never ends. It also bounds the
+	// arrivals one campaign observe reports for an interval, which keep a
+	// campaign's running total finite and its state encodable as JSON.
 	MaxArrivals = 1_000_000
 )
 

@@ -218,6 +218,61 @@ func TestCampaignSnapshotRestartHTTP(t *testing.T) {
 	}
 }
 
+// TestCampaignObserveArrivalLimit: an observe reporting more arrivals than
+// kinds.MaxArrivals for one interval gets a 400 naming the limit and
+// changes nothing, neither the campaign's interval nor the event log, and
+// the finish that follows answers a summary the client decodes. A count at
+// the limit is served. Without the limit, two observes of math.MaxFloat64
+// made the campaign's running total +Inf: the adaptive observe's own
+// response, the finish summary and every compaction snapshot then failed
+// to encode, and the client read an empty 200.
+func TestCampaignObserveArrivalLimit(t *testing.T) {
+	srv, ts := newTestServer(t, Options{})
+	l := bootWAL(t, srv, wal.NewMemFS())
+	client := NewClient(ts.URL)
+	ctx := context.Background()
+	st, err := client.CreateCampaign(ctx, KindDeadline, campaignDeadlineRequest(),
+		&CampaignAdaptiveOptions{WindowIntervals: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.ObserveCampaign(ctx, st.ID, 12, []int{1}); err != nil {
+		t.Fatal(err)
+	}
+	appends := l.Metrics().Appends
+	for _, body := range []string{
+		`{"arrivals":1e300}`,
+		`{"arrivals":1.7976931348623157e308,"completed":[1]}`,
+		`{"arrivals":1.7976931348623157e308,"completed":[1]}`,
+		`{"arrivals":1000000.5}`,
+	} {
+		status, raw, _ := postRaw(t, ts.URL+"/v1/campaigns/"+st.ID+"/observe", body)
+		if status != http.StatusBadRequest || !strings.Contains(string(raw), "service limit") {
+			t.Errorf("observe %s: status %d, body %s; want 400 naming the service limit", body, status, raw)
+		}
+	}
+	if got := l.Metrics().Appends; got != appends {
+		t.Errorf("rejected observes appended %d log records, want 0", got-appends)
+	}
+	after, err := client.CampaignState(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Interval != 1 || after.Remaining[0] != campaignDeadlineRequest().N-1 {
+		t.Fatalf("rejected observes moved the campaign to %+v", after)
+	}
+	if _, err := client.ObserveCampaign(ctx, st.ID, 1e6, nil); err != nil {
+		t.Fatalf("observe at the limit: %v", err)
+	}
+	sum, err := client.FinishCampaign(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Intervals != 2 || sum.ObservedArrivals != 12+1e6 {
+		t.Fatalf("finish summary %+v, want 2 intervals and 1000012 arrivals", sum)
+	}
+}
+
 // TestCampaignHTTPErrors pins the error → status map.
 func TestCampaignHTTPErrors(t *testing.T) {
 	_, ts := newTestServer(t, Options{})

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"math"
 
 	"crowdpricing/internal/core"
@@ -21,7 +22,8 @@ import (
 // quantized re-plan that avoids solving the DP inside the simulation loop.
 type AdaptiveConfig struct {
 	// Factors is the grid of rate scale factors to pre-solve, e.g.
-	// 0.5, 0.6, …, 1.5. It must be non-empty and sorted ascending.
+	// 0.5, 0.6, …, 1.5. It must be non-empty, positive and finite, and
+	// sorted strictly ascending.
 	Factors []float64
 	// WindowIntervals is the trailing-window length for the scale
 	// estimate, in DP intervals (e.g. 9 intervals = 3 hours at 20 min).
@@ -42,6 +44,76 @@ func DefaultAdaptiveConfig() AdaptiveConfig {
 	return AdaptiveConfig{Factors: factors, WindowIntervals: 9}
 }
 
+// Validate checks the grid and the window: at least one factor, every
+// factor positive and finite, the factors sorted strictly ascending, and a
+// window of at least one interval. The simulator's bank and the campaign
+// service refuse the same configs.
+func (cfg AdaptiveConfig) Validate() error {
+	if len(cfg.Factors) == 0 {
+		return errors.New("sim: empty factor grid")
+	}
+	for i, f := range cfg.Factors {
+		if f <= 0 || math.IsNaN(f) || math.IsInf(f, 0) {
+			return fmt.Errorf("sim: adaptive factor %v is not a positive finite number", f)
+		}
+		if i > 0 && f <= cfg.Factors[i-1] {
+			return errors.New("sim: adaptive factors must be sorted strictly ascending")
+		}
+	}
+	if cfg.WindowIntervals < 1 {
+		return fmt.Errorf("sim: adaptive window must cover at least one interval, got %d", cfg.WindowIntervals)
+	}
+	return nil
+}
+
+// ScaledLambdas returns the trained profile base with every λ_t scaled by
+// f: the arrival rates of factor f's policy.
+func ScaledLambdas(base []float64, f float64) []float64 {
+	out := make([]float64, len(base))
+	for t, l := range base {
+		out[t] = l * f
+	}
+	return out
+}
+
+// EstimateScale is the controller's rate-scale estimate: observed over
+// expected arrivals across a trailing window whose entries cover intervals
+// [end−len(window), end), against the trained λ_t in base. An interval
+// past the trained horizon has no expectation, so it counts on neither
+// side. ok is false when the window expects no arrivals. A ratio past the
+// float64 range reads math.MaxFloat64, not +Inf, so the estimate always
+// encodes as JSON.
+func EstimateScale(window, base []float64, end int) (scale float64, ok bool) {
+	var obs, expct float64
+	for i, a := range window {
+		k := end - len(window) + i
+		if k < 0 || k >= len(base) {
+			continue
+		}
+		obs += a
+		expct += base[k]
+	}
+	if expct <= 0 {
+		return 0, false
+	}
+	return min(obs/expct, math.MaxFloat64), true
+}
+
+// NearestFactor returns the index of the factor nearest x, the lowest
+// index on a tie. x is clamped into [factors[0], factors[len−1]] first:
+// far past an edge every |f − x| rounds to the same float64, and the edge
+// factor must still win.
+func NearestFactor(factors []float64, x float64) int {
+	x = max(factors[0], min(x, factors[len(factors)-1]))
+	best, bestD := 0, math.Abs(factors[0]-x)
+	for i, f := range factors {
+		if d := math.Abs(f - x); d < bestD {
+			best, bestD = i, d
+		}
+	}
+	return best
+}
+
 // AdaptivePolicyBank holds the pre-solved per-factor policies.
 type AdaptivePolicyBank struct {
 	cfg      AdaptiveConfig
@@ -52,24 +124,13 @@ type AdaptivePolicyBank struct {
 // NewAdaptivePolicyBank solves one policy per factor, each calibrated via
 // the shared Penalty already set on the problem.
 func NewAdaptivePolicyBank(p *core.DeadlineProblem, cfg AdaptiveConfig) (*AdaptivePolicyBank, error) {
-	if len(cfg.Factors) == 0 {
-		return nil, errors.New("sim: empty factor grid")
-	}
-	if cfg.WindowIntervals < 1 {
-		return nil, errors.New("sim: window must cover at least one interval")
-	}
-	for i := 1; i < len(cfg.Factors); i++ {
-		if cfg.Factors[i] <= cfg.Factors[i-1] {
-			return nil, errors.New("sim: factors must be sorted ascending")
-		}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	bank := &AdaptivePolicyBank{cfg: cfg, problem: p}
 	for _, f := range cfg.Factors {
 		q := *p
-		q.Lambdas = make([]float64, len(p.Lambdas))
-		for i, l := range p.Lambdas {
-			q.Lambdas[i] = l * f
-		}
+		q.Lambdas = ScaledLambdas(p.Lambdas, f)
 		pol, err := q.SolveEfficient()
 		if err != nil {
 			return nil, err
@@ -81,14 +142,7 @@ func NewAdaptivePolicyBank(p *core.DeadlineProblem, cfg AdaptiveConfig) (*Adapti
 
 // policyFor returns the policy of the factor nearest to f.
 func (b *AdaptivePolicyBank) policyFor(f float64) *core.DeadlinePolicy {
-	best := 0
-	bestD := math.Abs(b.cfg.Factors[0] - f)
-	for i, g := range b.cfg.Factors {
-		if d := math.Abs(g - f); d < bestD {
-			best, bestD = i, d
-		}
-	}
-	return b.policies[best]
+	return b.policies[NearestFactor(b.cfg.Factors, f)]
 }
 
 // RunAdaptiveDeadline simulates the adaptive controller against the world.
@@ -114,19 +168,8 @@ func RunAdaptiveDeadline(bank *AdaptivePolicyBank, w World, trials int, r *dist.
 		observed := make([]float64, 0, p.Intervals)
 		for t := 0; t < p.Intervals; t++ {
 			// Estimate the current rate scale from the trailing window.
-			if t > 0 {
-				lo := t - window
-				if lo < 0 {
-					lo = 0
-				}
-				var obs, expct float64
-				for k := lo; k < t; k++ {
-					obs += observed[k]
-					expct += p.Lambdas[k]
-				}
-				if expct > 0 {
-					factor = obs / expct
-				}
+			if scale, ok := EstimateScale(observed[max(t-window, 0):], p.Lambdas, t); ok {
+				factor = scale
 			}
 			arrivals := dist.Poisson{Lambda: w.Lambdas[t]}.Sample(r)
 			observed = append(observed, float64(arrivals))

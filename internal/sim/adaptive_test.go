@@ -153,3 +153,80 @@ func TestAdaptiveDetectsSurplus(t *testing.T) {
 			adaptive.MeanCost, static.MeanCost)
 	}
 }
+
+// TestNearestFactor: an estimate past the grid's top edge follows the top
+// factor, even where every |f − x| rounds to one float64 (1e20) or is +Inf;
+// one below the grid follows the bottom factor; an exact midpoint goes to
+// the lower factor.
+func TestNearestFactor(t *testing.T) {
+	grid := DefaultAdaptiveConfig().Factors
+	for _, c := range []struct {
+		factors []float64
+		x       float64
+		want    int
+	}{
+		{grid, 1e20, len(grid) - 1},
+		{grid, math.Inf(1), len(grid) - 1},
+		{grid, math.MaxFloat64, len(grid) - 1},
+		{grid, 0.01, 0},
+		{grid, 0, 0},
+		{grid, 1, 5},
+		{grid, 1.04, 5},
+		{[]float64{1, 2}, 1.5, 0},
+		{[]float64{0.5, 1.5}, 1, 0},
+	} {
+		if got := NearestFactor(c.factors, c.x); got != c.want {
+			t.Errorf("NearestFactor(%v, %v) = %d, want %d", c.factors, c.x, got, c.want)
+		}
+	}
+}
+
+// TestEstimateScale: intervals past the trained profile count on neither
+// side, a window that expects nothing gives no estimate, and a ratio past
+// the float64 range reads math.MaxFloat64.
+func TestEstimateScale(t *testing.T) {
+	base := []float64{2, 4, 8}
+	for _, c := range []struct {
+		name   string
+		window []float64
+		base   []float64
+		end    int
+		want   float64
+		ok     bool
+	}{
+		{"whole window", []float64{4, 8}, base, 2, 2, true},
+		{"past the horizon", []float64{16, 1e6}, base, 4, 2, true},
+		{"all past the horizon", []float64{1, 1}, base, 5, 0, false},
+		{"empty window", nil, base, 0, 0, false},
+		{"no expectation", []float64{3}, []float64{0}, 1, 0, false},
+		{"overflow", []float64{1}, []float64{1e-310}, 1, math.MaxFloat64, true},
+	} {
+		got, ok := EstimateScale(c.window, c.base, c.end)
+		if got != c.want || ok != c.ok {
+			t.Errorf("%s: EstimateScale = (%v, %v), want (%v, %v)", c.name, got, ok, c.want, c.ok)
+		}
+	}
+}
+
+// TestAdaptiveConfigValidate: every rule refuses its own bad config, and
+// the default config passes.
+func TestAdaptiveConfigValidate(t *testing.T) {
+	if err := DefaultAdaptiveConfig().Validate(); err != nil {
+		t.Fatalf("default config: %v", err)
+	}
+	for _, cfg := range []AdaptiveConfig{
+		{WindowIntervals: 3},
+		{Factors: []float64{0, 1}, WindowIntervals: 3},
+		{Factors: []float64{-1, 1}, WindowIntervals: 3},
+		{Factors: []float64{1, math.NaN()}, WindowIntervals: 3},
+		{Factors: []float64{1, math.Inf(1)}, WindowIntervals: 3},
+		{Factors: []float64{1, 1}, WindowIntervals: 3},
+		{Factors: []float64{1, 0.5}, WindowIntervals: 3},
+		{Factors: []float64{1}, WindowIntervals: 0},
+		{Factors: []float64{1}, WindowIntervals: -2},
+	} {
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("config %+v validated", cfg)
+		}
+	}
+}
