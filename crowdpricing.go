@@ -71,6 +71,7 @@ package crowdpricing
 import (
 	"crowdpricing/internal/choice"
 	"crowdpricing/internal/core"
+	"crowdpricing/internal/kinds"
 	"crowdpricing/internal/rate"
 	"crowdpricing/internal/server"
 )
@@ -134,36 +135,36 @@ type PricingClient = server.Client
 
 // DeadlineRequest asks the service for a fixed-deadline dynamic pricing
 // policy (Section 3).
-type DeadlineRequest = server.DeadlineRequest
+type DeadlineRequest = kinds.DeadlineRequest
 
 // BudgetRequest asks the service for a fixed-budget static allocation
 // (Section 4).
-type BudgetRequest = server.BudgetRequest
+type BudgetRequest = kinds.BudgetRequest
 
 // TradeoffRequest asks the service for a cost/latency trade-off policy
 // (Section 6).
-type TradeoffRequest = server.TradeoffRequest
+type TradeoffRequest = kinds.TradeoffRequest
 
 // MultiRequest asks the service for a general-k multi-type joint pricing
 // policy; solve it through PricingClient.Solve(ctx, "multi", req) and
 // decode the result with SolveResponse.Decode into a MultiSchedule.
-type MultiRequest = server.MultiRequest
+type MultiRequest = kinds.MultiRequest
 
 // MultiSchedule is the solved general-k policy on the wire.
-type MultiSchedule = server.MultiSchedule
+type MultiSchedule = kinds.MultiSchedule
 
 // SolveResponse is the envelope every solve endpoint returns; decode the
 // artifact with DecodePolicy, DecodeBudget, or DecodeTradeoff.
 type SolveResponse = server.SolveResponse
 
 // BudgetStrategyResult is the solved budget allocation on the wire.
-type BudgetStrategyResult = server.BudgetStrategy
+type BudgetStrategyResult = kinds.BudgetStrategy
 
 // TradeoffSchedule is the solved trade-off policy on the wire.
-type TradeoffSchedule = server.TradeoffSchedule
+type TradeoffSchedule = kinds.TradeoffSchedule
 
 // LogisticParams is the wire form of the Equation-3 acceptance curve.
-type LogisticParams = server.LogisticParams
+type LogisticParams = kinds.LogisticParams
 
 // PricingAPIError is a non-2xx reply from the pricing daemon; inspect
 // StatusCode to pick a retry strategy. On 429 queue shedding

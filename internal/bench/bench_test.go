@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"crowdpricing/internal/hdr"
+	"crowdpricing/internal/kinds"
 	"crowdpricing/internal/server"
 )
 
@@ -79,7 +80,7 @@ func TestScheduleShapeAndBodies(t *testing.T) {
 	cfg.Rate = 400
 	// Every registered kind in the mix, including multi — the registry is
 	// the only per-kind source the generator has.
-	cfg.Mix = Mix{KindDeadline: 4, KindBudget: 3, KindTradeoff: 2, KindMulti: 1}
+	cfg.Mix = Mix{kinds.KindDeadline: 4, kinds.KindBudget: 3, kinds.KindTradeoff: 2, kinds.KindMulti: 1}
 	sched, err := GenerateSchedule(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -134,9 +135,9 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Warmup = -time.Second },
 		func(c *Config) { c.Size = "gigantic" },
 		func(c *Config) { c.Shape = "square" },
-		func(c *Config) { c.Mix = Mix{KindDeadline: -1, KindBudget: 2} },
+		func(c *Config) { c.Mix = Mix{kinds.KindDeadline: -1, kinds.KindBudget: 2} },
 		func(c *Config) { c.Mix = Mix{"astrology": 1} },
-		func(c *Config) { c.Mix = Mix{KindDeadline: 0} },
+		func(c *Config) { c.Mix = Mix{kinds.KindDeadline: 0} },
 	}
 	for i, mutate := range bad {
 		cfg := smallConfig()
@@ -247,7 +248,7 @@ func TestRunInProcessSmoke(t *testing.T) {
 // edits" claim.
 func TestRunMultiKindSmoke(t *testing.T) {
 	cfg := smallConfig()
-	cfg.Mix = Mix{KindMulti: 1, KindBudget: 1}
+	cfg.Mix = Mix{kinds.KindMulti: 1, kinds.KindBudget: 1}
 	sched, err := GenerateSchedule(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -262,14 +263,14 @@ func TestRunMultiKindSmoke(t *testing.T) {
 		t.Fatalf("multi smoke: %d errors, %d rejected; samples: %v",
 			res.Overall.Errors, res.Overall.Rejected, res.ErrorSamples)
 	}
-	if res.ByKind[KindMulti].Requests == 0 {
+	if res.ByKind[kinds.KindMulti].Requests == 0 {
 		t.Fatal("no multi requests measured")
 	}
-	if m := srv.Metrics(); m.SolvesByKind[KindMulti] == 0 {
+	if m := srv.Metrics(); m.SolvesByKind[kinds.KindMulti] == 0 {
 		t.Error("server performed no multi solves")
 	}
 	rep := BuildReport(sched.Config, "in-process", res, time.Time{})
-	if _, ok := rep.Endpoints[KindMulti]; !ok {
+	if _, ok := rep.Endpoints[kinds.KindMulti]; !ok {
 		t.Error("report has no multi endpoint breakdown")
 	}
 }
@@ -377,12 +378,12 @@ func reportPair() (*Report, *Report) {
 		CacheHitRatio:  0.9,
 		Latency:        LatencySummary{P50Millis: 1, P90Millis: 2, P95Millis: 3, P99Millis: 10, P999Millis: 20, MaxMillis: 30},
 		Endpoints: map[string]EndpointReport{
-			KindDeadline: {Requests: 50, Latency: LatencySummary{P99Millis: 10}},
+			kinds.KindDeadline: {Requests: 50, Latency: LatencySummary{P99Millis: 10}},
 		},
 	}
 	cur := *base
 	cur.Endpoints = map[string]EndpointReport{
-		KindDeadline: {Requests: 50, Latency: LatencySummary{P99Millis: 10}},
+		kinds.KindDeadline: {Requests: 50, Latency: LatencySummary{P99Millis: 10}},
 	}
 	return base, &cur
 }

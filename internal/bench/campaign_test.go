@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"crowdpricing/internal/kinds"
 	"crowdpricing/internal/server"
 	"crowdpricing/internal/wal"
 )
@@ -71,12 +72,12 @@ func TestCampaignScheduleDeterministic(t *testing.T) {
 // up front, as are adaptive mixes beyond deadline.
 func TestCampaignMixValidation(t *testing.T) {
 	cfg := campaignConfig()
-	cfg.Mix = Mix{KindBudget: 1}
+	cfg.Mix = Mix{kinds.KindBudget: 1}
 	if _, err := GenerateSchedule(cfg); err == nil {
 		t.Error("budget campaign mix accepted")
 	}
 	cfg = campaignConfig()
-	cfg.Mix = Mix{KindTradeoff: 1}
+	cfg.Mix = Mix{kinds.KindTradeoff: 1}
 	cfg.CampaignAdaptive = true
 	if _, err := GenerateSchedule(cfg); err == nil {
 		t.Error("adaptive tradeoff campaign mix accepted")
@@ -138,7 +139,7 @@ func TestCampaignScenarioSmoke(t *testing.T) {
 	if rep.Latency.P50Millis <= 0 {
 		t.Errorf("implausible session latency %+v", rep.Latency)
 	}
-	if _, ok := rep.Endpoints[KindDeadline]; !ok {
+	if _, ok := rep.Endpoints[kinds.KindDeadline]; !ok {
 		t.Error("campaign sessions missing from the deadline endpoint bucket")
 	}
 }

@@ -267,14 +267,6 @@ func registry() *engine.Registry { return kinds.Default() }
 // order — the iteration order for every deterministic draw and report.
 var Kinds = kinds.Default().Kinds()
 
-// Request kinds, re-exported for convenience.
-const (
-	KindDeadline = kinds.KindDeadline
-	KindBudget   = kinds.KindBudget
-	KindTradeoff = kinds.KindTradeoff
-	KindMulti    = kinds.KindMulti
-)
-
 // Request is one scheduled pricing request of any registered kind.
 // Requests with the same (Kind, ProblemID) share one problem body (and
 // hence one server-side fingerprint), which is what makes Cardinality a

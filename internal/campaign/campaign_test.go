@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -281,16 +282,32 @@ func TestObserveValidation(t *testing.T) {
 	}
 }
 
+// thinMarketRequest is the sampled small deadline request for seed with
+// the acceptance curve's market mass divided by 100. The sampled curves
+// accept about 1% of workers, so the 0.5×, 1× and 1.5× policies quote
+// MaxPrice wherever a task is left (seeds 3, 11, 23 and 29); in the
+// thinner market the prices depend on the state and on the factor, so a
+// test can tell the policies apart.
+func thinMarketRequest(t testing.TB, seed int64) (json.RawMessage, kinds.DeadlineRequest) {
+	t.Helper()
+	var wire kinds.DeadlineRequest
+	if err := json.Unmarshal(sampleRequest(t, kinds.KindDeadline, seed, "small"), &wire); err != nil {
+		t.Fatal(err)
+	}
+	wire.Accept.M /= 100
+	req, err := json.Marshal(&wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return req, wire
+}
+
 // TestAdaptiveReplan drives an adaptive campaign with arrivals double the
 // trained profile and checks it switches to a higher-factor policy whose
 // prices differ from the static plan — the §5.2.5 behavior, online.
 func TestAdaptiveReplan(t *testing.T) {
 	m := newTestManager(t, Options{})
-	req := sampleRequest(t, kinds.KindDeadline, 11, "small")
-	var wire kinds.DeadlineRequest
-	if err := json.Unmarshal(req, &wire); err != nil {
-		t.Fatal(err)
-	}
+	req, wire := thinMarketRequest(t, 11)
 
 	st, err := m.Create(context.Background(), kinds.KindDeadline, req, &AdaptiveOptions{WindowIntervals: 3})
 	if err != nil {
@@ -301,10 +318,11 @@ func TestAdaptiveReplan(t *testing.T) {
 	}
 
 	// Double the expected arrivals for three intervals: the trailing-window
-	// estimate approaches 2, beyond the 1.5 grid edge.
+	// estimate approaches 2, beyond the 1.5 grid edge. Four completions an
+	// interval leave four tasks, a state where the factors' prices differ.
 	var last *State
 	for tt := 0; tt < 3; tt++ {
-		last, err = m.Observe(st.ID, 2*wire.Lambdas[tt], nil)
+		last, err = m.Observe(st.ID, 2*wire.Lambdas[tt], []int{4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -335,8 +353,12 @@ func TestAdaptiveReplan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := pol.PriceAt(q.Remaining[0], q.Interval); q.Price != want {
+	want := pol.PriceAt(q.Remaining[0], q.Interval)
+	if q.Price != want {
 		t.Fatalf("adaptive quote %d, 1.5×-policy table says %d", q.Price, want)
+	}
+	if static := solvePolicy(t, req).PriceAt(q.Remaining[0], q.Interval); static == want {
+		t.Fatalf("the 1.5× and 1.0× policies both quote %d at the quoted state; the check cannot tell them apart", want)
 	}
 	if q.ActiveFactor != 1.5 {
 		t.Fatalf("quote reports factor %v, want 1.5", q.ActiveFactor)
@@ -439,19 +461,20 @@ func TestAdaptiveGridBounded(t *testing.T) {
 }
 
 // TestAdaptiveDeterministicBySeed: two managers fed the identical seed and
-// observation sequence quote identical prices and count identical replans.
+// observation sequence quote identical prices and count identical replans,
+// and the sequence moves the quoted price.
 func TestAdaptiveDeterministicBySeed(t *testing.T) {
+	req, _ := thinMarketRequest(t, 23)
 	run := func() ([]int, int64) {
 		m := newTestManager(t, Options{})
-		req := sampleRequest(t, kinds.KindDeadline, 23, "small")
 		st, err := m.Create(context.Background(), kinds.KindDeadline, req, &AdaptiveOptions{WindowIntervals: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
 		var prices []int
 		arrivals := []float64{3, 50, 1, 80, 0, 40, 7, 7}
-		for i, a := range arrivals {
-			if _, err := m.Observe(st.ID, a, []int{i % 2}); err != nil {
+		for _, a := range arrivals {
+			if _, err := m.Observe(st.ID, a, []int{2}); err != nil {
 				t.Fatal(err)
 			}
 			q, err := m.Quote(st.ID)
@@ -478,6 +501,9 @@ func TestAdaptiveDeterministicBySeed(t *testing.T) {
 	}
 	if r1 == 0 {
 		t.Fatal("observation sequence produced no replans; the test exercises nothing")
+	}
+	if slices.Min(p1) == slices.Max(p1) {
+		t.Fatalf("every quote was %d; the price check cannot tell the policies apart", p1[0])
 	}
 }
 

@@ -282,6 +282,48 @@ func TestWALReplayLandsOnInternedTables(t *testing.T) {
 	}
 }
 
+// TestAdaptiveCreateSolvesOnlyTheBank: an adaptive create solves and
+// interns one table per grid factor and nothing else, and the campaign is
+// still named by the base problem's fingerprint. A grid without 1.0 used
+// to solve the base problem too and then drop its table (3 solves for
+// [0.5, 2.0]). A second identical create reuses the bank and reports a
+// cache hit.
+func TestAdaptiveCreateSolvesOnlyTheBank(t *testing.T) {
+	req := sampleRequest(t, kinds.KindDeadline, 3, "small")
+	var wire kinds.DeadlineRequest
+	if err := json.Unmarshal(req, &wire); err != nil {
+		t.Fatal(err)
+	}
+	key, err := wire.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, factors := range [][]float64{{0.5, 2.0}, defaultFactors()} {
+		m, eng := newInternManager(t, Options{})
+		adaptive := &AdaptiveOptions{Factors: factors}
+		st, err := m.Create(context.Background(), kinds.KindDeadline, req, adaptive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if solves := eng.Metrics().Solves; solves != int64(len(factors)) {
+			t.Errorf("grid %v: create ran %d solves, want %d", factors, solves, len(factors))
+		}
+		if is := m.intern.stats(); is.interned != int64(len(factors)) {
+			t.Errorf("grid %v: create interned %d tables, want %d", factors, is.interned, len(factors))
+		}
+		if want := campaignID(1, key); st.ID != want || st.SolveCacheHit {
+			t.Errorf("grid %v: cold create gave ID %s, cache hit %v; want %s, false", factors, st.ID, st.SolveCacheHit, want)
+		}
+		again, err := m.Create(context.Background(), kinds.KindDeadline, req, adaptive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !again.SolveCacheHit || eng.Metrics().Solves != int64(len(factors)) {
+			t.Errorf("grid %v: repeat create reports cache hit %v after %d solves", factors, again.SolveCacheHit, eng.Metrics().Solves)
+		}
+	}
+}
+
 // TestInternedBankMemoryBound is the acceptance fence: 1,000 identical
 // adaptive campaigns must hold resident quoter bytes within 2× of ONE
 // campaign's footprint — O(distinct problems), not O(campaigns).

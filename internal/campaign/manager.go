@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -222,8 +223,8 @@ func (m *Manager) releaseCampaign(c *campaign) {
 
 // Create registers a new campaign: intern the policy for (kind, request) —
 // identical campaigns share one decoded table, cold problems solve through
-// the engine — and, in adaptive mode, build the factor bank (pre-solved
-// on the engine's background lane).
+// the engine — or, in adaptive mode, build the factor bank in its place
+// (pre-solved on the engine's background lane).
 // The returned State carries the campaign ID every other call takes.
 func (m *Manager) Create(ctx context.Context, kind string, request json.RawMessage, adaptive *AdaptiveOptions) (*State, error) {
 	// Shed a full table before any solver work. The daemon answers
@@ -295,8 +296,8 @@ func (m *Manager) Create(ctx context.Context, kind string, request json.RawMessa
 // live one was. The request is fully checked before the first solve, so a
 // rejected create costs the engine nothing. The caller sets the ID and
 // timestamps, and owns the campaign's intern references: any path that
-// does not register it must releaseCampaign it. warm reports a table
-// served without a solve.
+// does not register it must releaseCampaign it. warm reports that no table
+// needed a fresh solve.
 func (m *Manager) newCampaign(ctx context.Context, kind string, request json.RawMessage, adaptive *AdaptiveOptions) (*campaign, bool, error) {
 	spec, err := m.decodeSpec(kind, request)
 	if err != nil {
@@ -312,30 +313,32 @@ func (m *Manager) newCampaign(ctx context.Context, kind string, request json.Raw
 			return nil, false, &engine.InvalidSpecError{Err: err}
 		}
 	}
-	h, warm, err := m.acquireQuoter(ctx, kind, spec)
-	if err != nil {
-		return nil, false, err
-	}
-	tab := h.load()
 	c := &campaign{
-		kind:        kind,
-		request:     append([]byte(nil), request...),
-		fingerprint: h.key,
-		bank:        []*internedQuoter{h},
-		remaining:   append([]int(nil), tab.counts...),
-		quoteBuf:    make([]int, 0, len(tab.counts)),
-		factor:      1,
+		kind:    kind,
+		request: append([]byte(nil), request...),
+		factor:  1,
 	}
-	if adaptive != nil {
-		if err := m.buildBank(ctx, c, base, norm); err != nil {
-			m.releaseCampaign(c)
+	var warm bool
+	if adaptive == nil {
+		h, hit, err := m.acquireQuoter(ctx, kind, spec)
+		if err != nil {
 			return nil, false, err
 		}
-		// The bank's slots hold their own references now (the factor-1.0
-		// slot deduped onto h when the grid contains it); the base handle's
-		// goes back.
-		m.intern.release(h)
+		c.fingerprint, c.bank, warm = h.key, []*internedQuoter{h}, hit
+	} else {
+		// An adaptive campaign quotes only from its bank, so the base
+		// problem is not solved on its own (a grid holding 1.0 solves it
+		// in that slot); its fingerprint still names the campaign.
+		if c.fingerprint, err = spec.Fingerprint(); err != nil {
+			return nil, false, &engine.InvalidSpecError{Err: err}
+		}
+		if warm, err = m.buildBank(ctx, c, base, norm); err != nil {
+			return nil, false, err
+		}
 	}
+	tab := c.bank[0].load()
+	c.remaining = append([]int(nil), tab.counts...)
+	c.quoteBuf = make([]int, 0, len(tab.counts))
 	return c, warm, nil
 }
 
@@ -346,7 +349,8 @@ func (m *Manager) newCampaign(ctx context.Context, kind string, request json.Raw
 // concurrently through the engine's background lane — its worker pool,
 // queue, and singleflight table are the admission control, and the lane
 // keeps the grid from monopolizing workers against interactive solves.
-func (m *Manager) buildBank(ctx context.Context, c *campaign, base *kinds.DeadlineRequest, norm AdaptiveOptions) error {
+// warm reports that every table was served without a fresh solve.
+func (m *Manager) buildBank(ctx context.Context, c *campaign, base *kinds.DeadlineRequest, norm AdaptiveOptions) (warm bool, err error) {
 	// Acquire every factor's handle up front (a fingerprint and a map
 	// entry each), then solve them all at once.
 	bank := make([]*internedQuoter, len(norm.Factors))
@@ -357,26 +361,29 @@ func (m *Manager) buildBank(ctx context.Context, c *campaign, base *kinds.Deadli
 		h, err := m.intern.acquire(c.kind, &scaled)
 		if err != nil {
 			m.intern.releaseAll(bank[:i])
-			return fmt.Errorf("interning adaptive bank factor %g: %w", f, err)
+			return false, fmt.Errorf("interning adaptive bank factor %g: %w", f, err)
 		}
 		bank[i], specs[i] = h, &scaled
 	}
 	errs := make([]error, len(bank))
+	hits := make([]bool, len(bank))
 	var wg sync.WaitGroup
 	for i := range bank {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := bank[i].ensure(ctx, specs[i], true); err != nil {
+			hit, err := bank[i].ensure(ctx, specs[i], true)
+			if err != nil {
 				errs[i] = fmt.Errorf("solving adaptive bank factor %g: %w", norm.Factors[i], err)
 			}
+			hits[i] = hit
 		}(i)
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			m.intern.releaseAll(bank)
-			return err
+			return false, err
 		}
 	}
 	c.bank = bank
@@ -386,7 +393,7 @@ func (m *Manager) buildBank(ctx context.Context, c *campaign, base *kinds.Deadli
 	// Start on the factor nearest 1.0 — the trained profile — exactly as
 	// the sim controller does before its first window closes.
 	c.activeIdx = sim.NearestFactor(norm.Factors, 1)
-	return nil
+	return !slices.Contains(hits, false), nil
 }
 
 // campaignID derives a readable, collision-free ID: a process-local

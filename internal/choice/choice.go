@@ -5,18 +5,15 @@
 //	p(c) = exp(c/s − b) / (exp(c/s − b) + M)        (Equation 3)
 //
 // mapping a task reward c (in cents) to the probability that an arriving
-// worker picks the requester's task, plus routines to calibrate (s, b, M)
-// from observed (c, p) pairs and the utility-based simulation of
+// worker picks the requester's task, plus the utility-based simulation of
 // Section 5.1.1 used to validate the logit form (Figure 5).
 package choice
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
 	"crowdpricing/internal/dist"
-	"crowdpricing/internal/stats"
 )
 
 // AcceptanceFn maps a task reward in cents to a task acceptance probability
@@ -84,71 +81,6 @@ func (l Logistic) Validate() error {
 		return fmt.Errorf("choice: market mass M = %v must be positive", l.M)
 	}
 	return nil
-}
-
-// Fit estimates (S, B, M) from observed (reward, acceptance probability)
-// pairs. Holding M fixed, Equation (3) linearizes as
-//
-//	logit(p) = ln(p/(1−p)·1/M·M) ⇒ ln(p/(1−p)) = c/S − B − ln M,
-//
-// so for a candidate M, least squares on ln(p/(1−p)) + ln M against c gives
-// S and B; Fit scans M over a log grid and keeps the best residual. Noise-
-// free data is recovered exactly up to the M/B identifiability coupling
-// (only B + ln M is identified by the data; Fit resolves the coupling by
-// reporting the grid M with the smallest residual, which matches the truth
-// when the truth is on the grid).
-func Fit(rewards []int, probs []float64) (Logistic, error) {
-	if len(rewards) != len(probs) || len(rewards) < 3 {
-		return Logistic{}, errors.New("choice: need at least 3 matching observations")
-	}
-	x := make([]float64, 0, len(rewards))
-	logits := make([]float64, 0, len(rewards))
-	for i, p := range probs {
-		if p <= 0 || p >= 1 {
-			continue
-		}
-		x = append(x, float64(rewards[i]))
-		logits = append(logits, math.Log(p/(1-p)))
-	}
-	if len(x) < 3 {
-		return Logistic{}, errors.New("choice: too few interior probabilities")
-	}
-	// ln(p/(1-p)) = c/S - (B + ln M): a single line identifies S and the sum
-	// B + ln M. Scan M over a log grid to split the sum, preferring the M
-	// that minimizes curvature residual of the exact (non-linearized) model.
-	fit, err := stats.SimpleRegression(x, logits)
-	if err != nil {
-		return Logistic{}, err
-	}
-	if fit.Slope <= 0 {
-		return Logistic{}, errors.New("choice: acceptance data is not increasing in reward")
-	}
-	s := 1 / fit.Slope
-	sum := -fit.Intercept // = B + ln M
-	best := Logistic{}
-	bestErr := math.Inf(1)
-	for _, m := range logGrid(1, 1e6, 121) {
-		cand := Logistic{S: s, B: sum - math.Log(m), M: m}
-		sse := 0.0
-		for i := range rewards {
-			d := cand.Accept(rewards[i]) - probs[i]
-			sse += d * d
-		}
-		if sse < bestErr {
-			bestErr = sse
-			best = cand
-		}
-	}
-	return best, nil
-}
-
-func logGrid(lo, hi float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		f := float64(i) / float64(n-1)
-		out[i] = math.Exp(math.Log(lo) + f*(math.Log(hi)-math.Log(lo)))
-	}
-	return out
 }
 
 // Market is a conditional-logit marketplace of competing task utilities:

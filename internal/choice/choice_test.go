@@ -130,41 +130,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestFitRecoversParameters(t *testing.T) {
-	truth := Paper13
-	var rewards []int
-	var probs []float64
-	for c := 0; c <= 60; c += 2 {
-		rewards = append(rewards, c)
-		probs = append(probs, truth.Accept(c))
-	}
-	got, err := Fit(rewards, probs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got.S-truth.S) > 0.5 {
-		t.Errorf("fitted S = %v, want %v", got.S, truth.S)
-	}
-	// B and M are coupled through B + ln M; check the curve itself.
-	for c := 0; c <= 60; c++ {
-		if d := math.Abs(got.Accept(c) - truth.Accept(c)); d > 1e-3 {
-			t.Errorf("fitted curve off by %v at c=%d", d, c)
-		}
-	}
-}
-
-func TestFitRejectsBadInput(t *testing.T) {
-	if _, err := Fit([]int{1, 2}, []float64{0.1, 0.2}); err == nil {
-		t.Error("want error for too few points")
-	}
-	if _, err := Fit([]int{1, 2, 3}, []float64{0.3, 0.2, 0.1}); err == nil {
-		t.Error("want error for decreasing acceptance")
-	}
-	if _, err := Fit([]int{1, 2, 3}, []float64{0, 1, 0}); err == nil {
-		t.Error("want error for degenerate probabilities")
-	}
-}
-
 func TestMarketChooseProb(t *testing.T) {
 	m := NewMarket([]float64{0, 0, 0}) // three competitors at utility 0
 	// A task at utility 0 among 3 equals competitors wins 1/4 of the time.

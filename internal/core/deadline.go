@@ -121,33 +121,35 @@ func (pol *DeadlinePolicy) PriceAt(n, t int) int {
 	return pol.Price[t][n]
 }
 
-// intervalTable caches, for one interval t and every candidate price c, the
-// truncated Poisson PMF of the completion count and its running CDF.
-type intervalTable struct {
-	// pmf[c-MinPrice] is the PMF of Pois(λ_t·p(c)) up to the truncation
-	// point; cum is its cumulative sum.
+// typeTable caches, for one interval and every candidate price c, the
+// truncated Poisson PMF of the completion count and its running CDF:
+// pmf[c-min] is the PMF of Pois(λ_t·p(c)) up to the truncation point, and
+// cum is its cumulative sum. The deadline solvers build one per interval,
+// the multi-type solvers one per task type and interval.
+type typeTable struct {
 	pmf [][]float64
 	cum [][]float64
+	min int
 }
 
-func (p *DeadlineProblem) buildTable(t int) intervalTable {
-	nPrices := p.MaxPrice - p.MinPrice + 1
-	tab := intervalTable{
-		pmf: make([][]float64, nPrices),
-		cum: make([][]float64, nPrices),
-	}
-	for ci := 0; ci < nPrices; ci++ {
-		mean := p.Lambdas[t] * p.Accept.Accept(p.MinPrice+ci)
-		limit := p.N + 1
-		if p.TruncEps > 0 {
-			s0 := poissonTruncation(mean, p.TruncEps)
-			if s0 < limit {
+func buildTypeTable(lambda float64, accept choice.AcceptanceFn, minPrice, maxPrice, nMax int, eps float64) typeTable {
+	n := maxPrice - minPrice + 1
+	tab := typeTable{pmf: make([][]float64, n), cum: make([][]float64, n), min: minPrice}
+	for ci := 0; ci < n; ci++ {
+		mean := lambda * accept.Accept(minPrice+ci)
+		limit := nMax + 1
+		if eps > 0 {
+			if s0 := poissonTruncation(mean, eps); s0 < limit {
 				limit = s0
 			}
 		}
 		tab.pmf[ci], tab.cum[ci] = poissonTable(mean, limit)
 	}
 	return tab
+}
+
+func (p *DeadlineProblem) buildTable(t int) typeTable {
+	return buildTypeTable(p.Lambdas[t], p.Accept, p.MinPrice, p.MaxPrice, p.N, p.TruncEps)
 }
 
 // poissonTable returns the PMF and running CDF of Pois(mean) for counts
@@ -196,7 +198,7 @@ func poissonTruncation(mean, eps float64) int {
 //	Σ_{s<n} PMF(s)·(s·c + Opt[t+1][n−s]) + P(X ≥ n)·n·c + P(X ≥ n)·Opt[t+1][0]
 //
 // with Opt[t+1][0] = 0 by construction.
-func stateCost(tab intervalTable, next []float64, n, ci, price int) float64 {
+func stateCost(tab typeTable, next []float64, n, ci, price int) float64 {
 	pmf := tab.pmf[ci]
 	cum := tab.cum[ci]
 	m := n
@@ -234,7 +236,7 @@ func (p *DeadlineProblem) terminalCosts() []float64 {
 // bestPrice scans prices [priceLo, priceHi] for state n and returns the
 // minimizing cost and price. Both solvers evaluate every state through
 // this one function, so they differ only in which prices they scan.
-func (p *DeadlineProblem) bestPrice(tab intervalTable, next []float64, n, priceLo, priceHi int) (float64, int) {
+func (p *DeadlineProblem) bestPrice(tab typeTable, next []float64, n, priceLo, priceHi int) (float64, int) {
 	bestCost := math.Inf(1)
 	best := priceLo
 	for c := priceLo; c <= priceHi; c++ {

@@ -209,28 +209,6 @@ func (pol *MultiTypePolicy) Evaluate() (expectedCost, expectedRemaining float64)
 	return expectedCost, expectedRemaining
 }
 
-type typeTable struct {
-	pmf [][]float64
-	cum [][]float64
-	min int
-}
-
-func buildTypeTable(lambda float64, accept choice.AcceptanceFn, minPrice, maxPrice, nMax int, eps float64) typeTable {
-	n := maxPrice - minPrice + 1
-	tab := typeTable{pmf: make([][]float64, n), cum: make([][]float64, n), min: minPrice}
-	for ci := 0; ci < n; ci++ {
-		mean := lambda * accept.Accept(minPrice+ci)
-		limit := nMax + 1
-		if eps > 0 {
-			if s0 := poissonTruncation(mean, eps); s0 < limit {
-				limit = s0
-			}
-		}
-		tab.pmf[ci], tab.cum[ci] = poissonTable(mean, limit)
-	}
-	return tab
-}
-
 // completionOutcomes lists the possible completion counts from a truncated
 // Poisson kernel when n tasks remain: counts 0..m−1 with their PMF mass plus
 // a final "all n complete" bucket absorbing the tail (and any truncated

@@ -24,14 +24,6 @@ func (d Poisson) PMF(k int) float64 {
 	return math.Exp(float64(k)*math.Log(d.Lambda) - d.Lambda - lg)
 }
 
-// CDF returns P(X <= k).
-func (d Poisson) CDF(k int) float64 {
-	if k < 0 {
-		return 0
-	}
-	return 1 - d.Tail(k+1)
-}
-
 // Tail returns P(X >= n). When n is above the mean the sum is taken over the
 // upper tail directly, so tiny tail masses are not lost to cancellation
 // against 1.

@@ -60,8 +60,6 @@ type KindDef struct {
 	// Kind is the wire name, used in the /v1/solve/{kind} route, campaign
 	// creates, and the bench mix.
 	Kind string
-	// Doc is a one-line human description for listings.
-	Doc string
 	// New returns an empty Spec for JSON decoding. Required.
 	New func() Spec
 	// Sample deterministically generates a workload problem body: equal

@@ -13,6 +13,7 @@ package exp
 import (
 	"crowdpricing/internal/choice"
 	"crowdpricing/internal/core"
+	"crowdpricing/internal/nhpp"
 	"crowdpricing/internal/rate"
 	"crowdpricing/internal/trace"
 )
@@ -66,11 +67,7 @@ func DefaultWorkload() *Workload {
 func windowRate(tr *trace.Trace, day int, hours float64) rate.Fn {
 	buckets := int(hours / trace.BucketWidth)
 	start := day*trace.BucketsPerDay + WorkloadStartHour*3
-	rates := make([]float64, buckets)
-	for i := 0; i < buckets; i++ {
-		rates[i] = float64(tr.Counts[start+i]) / trace.BucketWidth
-	}
-	return rate.NewPiecewise(trace.BucketWidth, rates)
+	return nhpp.EstimatePiecewise(tr.Counts[start:start+buckets], trace.BucketWidth)
 }
 
 // averageWindowRate averages the 8 a.m.-anchored experiment windows of

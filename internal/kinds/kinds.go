@@ -570,25 +570,21 @@ var defaultRegistry = func() *engine.Registry {
 	r := engine.NewRegistry()
 	r.Register(engine.KindDef{
 		Kind:   KindDeadline,
-		Doc:    "Section 3 fixed-deadline dynamic pricing policy (backward-induction MDP)",
 		New:    func() engine.Spec { return new(DeadlineRequest) },
 		Sample: sampleDeadline,
 	})
 	r.Register(engine.KindDef{
 		Kind:   KindBudget,
-		Doc:    "Section 4 fixed-budget static allocation (convex hull or exact DP)",
 		New:    func() engine.Spec { return new(BudgetRequest) },
 		Sample: sampleBudget,
 	})
 	r.Register(engine.KindDef{
 		Kind:   KindTradeoff,
-		Doc:    "Section 6 cost/latency trade-off stationary policy",
 		New:    func() engine.Spec { return new(TradeoffRequest) },
 		Sample: sampleTradeoff,
 	})
 	r.Register(engine.KindDef{
 		Kind:   KindMulti,
-		Doc:    "Section 6 multi-type extension at general k (joint price vectors)",
 		New:    func() engine.Spec { return new(MultiRequest) },
 		Sample: sampleMulti,
 	})

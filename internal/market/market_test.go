@@ -2,6 +2,7 @@ package market
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"crowdpricing/internal/rate"
@@ -181,9 +182,8 @@ func TestAccuracyPriceInsensitive(t *testing.T) {
 		}
 		means = append(means, m)
 	}
-	s := stats.Summarize(means)
-	if s.Max-s.Min > 0.03 {
-		t.Errorf("accuracy spread %v across bundles too large", s.Max-s.Min)
+	if spread := slices.Max(means) - slices.Min(means); spread > 0.03 {
+		t.Errorf("accuracy spread %v across bundles too large", spread)
 	}
 }
 

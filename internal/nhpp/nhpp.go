@@ -8,7 +8,6 @@ package nhpp
 
 import (
 	"math"
-	"sort"
 
 	"crowdpricing/internal/dist"
 	"crowdpricing/internal/rate"
@@ -121,47 +120,6 @@ func EstimatePiecewise(counts []int, width float64) *rate.Piecewise {
 		rates[i] = float64(k) / width
 	}
 	return rate.NewPiecewise(width, rates)
-}
-
-// EstimatePeriodic fits a periodic piecewise-constant λ(t) by averaging
-// bucket counts across repetitions of the period. counts must cover an
-// integer number of periods; bucketsPerPeriod buckets of the given width
-// make up one period. The experiments use this to average the "other three
-// days" into a training day (Section 5.2.5).
-func EstimatePeriodic(counts []int, width float64, bucketsPerPeriod int) *rate.Periodic {
-	if bucketsPerPeriod <= 0 || len(counts)%bucketsPerPeriod != 0 {
-		panic("nhpp: counts must cover whole periods")
-	}
-	reps := len(counts) / bucketsPerPeriod
-	rates := make([]float64, bucketsPerPeriod)
-	for i := 0; i < bucketsPerPeriod; i++ {
-		sum := 0
-		for rIdx := 0; rIdx < reps; rIdx++ {
-			sum += counts[rIdx*bucketsPerPeriod+i]
-		}
-		rates[i] = float64(sum) / float64(reps) / width
-	}
-	base := rate.NewPiecewise(width, rates)
-	return rate.NewPeriodic(base, width*float64(bucketsPerPeriod))
-}
-
-// CountsFromEvents buckets sorted event times into n buckets of the given
-// width starting at 0. Events beyond the covered range are dropped.
-func CountsFromEvents(events []float64, width float64, n int) []int {
-	counts := make([]int, n)
-	if !sort.Float64sAreSorted(events) {
-		cp := make([]float64, len(events))
-		copy(cp, events)
-		sort.Float64s(cp)
-		events = cp
-	}
-	for _, t := range events {
-		i := int(math.Floor(t / width))
-		if i >= 0 && i < n {
-			counts[i]++
-		}
-	}
-	return counts
 }
 
 // AverageRate returns λ̄, the long-run average arrival rate over the horizon

@@ -142,23 +142,6 @@ func TestEstimatePiecewiseMLE(t *testing.T) {
 	}
 }
 
-func TestEstimatePeriodicAverages(t *testing.T) {
-	// Two periods of three buckets.
-	counts := []int{10, 20, 30, 14, 24, 34}
-	est := EstimatePeriodic(counts, 1, 3)
-	want := []float64{12, 22, 32}
-	for i, w := range want {
-		if got := est.Rate(float64(i) + 0.5); got != w {
-			t.Errorf("rate at bucket %d = %v, want %v", i, got, w)
-		}
-		// Second period wraps.
-		if got := est.Rate(float64(i) + 3.5); got != w {
-			t.Errorf("wrapped rate at bucket %d = %v, want %v", i, got, w)
-		}
-	}
-	assertPanics(t, func() { EstimatePeriodic([]int{1, 2, 3, 4}, 1, 3) })
-}
-
 func TestEstimateRecoversRate(t *testing.T) {
 	// Simulate from a known rate, re-estimate, compare integrals.
 	truth := rate.NewPiecewise(1.0/3, repeat([]float64{300, 900, 600}, 24))
@@ -179,24 +162,6 @@ func TestEstimateRecoversRate(t *testing.T) {
 	for i := range rates {
 		if math.Abs(rates[i]-truth.Rates[i]) > 0.15*truth.Rates[i] {
 			t.Errorf("bucket %d: estimated %v, truth %v", i, rates[i], truth.Rates[i])
-		}
-	}
-}
-
-func TestCountsFromEvents(t *testing.T) {
-	events := []float64{0.1, 0.2, 1.5, 2.9, 3.5, -1, 99}
-	counts := CountsFromEvents(events, 1, 3)
-	want := []int{2, 1, 1}
-	for i := range want {
-		if counts[i] != want[i] {
-			t.Errorf("bucket %d = %d, want %d", i, counts[i], want[i])
-		}
-	}
-	// Unsorted input is handled.
-	counts2 := CountsFromEvents([]float64{2.9, 0.1, 1.5, 0.2}, 1, 3)
-	for i := range want {
-		if counts2[i] != want[i] {
-			t.Errorf("unsorted: bucket %d = %d, want %d", i, counts2[i], want[i])
 		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"math"
 	"net/http"
 	"path/filepath"
 	"strings"
@@ -13,13 +15,14 @@ import (
 
 	"crowdpricing/internal/analytics"
 	"crowdpricing/internal/campaign"
+	"crowdpricing/internal/kinds"
 	"crowdpricing/internal/wal"
 )
 
 // campaignDeadlineRequest is a small, fast-solving deadline problem for
 // campaign lifecycle tests.
-func campaignDeadlineRequest() DeadlineRequest {
-	return DeadlineRequest{
+func campaignDeadlineRequest() kinds.DeadlineRequest {
+	return kinds.DeadlineRequest{
 		N:            10,
 		HorizonHours: 4,
 		Intervals:    8,
@@ -42,7 +45,7 @@ func TestCampaignLifecycleHTTP(t *testing.T) {
 	req := campaignDeadlineRequest()
 
 	// Ground truth: the same problem solved through the stateless endpoint.
-	solved, err := client.Solve(ctx, KindDeadline, req)
+	solved, err := client.Solve(ctx, kinds.KindDeadline, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +54,7 @@ func TestCampaignLifecycleHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st, err := client.CreateCampaign(ctx, KindDeadline, req, nil)
+	st, err := client.CreateCampaign(ctx, kinds.KindDeadline, req, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +153,7 @@ func TestCampaignSnapshotRestartHTTP(t *testing.T) {
 	clientA := NewClient(tsA.URL)
 	ctx := context.Background()
 
-	st, err := clientA.CreateCampaign(ctx, KindDeadline, campaignDeadlineRequest(),
+	st, err := clientA.CreateCampaign(ctx, kinds.KindDeadline, campaignDeadlineRequest(),
 		&CampaignAdaptiveOptions{WindowIntervals: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -231,7 +234,7 @@ func TestCampaignObserveArrivalLimit(t *testing.T) {
 	l := bootWAL(t, srv, wal.NewMemFS())
 	client := NewClient(ts.URL)
 	ctx := context.Background()
-	st, err := client.CreateCampaign(ctx, KindDeadline, campaignDeadlineRequest(),
+	st, err := client.CreateCampaign(ctx, kinds.KindDeadline, campaignDeadlineRequest(),
 		&CampaignAdaptiveOptions{WindowIntervals: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -273,6 +276,50 @@ func TestCampaignObserveArrivalLimit(t *testing.T) {
 	}
 }
 
+// TestCampaignReplyEncodeFailure: a log written before the observe limit
+// can hold two observes of math.MaxFloat64, and replay still folds them,
+// so the campaign's running total is +Inf and its finish summary cannot
+// be encoded. The finish must answer 500 with the encoder's error, where
+// it used to answer 200 with an empty body.
+func TestCampaignReplyEncodeFailure(t *testing.T) {
+	ctx := context.Background()
+	fsys := wal.NewMemFS()
+	srvA, tsA := newTestServer(t, Options{})
+	logA := bootWAL(t, srvA, fsys)
+	st, err := NewClient(tsA.URL).CreateCampaign(ctx, kinds.KindDeadline, campaignDeadlineRequest(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := logA.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l, err := wal.Open("wal", wal.Options{FS: fsys, SyncInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	observe, err := json.Marshal(map[string]any{"id": st.ID, "arrivals": math.MaxFloat64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := l.Append(campaign.WALRecordObserve, observe); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srvB, tsB := newTestServer(t, Options{})
+	bootWAL(t, srvB, fsys)
+	sum, err := NewClient(tsB.URL).FinishCampaign(ctx, st.ID)
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusInternalServerError ||
+		!strings.Contains(apiErr.Message, "unsupported value") {
+		t.Fatalf("finish of a campaign with +Inf arrivals: summary %+v, err %v; want a 500 naming the unsupported value", sum, err)
+	}
+}
+
 // TestCampaignHTTPErrors pins the error → status map.
 func TestCampaignHTTPErrors(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
@@ -285,17 +332,17 @@ func TestCampaignHTTPErrors(t *testing.T) {
 	if _, err := client.FinishCampaign(ctx, "no-such-campaign"); apiStatus(err) != http.StatusNotFound {
 		t.Errorf("finish unknown id: %v, want 404", err)
 	}
-	if _, err := client.CreateCampaign(ctx, KindBudget, testBudgetRequest(), nil); apiStatus(err) != http.StatusBadRequest {
+	if _, err := client.CreateCampaign(ctx, kinds.KindBudget, testBudgetRequest(), nil); apiStatus(err) != http.StatusBadRequest {
 		t.Errorf("budget campaign: %v, want 400", err)
 	}
-	if _, err := client.CreateCampaign(ctx, KindTradeoff, testTradeoffRequest(), &CampaignAdaptiveOptions{}); apiStatus(err) != http.StatusBadRequest {
+	if _, err := client.CreateCampaign(ctx, kinds.KindTradeoff, testTradeoffRequest(), &CampaignAdaptiveOptions{}); apiStatus(err) != http.StatusBadRequest {
 		t.Errorf("adaptive tradeoff campaign: %v, want 400", err)
 	}
-	if _, err := client.CreateCampaign(ctx, KindDeadline, map[string]any{"n": -5}, nil); apiStatus(err) != http.StatusBadRequest {
+	if _, err := client.CreateCampaign(ctx, kinds.KindDeadline, map[string]any{"n": -5}, nil); apiStatus(err) != http.StatusBadRequest {
 		t.Errorf("invalid problem: %v, want 400", err)
 	}
 
-	st, err := client.CreateCampaign(ctx, KindDeadline, campaignDeadlineRequest(), nil)
+	st, err := client.CreateCampaign(ctx, kinds.KindDeadline, campaignDeadlineRequest(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +406,7 @@ func TestCampaignMetrics(t *testing.T) {
 	client := NewClient(ts.URL)
 	ctx := context.Background()
 
-	st, err := client.CreateCampaign(ctx, KindDeadline, campaignDeadlineRequest(), nil)
+	st, err := client.CreateCampaign(ctx, kinds.KindDeadline, campaignDeadlineRequest(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -235,10 +235,10 @@ func (c *Client) Solve(ctx context.Context, kind string, req any) (*SolveRespons
 }
 
 // CreateCampaign registers a stateful campaign: spec is the kind's solve
-// request (a DeadlineRequest value, or any JSON-marshalable body of the
-// right shape), adaptive optionally enables §5.2.5 re-planning (deadline
-// only). The returned state carries the campaign ID the other campaign
-// calls take.
+// request (a kinds.DeadlineRequest value, or any JSON-marshalable body of
+// the right shape), adaptive optionally enables §5.2.5 re-planning
+// (deadline only). The returned state carries the campaign ID the other
+// campaign calls take.
 func (c *Client) CreateCampaign(ctx context.Context, kind string, spec any, adaptive *CampaignAdaptiveOptions) (*CampaignState, error) {
 	body, err := json.Marshal(spec)
 	if err != nil {

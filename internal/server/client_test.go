@@ -33,7 +33,7 @@ func TestClientSurfacesServerErrorBody(t *testing.T) {
 		w.WriteHeader(http.StatusBadRequest)
 		w.Write([]byte(`{"error":"n 9999999 exceeds the service limit"}`))
 	})
-	_, err := c.Solve(context.Background(), KindDeadline, testDeadlineRequest())
+	_, err := c.Solve(context.Background(), kinds.KindDeadline, testDeadlineRequest())
 	if err == nil {
 		t.Fatal("nil error for a 400 response")
 	}
@@ -51,7 +51,7 @@ func TestClientNon200WithoutJSONBody(t *testing.T) {
 	c := clientAgainst(t, func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "upstream exploded", http.StatusInternalServerError)
 	})
-	_, err := c.Solve(context.Background(), KindBudget, testBudgetRequest())
+	_, err := c.Solve(context.Background(), kinds.KindBudget, testBudgetRequest())
 	if err == nil {
 		t.Fatal("nil error for a 500 response")
 	}
@@ -70,7 +70,7 @@ func TestClientDeclaredLengthIsOnlyAHint(t *testing.T) {
 		w.Header().Set("Content-Length", strconv.FormatInt(1<<40, 10))
 		w.Write([]byte(`{"kind":"d`))
 	})
-	if _, err := c.Solve(context.Background(), KindDeadline, testDeadlineRequest()); err == nil {
+	if _, err := c.Solve(context.Background(), kinds.KindDeadline, testDeadlineRequest()); err == nil {
 		t.Fatal("nil error for a body shorter than its declared length")
 	}
 }
@@ -87,7 +87,7 @@ func TestClientMalformedSuccessBody(t *testing.T) {
 				w.Header().Set("Content-Type", "application/json")
 				w.Write([]byte(body))
 			})
-			if _, err := c.Solve(context.Background(), KindTradeoff, testTradeoffRequest()); err == nil {
+			if _, err := c.Solve(context.Background(), kinds.KindTradeoff, testTradeoffRequest()); err == nil {
 				t.Fatal("malformed 200 body decoded without error")
 			}
 		})
@@ -113,7 +113,7 @@ func TestClientContextCanceledMidRequest(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.Solve(ctx, KindBudget, testBudgetRequest())
+		_, err := c.Solve(ctx, kinds.KindBudget, testBudgetRequest())
 		done <- err
 	}()
 	<-inHandler
@@ -141,7 +141,7 @@ func TestClientContextTimeout(t *testing.T) {
 	t.Cleanup(func() { close(release) })
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	_, err := c.Solve(ctx, KindDeadline, testDeadlineRequest())
+	_, err := c.Solve(ctx, kinds.KindDeadline, testDeadlineRequest())
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -190,7 +190,7 @@ func TestClientHealthzErrorPaths(t *testing.T) {
 // not a hang or a zero response.
 func TestClientConnectionRefused(t *testing.T) {
 	c := NewClient("http://127.0.0.1:1") // reserved port, nothing listens
-	if _, err := c.Solve(context.Background(), KindBudget, testBudgetRequest()); err == nil {
+	if _, err := c.Solve(context.Background(), kinds.KindBudget, testBudgetRequest()); err == nil {
 		t.Fatal("nil error against a dead endpoint")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 
+	"crowdpricing/internal/kinds"
 	"crowdpricing/internal/server"
 )
 
@@ -20,11 +21,11 @@ func ExampleClient_Solve() {
 	defer ts.Close()
 
 	client := server.NewClient(ts.URL)
-	req := server.MultiRequest{
+	req := kinds.MultiRequest{
 		Counts:    []int{2, 2}, // two task types, two tasks each
 		Intervals: 3,
 		Lambdas:   []float64{40, 40, 40},
-		Accepts: []server.LogisticParams{
+		Accepts: []kinds.LogisticParams{
 			{S: 15, B: -0.39, M: 2000},
 			{S: 12, B: -0.40, M: 1500},
 		},
@@ -37,7 +38,7 @@ func ExampleClient_Solve() {
 		fmt.Println(err)
 		return
 	}
-	var sched server.MultiSchedule
+	var sched kinds.MultiSchedule
 	if err := resp.Decode(&sched); err != nil {
 		fmt.Println(err)
 		return

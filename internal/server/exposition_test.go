@@ -53,7 +53,7 @@ func TestMetricsExpositionGolden(t *testing.T) {
 	client := NewClient(ts.URL)
 	ctx := context.Background()
 	for i := 0; i < 2; i++ {
-		if _, err := client.Solve(ctx, KindBudget, testBudgetRequest()); err != nil {
+		if _, err := client.Solve(ctx, kinds.KindBudget, testBudgetRequest()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -64,7 +64,7 @@ func TestMetricsExpositionGolden(t *testing.T) {
 		t.Fatalf("GET on a solve route: status %d, want 405", code)
 	}
 
-	static, err := client.CreateCampaign(ctx, KindDeadline, campaignDeadlineRequest(), nil)
+	static, err := client.CreateCampaign(ctx, kinds.KindDeadline, campaignDeadlineRequest(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestMetricsExpositionGolden(t *testing.T) {
 	if _, err := client.FinishCampaign(ctx, static.ID); err != nil {
 		t.Fatal(err)
 	}
-	adaptive, err := client.CreateCampaign(ctx, KindDeadline, campaignDeadlineRequest(), &CampaignAdaptiveOptions{})
+	adaptive, err := client.CreateCampaign(ctx, kinds.KindDeadline, campaignDeadlineRequest(), &CampaignAdaptiveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestRequestAndErrorCountPerRoute(t *testing.T) {
 		}
 		return string(b)
 	}
-	create := jsonBody(CreateCampaignRequest{Kind: KindDeadline, Request: json.RawMessage(jsonBody(campaignDeadlineRequest()))})
+	create := jsonBody(CreateCampaignRequest{Kind: kinds.KindDeadline, Request: json.RawMessage(jsonBody(campaignDeadlineRequest()))})
 
 	// The campaign routes need a live id: the create step records it.
 	var id string

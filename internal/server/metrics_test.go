@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"crowdpricing/internal/kinds"
 	"crowdpricing/internal/wal"
 )
 
@@ -21,7 +22,7 @@ func scrapeMetrics(t *testing.T) string {
 	t.Helper()
 	_, ts := newTestServer(t, Options{})
 	client := NewClient(ts.URL)
-	if _, err := client.Solve(context.Background(), KindBudget, testBudgetRequest()); err != nil {
+	if _, err := client.Solve(context.Background(), kinds.KindBudget, testBudgetRequest()); err != nil {
 		t.Fatal(err)
 	}
 	// One 400 so the error counter is non-zero.
@@ -199,7 +200,7 @@ func TestWALMetricsExposition(t *testing.T) {
 
 	client := NewClient(ts.URL)
 	ctx := context.Background()
-	st, err := client.CreateCampaign(ctx, KindDeadline, campaignDeadlineRequest(), nil)
+	st, err := client.CreateCampaign(ctx, kinds.KindDeadline, campaignDeadlineRequest(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

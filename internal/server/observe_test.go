@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"crowdpricing/internal/engine"
+	"crowdpricing/internal/kinds"
 	"crowdpricing/internal/telemetry"
 )
 
@@ -140,7 +141,7 @@ func TestTraceAndAnalyticsEndpoints(t *testing.T) {
 	client := NewClient(ts.URL)
 	ctx := context.Background()
 
-	st, err := client.CreateCampaign(ctx, KindDeadline, campaignDeadlineRequest(), nil)
+	st, err := client.CreateCampaign(ctx, kinds.KindDeadline, campaignDeadlineRequest(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestTraceAndAnalyticsEndpoints(t *testing.T) {
 	if an.Analytics == nil || an.Analytics.Observes != 1 || an.Analytics.LambdaHat != 5 {
 		t.Fatalf("analytics fold = %+v, want 1 observe at λ̂ 5", an.Analytics)
 	}
-	cs, ok := an.Analytics.Cohorts[KindDeadline]
+	cs, ok := an.Analytics.Cohorts[kinds.KindDeadline]
 	if !ok || cs.Campaigns != 1 || cs.Quotes != 1 || cs.Completions != 1 {
 		t.Fatalf("deadline cohort = %+v (present %v)", cs, ok)
 	}
@@ -278,7 +279,7 @@ func TestTracingDisabled(t *testing.T) {
 		}
 	}
 
-	st, err := client.CreateCampaign(ctx, KindDeadline, campaignDeadlineRequest(), nil)
+	st, err := client.CreateCampaign(ctx, kinds.KindDeadline, campaignDeadlineRequest(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -293,12 +293,12 @@ func TestWarmSolveAllocationFence(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	c := NewClient(ts.URL)
 	ctx := context.Background()
-	cold, err := c.Solve(ctx, KindDeadline, req)
+	cold, err := c.Solve(ctx, kinds.KindDeadline, req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ { // warm the connection and the pools
-		if _, err := c.Solve(ctx, KindDeadline, req); err != nil {
+		if _, err := c.Solve(ctx, kinds.KindDeadline, req); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -311,7 +311,7 @@ func TestWarmSolveAllocationFence(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < rounds; i++ {
-			resp, err := c.Solve(ctx, KindDeadline, req)
+			resp, err := c.Solve(ctx, kinds.KindDeadline, req)
 			if err != nil {
 				t.Fatal(err)
 			}

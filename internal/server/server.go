@@ -33,6 +33,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -41,6 +42,7 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -321,9 +323,25 @@ func (s *Server) fail(w http.ResponseWriter, status int, err error) {
 	_ = json.NewEncoder(w).Encode(errorResponse{Error: err.Error()})
 }
 
+// responseBuffers recycles the buffers ok encodes replies into, so a reply
+// costs the allocations of encoding straight to the connection.
+var responseBuffers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// ok writes v as a 200 JSON reply. It encodes before it writes anything, so
+// a value that cannot be encoded (a non-finite float) is answered 500 with
+// the encoder's error rather than 200 with an empty body.
 func (s *Server) ok(w http.ResponseWriter, v any) {
+	buf := responseBuffers.Get().(*bytes.Buffer)
+	defer responseBuffers.Put(buf)
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		s.fail(w, http.StatusInternalServerError, err)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
+	// A failed write means the client has gone; with the status already
+	// sent there is no one left to report it to.
+	_, _ = w.Write(buf.Bytes())
 }
 
 // solveSpec submits one spec to the engine and wraps the outcome in the

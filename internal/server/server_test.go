@@ -16,19 +16,20 @@ import (
 	"crowdpricing/internal/choice"
 	"crowdpricing/internal/engine"
 	"crowdpricing/internal/exp"
+	"crowdpricing/internal/kinds"
 )
 
 // testAccept is the Paper13 curve on the wire.
-var testAccept = LogisticParams{S: choice.Paper13.S, B: choice.Paper13.B, M: choice.Paper13.M}
+var testAccept = kinds.LogisticParams{S: choice.Paper13.S, B: choice.Paper13.B, M: choice.Paper13.M}
 
 // testDeadlineRequest is sized so a cold solve takes long enough for real
 // request overlap but keeps the suite fast.
-func testDeadlineRequest() DeadlineRequest {
+func testDeadlineRequest() kinds.DeadlineRequest {
 	lambdas := make([]float64, 24)
 	for i := range lambdas {
 		lambdas[i] = 80
 	}
-	return DeadlineRequest{
+	return kinds.DeadlineRequest{
 		N:            120,
 		HorizonHours: 8,
 		Intervals:    24,
@@ -41,20 +42,20 @@ func testDeadlineRequest() DeadlineRequest {
 	}
 }
 
-func testBudgetRequest() BudgetRequest {
-	return BudgetRequest{N: 100, Budget: 2500, Accept: testAccept, MinPrice: 1, MaxPrice: 50}
+func testBudgetRequest() kinds.BudgetRequest {
+	return kinds.BudgetRequest{N: 100, Budget: 2500, Accept: testAccept, MinPrice: 1, MaxPrice: 50}
 }
 
-func testTradeoffRequest() TradeoffRequest {
-	return TradeoffRequest{N: 50, Alpha: 10, Lambda: 200, Accept: testAccept, MinPrice: 1, MaxPrice: 50}
+func testTradeoffRequest() kinds.TradeoffRequest {
+	return kinds.TradeoffRequest{N: 50, Alpha: 10, Lambda: 200, Accept: testAccept, MinPrice: 1, MaxPrice: 50}
 }
 
-func testMultiRequest() MultiRequest {
-	return MultiRequest{
+func testMultiRequest() kinds.MultiRequest {
+	return kinds.MultiRequest{
 		Counts:    []int{3, 2},
 		Intervals: 4,
 		Lambdas:   []float64{30, 30, 30, 30},
-		Accepts:   []LogisticParams{testAccept, {S: 12, B: -0.4, M: 1500}},
+		Accepts:   []kinds.LogisticParams{testAccept, {S: 12, B: -0.4, M: 1500}},
 		MinPrice:  1,
 		MaxPrice:  6,
 		Penalty:   100,
@@ -89,7 +90,7 @@ func TestSingleflightDedup(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			start.Wait()
-			responses[i], errs[i] = client.Solve(context.Background(), KindDeadline, req)
+			responses[i], errs[i] = client.Solve(context.Background(), kinds.KindDeadline, req)
 		}(i)
 	}
 	start.Done()
@@ -137,7 +138,7 @@ func TestWarmHitIsCached(t *testing.T) {
 	client := NewClient(ts.URL)
 	req := testDeadlineRequest()
 
-	cold, err := client.Solve(context.Background(), KindDeadline, req)
+	cold, err := client.Solve(context.Background(), kinds.KindDeadline, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestWarmHitIsCached(t *testing.T) {
 	if cold.SolveMillis <= 0 {
 		t.Error("cold solve reported zero solve time")
 	}
-	warm, err := client.Solve(context.Background(), KindDeadline, req)
+	warm, err := client.Solve(context.Background(), kinds.KindDeadline, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,11 +175,11 @@ func TestDistinctProblemsSolveSeparately(t *testing.T) {
 	b := testDeadlineRequest()
 	b.Penalty = 301 // any field flip is a different artifact
 
-	ra, err := client.Solve(context.Background(), KindDeadline, a)
+	ra, err := client.Solve(context.Background(), kinds.KindDeadline, a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := client.Solve(context.Background(), KindDeadline, b)
+	rb, err := client.Solve(context.Background(), kinds.KindDeadline, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func TestBudgetEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	client := NewClient(ts.URL)
 
-	hull, err := client.Solve(context.Background(), KindBudget, testBudgetRequest())
+	hull, err := client.Solve(context.Background(), kinds.KindBudget, testBudgetRequest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,8 +224,8 @@ func TestBudgetEndpoint(t *testing.T) {
 	// The exact DP is a distinct artifact with its own cache key, and can
 	// only match or beat the hull's E[W].
 	exactReq := testBudgetRequest()
-	exactReq.Method = BudgetMethodExact
-	exact, err := client.Solve(context.Background(), KindBudget, exactReq)
+	exactReq.Method = kinds.BudgetMethodExact
+	exact, err := client.Solve(context.Background(), kinds.KindBudget, exactReq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +245,7 @@ func TestBudgetEndpoint(t *testing.T) {
 func TestTradeoffEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	client := NewClient(ts.URL)
-	resp, err := client.Solve(context.Background(), KindTradeoff, testTradeoffRequest())
+	resp, err := client.Solve(context.Background(), kinds.KindTradeoff, testTradeoffRequest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,8 +311,8 @@ func TestServiceLimits(t *testing.T) {
 	ctx := context.Background()
 
 	huge := testDeadlineRequest()
-	huge.N = MaxTasks + 1
-	if _, err := client.Solve(ctx, KindDeadline, huge); err == nil || !strings.Contains(err.Error(), "400") {
+	huge.N = kinds.MaxTasks + 1
+	if _, err := client.Solve(ctx, kinds.KindDeadline, huge); err == nil || !strings.Contains(err.Error(), "400") {
 		t.Errorf("oversized N: err = %v, want 400", err)
 	}
 	cells := testDeadlineRequest()
@@ -321,18 +322,18 @@ func TestServiceLimits(t *testing.T) {
 	for i := range cells.Lambdas {
 		cells.Lambdas[i] = 1
 	}
-	if _, err := client.Solve(ctx, KindDeadline, cells); err == nil || !strings.Contains(err.Error(), "400") {
+	if _, err := client.Solve(ctx, kinds.KindDeadline, cells); err == nil || !strings.Contains(err.Error(), "400") {
 		t.Errorf("oversized N×intervals: err = %v, want 400", err)
 	}
 	exact := testBudgetRequest()
-	exact.Method = BudgetMethodExact
-	exact.Budget = MaxExactBudget + 1
-	if _, err := client.Solve(ctx, KindBudget, exact); err == nil || !strings.Contains(err.Error(), "400") {
+	exact.Method = kinds.BudgetMethodExact
+	exact.Budget = kinds.MaxExactBudget + 1
+	if _, err := client.Solve(ctx, kinds.KindBudget, exact); err == nil || !strings.Contains(err.Error(), "400") {
 		t.Errorf("oversized exact budget: err = %v, want 400", err)
 	}
 	wide := testTradeoffRequest()
-	wide.MaxPrice = wide.MinPrice + MaxPriceRange + 1
-	if _, err := client.Solve(ctx, KindTradeoff, wide); err == nil || !strings.Contains(err.Error(), "400") {
+	wide.MaxPrice = wide.MinPrice + kinds.MaxPriceRange + 1
+	if _, err := client.Solve(ctx, kinds.KindTradeoff, wide); err == nil || !strings.Contains(err.Error(), "400") {
 		t.Errorf("oversized price range: err = %v, want 400", err)
 	}
 	// No limit rejection ran a solver or occupied a cache slot.
@@ -511,7 +512,7 @@ func TestTimeout(t *testing.T) {
 	_, ts := newTestServer(t, Options{RequestTimeout: time.Nanosecond})
 	client := NewClient(ts.URL)
 	req := testDeadlineRequest()
-	_, err := client.Solve(context.Background(), KindDeadline, req)
+	_, err := client.Solve(context.Background(), kinds.KindDeadline, req)
 	if err == nil {
 		t.Fatal("expected a timeout error")
 	}
@@ -523,7 +524,7 @@ func TestTimeout(t *testing.T) {
 func TestHealthzAndMetrics(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	client := NewClient(ts.URL)
-	if _, err := client.Solve(context.Background(), KindBudget, testBudgetRequest()); err != nil {
+	if _, err := client.Solve(context.Background(), kinds.KindBudget, testBudgetRequest()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -577,10 +578,10 @@ func TestCacheEvictionEndToEnd(t *testing.T) {
 	b := testBudgetRequest()
 	b.Budget = 2600
 	for i := 0; i < 2; i++ {
-		if _, err := client.Solve(context.Background(), KindBudget, a); err != nil {
+		if _, err := client.Solve(context.Background(), kinds.KindBudget, a); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := client.Solve(context.Background(), KindBudget, b); err != nil {
+		if _, err := client.Solve(context.Background(), kinds.KindBudget, b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -599,17 +600,17 @@ func TestMultiKindGeneric(t *testing.T) {
 	ctx := context.Background()
 	req := testMultiRequest()
 
-	cold, err := client.Solve(ctx, KindMulti, req)
+	cold, err := client.Solve(ctx, kinds.KindMulti, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cold.Kind != KindMulti || cold.CacheHit {
+	if cold.Kind != kinds.KindMulti || cold.CacheHit {
 		t.Errorf("cold response kind=%q hit=%v, want multi/false", cold.Kind, cold.CacheHit)
 	}
 	if !strings.HasPrefix(cold.Fingerprint, "multi/joint:") {
 		t.Errorf("fingerprint %q missing the multi variant prefix", cold.Fingerprint)
 	}
-	var sched MultiSchedule
+	var sched kinds.MultiSchedule
 	if err := cold.Decode(&sched); err != nil {
 		t.Fatal(err)
 	}
@@ -617,7 +618,7 @@ func TestMultiKindGeneric(t *testing.T) {
 		t.Errorf("implausible schedule: %d interval rows, value %v", len(sched.Prices), sched.Value)
 	}
 
-	warm, err := client.Solve(ctx, KindMulti, req)
+	warm, err := client.Solve(ctx, kinds.KindMulti, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -625,14 +626,14 @@ func TestMultiKindGeneric(t *testing.T) {
 		t.Error("repeated multi request missed the cache or returned different bytes")
 	}
 
-	if m := s.Metrics(); m.SolvesByKind[KindMulti] != 1 {
-		t.Errorf("solves{kind=multi} = %d, want 1", m.SolvesByKind[KindMulti])
+	if m := s.Metrics(); m.SolvesByKind[kinds.KindMulti] != 1 {
+		t.Errorf("solves{kind=multi} = %d, want 1", m.SolvesByKind[kinds.KindMulti])
 	}
 
 	// An invalid multi problem is the client's fault.
 	bad := testMultiRequest()
 	bad.Counts = []int{0, 2}
-	if _, err := client.Solve(ctx, KindMulti, bad); err == nil || !strings.Contains(err.Error(), "400") {
+	if _, err := client.Solve(ctx, kinds.KindMulti, bad); err == nil || !strings.Contains(err.Error(), "400") {
 		t.Errorf("invalid multi: err = %v, want 400", err)
 	}
 }
@@ -653,15 +654,15 @@ func TestUnknownKindRoute(t *testing.T) {
 // paperScaleRequest is the Section 5.2 default instance (N=200, 24h horizon,
 // 72 intervals of 20 minutes, C=50) on the wire — the benchmark's cold
 // solve is the full paper-scale backward induction.
-func paperScaleRequest() DeadlineRequest {
+func paperScaleRequest() kinds.DeadlineRequest {
 	p := exp.DefaultWorkload().DefaultDeadlineProblem()
 	l := p.Accept.(choice.Logistic)
-	return DeadlineRequest{
+	return kinds.DeadlineRequest{
 		N:            p.N,
 		HorizonHours: p.Horizon,
 		Intervals:    p.Intervals,
 		Lambdas:      p.Lambdas,
-		Accept:       LogisticParams{S: l.S, B: l.B, M: l.M},
+		Accept:       kinds.LogisticParams{S: l.S, B: l.B, M: l.M},
 		MinPrice:     p.MinPrice,
 		MaxPrice:     p.MaxPrice,
 		Penalty:      p.Penalty,
@@ -669,7 +670,7 @@ func paperScaleRequest() DeadlineRequest {
 	}
 }
 
-func solveOnce(b *testing.B, s *Server, req DeadlineRequest) *SolveResponse {
+func solveOnce(b *testing.B, s *Server, req kinds.DeadlineRequest) *SolveResponse {
 	b.Helper()
 	resp, err := s.solveSpec(context.Background(), &req)
 	if err != nil {
@@ -725,13 +726,13 @@ func BenchmarkDeadlineWarmHitHTTP(b *testing.B) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	client := NewClient(ts.URL)
-	if _, err := client.Solve(context.Background(), KindDeadline, req); err != nil {
+	if _, err := client.Solve(context.Background(), kinds.KindDeadline, req); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		resp, err := client.Solve(context.Background(), KindDeadline, req)
+		resp, err := client.Solve(context.Background(), kinds.KindDeadline, req)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -746,9 +747,9 @@ func ExampleServer() {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	body, _ := json.Marshal(BudgetRequest{
+	body, _ := json.Marshal(kinds.BudgetRequest{
 		N: 100, Budget: 2500,
-		Accept:   LogisticParams{S: 15, B: -0.39, M: 2000},
+		Accept:   kinds.LogisticParams{S: 15, B: -0.39, M: 2000},
 		MinPrice: 1, MaxPrice: 50,
 	})
 	res, err := http.Post(ts.URL+"/v1/solve/budget", "application/json", bytes.NewReader(body))

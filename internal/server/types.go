@@ -10,72 +10,14 @@ import (
 
 // The wire-level problem specifications live in internal/kinds (one Spec
 // implementation per problem kind, registered with the engine's registry);
-// this file re-exports them under their historical server names so existing
-// callers keep compiling, and defines the server-owned SolveResponse
-// envelope that wraps any kind generically.
-
-// LogisticParams is the wire form of the Equation-3 acceptance curve.
-type LogisticParams = kinds.LogisticParams
-
-// DeadlineRequest asks for a fixed-deadline dynamic pricing policy
-// (Section 3).
-type DeadlineRequest = kinds.DeadlineRequest
-
-// BudgetRequest asks for a fixed-budget static allocation (Section 4).
-type BudgetRequest = kinds.BudgetRequest
-
-// TradeoffRequest asks for a cost/latency trade-off policy (Section 6).
-type TradeoffRequest = kinds.TradeoffRequest
-
-// MultiRequest asks for the general-k multi-type joint pricing policy
-// (Section 6 extension).
-type MultiRequest = kinds.MultiRequest
-
-// BudgetStrategy is the solved budget allocation on the wire.
-type BudgetStrategy = kinds.BudgetStrategy
-
-// TradeoffSchedule is the solved trade-off policy on the wire.
-type TradeoffSchedule = kinds.TradeoffSchedule
-
-// MultiSchedule is the solved general-k multi-type policy on the wire.
-type MultiSchedule = kinds.MultiSchedule
-
-// Problem kinds, as they appear in /v1/solve/{kind} routes and responses.
-const (
-	KindDeadline = kinds.KindDeadline
-	KindBudget   = kinds.KindBudget
-	KindTradeoff = kinds.KindTradeoff
-	KindMulti    = kinds.KindMulti
-)
-
-// Budget solve methods.
-const (
-	BudgetMethodHull  = kinds.BudgetMethodHull
-	BudgetMethodExact = kinds.BudgetMethodExact
-)
-
-// Trade-off formulations.
-const (
-	TradeoffWorkerArrival = kinds.TradeoffWorkerArrival
-	TradeoffFixedRate     = kinds.TradeoffFixedRate
-)
-
-// Service-level size limits (see internal/kinds for the rationale).
-const (
-	MaxTasks       = kinds.MaxTasks
-	MaxIntervals   = kinds.MaxIntervals
-	MaxStateCells  = kinds.MaxStateCells
-	MaxPriceRange  = kinds.MaxPriceRange
-	MaxBudget      = kinds.MaxBudget
-	MaxExactTasks  = kinds.MaxExactTasks
-	MaxExactBudget = kinds.MaxExactBudget
-)
+// this file defines the server-owned SolveResponse envelope that wraps any
+// kind generically.
 
 // SolveResponse is the envelope every solve endpoint returns. Result holds
 // the solved artifact exactly as cached — a core.DeadlinePolicy JSON
-// document for deadline requests, a BudgetStrategy for budget requests, and
-// so on — so concurrent and repeated requests for the same problem receive
-// byte-identical artifacts.
+// document for deadline requests, a kinds.BudgetStrategy for budget
+// requests, and so on — so concurrent and repeated requests for the same
+// problem receive byte-identical artifacts.
 type SolveResponse struct {
 	// Kind is the problem kind that produced Result ("deadline", "budget",
 	// "tradeoff", "multi", …).
@@ -97,7 +39,7 @@ type SolveResponse struct {
 }
 
 // Decode unmarshals the solved artifact into v — the kind-generic path
-// (e.g. a *MultiSchedule for "multi" responses).
+// (e.g. a *kinds.MultiSchedule for "multi" responses).
 func (r *SolveResponse) Decode(v any) error {
 	return json.Unmarshal(r.Result, v)
 }
@@ -106,7 +48,7 @@ func (r *SolveResponse) Decode(v any) error {
 // PriceAt / Evaluate. The artifact carries the prices and the policy's
 // Value, not its cost-to-go table, so the policy's Opt is nil.
 func (r *SolveResponse) DecodePolicy() (*core.DeadlinePolicy, error) {
-	if r.Kind != KindDeadline {
+	if r.Kind != kinds.KindDeadline {
 		return nil, fmt.Errorf("server: DecodePolicy on %q response", r.Kind)
 	}
 	// UnmarshalJSON directly, which validates the whole input itself;
@@ -119,11 +61,11 @@ func (r *SolveResponse) DecodePolicy() (*core.DeadlinePolicy, error) {
 }
 
 // DecodeBudget decodes a budget Result.
-func (r *SolveResponse) DecodeBudget() (*BudgetStrategy, error) {
-	if r.Kind != KindBudget {
+func (r *SolveResponse) DecodeBudget() (*kinds.BudgetStrategy, error) {
+	if r.Kind != kinds.KindBudget {
 		return nil, fmt.Errorf("server: DecodeBudget on %q response", r.Kind)
 	}
-	var s BudgetStrategy
+	var s kinds.BudgetStrategy
 	if err := json.Unmarshal(r.Result, &s); err != nil {
 		return nil, err
 	}
@@ -131,11 +73,11 @@ func (r *SolveResponse) DecodeBudget() (*BudgetStrategy, error) {
 }
 
 // DecodeTradeoff decodes a trade-off Result.
-func (r *SolveResponse) DecodeTradeoff() (*TradeoffSchedule, error) {
-	if r.Kind != KindTradeoff {
+func (r *SolveResponse) DecodeTradeoff() (*kinds.TradeoffSchedule, error) {
+	if r.Kind != kinds.KindTradeoff {
 		return nil, fmt.Errorf("server: DecodeTradeoff on %q response", r.Kind)
 	}
-	var s TradeoffSchedule
+	var s kinds.TradeoffSchedule
 	if err := json.Unmarshal(r.Result, &s); err != nil {
 		return nil, err
 	}

@@ -48,35 +48,17 @@ type TrialStats struct {
 // world. Each interval samples a Poisson completion count with the *true*
 // rate λ_t·p_true(c) at the policy's price for the current backlog.
 func RunDeadlinePolicy(pol *core.DeadlinePolicy, w World, trials int, r *dist.RNG) (TrialStats, error) {
-	p := pol.Problem
-	if len(w.Lambdas) != p.Intervals {
-		return TrialStats{}, errors.New("sim: world has wrong interval count")
-	}
-	if w.Accept == nil || trials <= 0 {
-		return TrialStats{}, errors.New("sim: invalid world or trial count")
-	}
-	st := TrialStats{Trials: trials}
-	for i := 0; i < trials; i++ {
-		n := p.N
-		cost := 0.0
-		for t := 0; t < p.Intervals && n > 0; t++ {
-			price := pol.PriceAt(n, t)
-			mean := w.Lambdas[t] * w.Accept.Accept(price)
-			done := dist.Poisson{Lambda: mean}.Sample(r)
-			if done > n {
-				done = n
-			}
-			cost += float64(done * price)
-			n -= done
-		}
-		st.accumulate(p.N, n, cost)
-	}
-	st.finalize()
-	return st, nil
+	return runTrials(pol.Problem, w, trials, r, pol.PriceAt)
 }
 
 // RunFixedPrice simulates the fixed-price baseline under the same world.
 func RunFixedPrice(p *core.DeadlineProblem, price int, w World, trials int, r *dist.RNG) (TrialStats, error) {
+	return runTrials(p, w, trials, r, func(int, int) int { return price })
+}
+
+// runTrials is the trial loop of both: priceAt(n, t) is the price posted
+// with n tasks remaining at interval t.
+func runTrials(p *core.DeadlineProblem, w World, trials int, r *dist.RNG, priceAt func(n, t int) int) (TrialStats, error) {
 	if len(w.Lambdas) != p.Intervals {
 		return TrialStats{}, errors.New("sim: world has wrong interval count")
 	}
@@ -88,6 +70,7 @@ func RunFixedPrice(p *core.DeadlineProblem, price int, w World, trials int, r *d
 		n := p.N
 		cost := 0.0
 		for t := 0; t < p.Intervals && n > 0; t++ {
+			price := priceAt(n, t)
 			mean := w.Lambdas[t] * w.Accept.Accept(price)
 			done := dist.Poisson{Lambda: mean}.Sample(r)
 			if done > n {

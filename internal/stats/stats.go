@@ -1,178 +1,11 @@
 // Package stats provides the small statistical toolkit the experiments
-// need: simple and multiple least-squares regression (Table 2, Figure 5),
-// summary statistics, histograms (Figure 11), quantiles, and empirical CDFs
-// (Figures 13 and 14).
+// and the benchmark need: histograms (Figure 11), quantiles, and means.
 package stats
 
 import (
-	"errors"
 	"math"
 	"sort"
 )
-
-// ErrSingular is returned when a regression design matrix is singular or the
-// sample is too small for the requested fit.
-var ErrSingular = errors.New("stats: singular or underdetermined system")
-
-// LinearFit is the result of a simple least-squares regression
-// y = Slope·x + Intercept.
-type LinearFit struct {
-	Slope     float64
-	Intercept float64
-	// R2 is the coefficient of determination.
-	R2 float64
-}
-
-// SimpleRegression fits y = a·x + b by ordinary least squares. It returns
-// ErrSingular if fewer than two points are supplied or all x are identical.
-func SimpleRegression(x, y []float64) (LinearFit, error) {
-	if len(x) != len(y) {
-		return LinearFit{}, errors.New("stats: mismatched sample lengths")
-	}
-	n := float64(len(x))
-	if len(x) < 2 {
-		return LinearFit{}, ErrSingular
-	}
-	var sx, sy float64
-	for i := range x {
-		sx += x[i]
-		sy += y[i]
-	}
-	mx, my := sx/n, sy/n
-	var sxx, sxy, syy float64
-	for i := range x {
-		dx, dy := x[i]-mx, y[i]-my
-		sxx += dx * dx
-		sxy += dx * dy
-		syy += dy * dy
-	}
-	if sxx == 0 {
-		return LinearFit{}, ErrSingular
-	}
-	slope := sxy / sxx
-	intercept := my - slope*mx
-	r2 := 0.0
-	if syy > 0 {
-		r2 = sxy * sxy / (sxx * syy)
-	}
-	return LinearFit{Slope: slope, Intercept: intercept, R2: r2}, nil
-}
-
-// MultipleRegression fits y = Σ beta_j x_j by ordinary least squares via the
-// normal equations solved with Gaussian elimination. Each row of x is one
-// observation; include a constant-1 column for an intercept.
-func MultipleRegression(x [][]float64, y []float64) ([]float64, error) {
-	if len(x) != len(y) || len(x) == 0 {
-		return nil, errors.New("stats: mismatched or empty sample")
-	}
-	p := len(x[0])
-	if len(x) < p {
-		return nil, ErrSingular
-	}
-	// Normal equations: (XᵀX) beta = Xᵀy.
-	xtx := make([][]float64, p)
-	for i := range xtx {
-		xtx[i] = make([]float64, p)
-	}
-	xty := make([]float64, p)
-	for r, row := range x {
-		if len(row) != p {
-			return nil, errors.New("stats: ragged design matrix")
-		}
-		for i := 0; i < p; i++ {
-			xty[i] += row[i] * y[r]
-			for j := 0; j < p; j++ {
-				xtx[i][j] += row[i] * row[j]
-			}
-		}
-	}
-	return SolveLinear(xtx, xty)
-}
-
-// SolveLinear solves the dense square system A·x = b by Gaussian elimination
-// with partial pivoting. A and b are not modified.
-func SolveLinear(a [][]float64, b []float64) ([]float64, error) {
-	n := len(a)
-	if n == 0 || len(b) != n {
-		return nil, errors.New("stats: bad system dimensions")
-	}
-	m := make([][]float64, n)
-	for i := range m {
-		if len(a[i]) != n {
-			return nil, errors.New("stats: non-square matrix")
-		}
-		m[i] = make([]float64, n+1)
-		copy(m[i], a[i])
-		m[i][n] = b[i]
-	}
-	for col := 0; col < n; col++ {
-		// Partial pivot.
-		pivot := col
-		for r := col + 1; r < n; r++ {
-			if math.Abs(m[r][col]) > math.Abs(m[pivot][col]) {
-				pivot = r
-			}
-		}
-		if math.Abs(m[pivot][col]) < 1e-12 {
-			return nil, ErrSingular
-		}
-		m[col], m[pivot] = m[pivot], m[col]
-		for r := col + 1; r < n; r++ {
-			f := m[r][col] / m[col][col]
-			for c := col; c <= n; c++ {
-				m[r][c] -= f * m[col][c]
-			}
-		}
-	}
-	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		sum := m[i][n]
-		for j := i + 1; j < n; j++ {
-			sum -= m[i][j] * x[j]
-		}
-		x[i] = sum / m[i][i]
-	}
-	return x, nil
-}
-
-// Summary holds the basic moments of a sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	Max    float64
-}
-
-// Summarize computes the summary of xs. The standard deviation is the sample
-// (n-1) estimator; for n < 2 it is 0.
-func Summarize(xs []float64) Summary {
-	s := Summary{N: len(xs), Min: math.Inf(1), Max: math.Inf(-1)}
-	if len(xs) == 0 {
-		s.Min, s.Max = 0, 0
-		return s
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = sum / float64(len(xs))
-	if len(xs) > 1 {
-		var ss float64
-		for _, x := range xs {
-			d := x - s.Mean
-			ss += d * d
-		}
-		s.StdDev = math.Sqrt(ss / float64(len(xs)-1))
-	}
-	return s
-}
 
 // Quantile returns the q-quantile (q in [0,1]) of xs using linear
 // interpolation between order statistics. It panics on an empty sample.
@@ -222,34 +55,6 @@ func Histogram(xs []float64, lo, hi float64, bins int) (counts []int, edges []fl
 		counts[i]++
 	}
 	return counts, edges
-}
-
-// ECDF returns the empirical CDF of xs evaluated at the sorted sample
-// points: Points[i] is a sample value and Cum[i] = P(X <= Points[i]).
-type ECDF struct {
-	Points []float64
-	Cum    []float64
-}
-
-// NewECDF builds the empirical CDF of xs.
-func NewECDF(xs []float64) ECDF {
-	cp := make([]float64, len(xs))
-	copy(cp, xs)
-	sort.Float64s(cp)
-	cum := make([]float64, len(cp))
-	for i := range cp {
-		cum[i] = float64(i+1) / float64(len(cp))
-	}
-	return ECDF{Points: cp, Cum: cum}
-}
-
-// At returns the empirical CDF value at x.
-func (e ECDF) At(x float64) float64 {
-	i := sort.SearchFloat64s(e.Points, math.Nextafter(x, math.Inf(1)))
-	if i == 0 {
-		return 0
-	}
-	return e.Cum[i-1]
 }
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty sample.

@@ -3,153 +3,7 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
-
-func TestSimpleRegressionExactLine(t *testing.T) {
-	x := []float64{0, 1, 2, 3, 4}
-	y := []float64{1, 3, 5, 7, 9} // y = 2x + 1
-	fit, err := SimpleRegression(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(fit.Slope-2) > 1e-12 || math.Abs(fit.Intercept-1) > 1e-12 {
-		t.Errorf("fit = %+v, want slope 2 intercept 1", fit)
-	}
-	if math.Abs(fit.R2-1) > 1e-12 {
-		t.Errorf("R2 = %v, want 1", fit.R2)
-	}
-}
-
-func TestSimpleRegressionNoisy(t *testing.T) {
-	// Deterministic pseudo-noise around y = -3x + 10.
-	var x, y []float64
-	for i := 0; i < 200; i++ {
-		xi := float64(i) / 10
-		noise := math.Sin(float64(i)*12.9898) * 0.5
-		x = append(x, xi)
-		y = append(y, -3*xi+10+noise)
-	}
-	fit, err := SimpleRegression(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(fit.Slope+3) > 0.05 || math.Abs(fit.Intercept-10) > 0.3 {
-		t.Errorf("fit = %+v", fit)
-	}
-}
-
-func TestSimpleRegressionErrors(t *testing.T) {
-	if _, err := SimpleRegression([]float64{1}, []float64{1}); err == nil {
-		t.Error("want error for single point")
-	}
-	if _, err := SimpleRegression([]float64{2, 2, 2}, []float64{1, 2, 3}); err == nil {
-		t.Error("want error for constant x")
-	}
-	if _, err := SimpleRegression([]float64{1, 2}, []float64{1}); err == nil {
-		t.Error("want error for mismatched lengths")
-	}
-}
-
-func TestMultipleRegressionRecoversCoefficients(t *testing.T) {
-	// y = 2*x1 - 5*x2 + 7 with three regressors (incl. intercept column).
-	var x [][]float64
-	var y []float64
-	for i := 0; i < 50; i++ {
-		x1 := float64(i % 7)
-		x2 := float64((i * 3) % 11)
-		x = append(x, []float64{x1, x2, 1})
-		y = append(y, 2*x1-5*x2+7)
-	}
-	beta, err := MultipleRegression(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{2, -5, 7}
-	for i := range want {
-		if math.Abs(beta[i]-want[i]) > 1e-9 {
-			t.Errorf("beta[%d] = %v, want %v", i, beta[i], want[i])
-		}
-	}
-}
-
-func TestMultipleRegressionSingular(t *testing.T) {
-	// Perfectly collinear columns.
-	x := [][]float64{{1, 2}, {2, 4}, {3, 6}}
-	y := []float64{1, 2, 3}
-	if _, err := MultipleRegression(x, y); err == nil {
-		t.Error("want singular error")
-	}
-}
-
-func TestSolveLinearKnownSystem(t *testing.T) {
-	a := [][]float64{{2, 1}, {1, 3}}
-	b := []float64{5, 10}
-	x, err := SolveLinear(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Solution: x = 1, y = 3.
-	if math.Abs(x[0]-1) > 1e-12 || math.Abs(x[1]-3) > 1e-12 {
-		t.Errorf("x = %v, want [1 3]", x)
-	}
-}
-
-func TestSolveLinearPropertyResidual(t *testing.T) {
-	f := func(seed int64) bool {
-		// Build a diagonally dominant 4x4 system (always solvable).
-		n := 4
-		a := make([][]float64, n)
-		b := make([]float64, n)
-		s := seed
-		next := func() float64 {
-			s = s*6364136223846793005 + 1442695040888963407
-			return float64(s%1000) / 100
-		}
-		for i := range a {
-			a[i] = make([]float64, n)
-			rowSum := 0.0
-			for j := range a[i] {
-				a[i][j] = next()
-				rowSum += math.Abs(a[i][j])
-			}
-			a[i][i] += rowSum + 1
-			b[i] = next()
-		}
-		x, err := SolveLinear(a, b)
-		if err != nil {
-			return false
-		}
-		for i := range a {
-			r := -b[i]
-			for j := range x {
-				r += a[i][j] * x[j]
-			}
-			if math.Abs(r) > 1e-8 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4})
-	if s.N != 4 || s.Mean != 2.5 || s.Min != 1 || s.Max != 4 {
-		t.Errorf("summary = %+v", s)
-	}
-	want := math.Sqrt((2.25 + 0.25 + 0.25 + 2.25) / 3)
-	if math.Abs(s.StdDev-want) > 1e-12 {
-		t.Errorf("stddev = %v, want %v", s.StdDev, want)
-	}
-	empty := Summarize(nil)
-	if empty.N != 0 || empty.Mean != 0 {
-		t.Errorf("empty summary = %+v", empty)
-	}
-}
 
 func TestQuantile(t *testing.T) {
 	xs := []float64{4, 1, 3, 2}
@@ -178,18 +32,6 @@ func TestHistogram(t *testing.T) {
 	}
 	if len(edges) != 4 || edges[0] != 0 || edges[3] != 3 {
 		t.Errorf("edges = %v", edges)
-	}
-}
-
-func TestECDF(t *testing.T) {
-	e := NewECDF([]float64{3, 1, 2})
-	cases := []struct{ x, want float64 }{
-		{0.5, 0}, {1, 1.0 / 3}, {2.5, 2.0 / 3}, {3, 1}, {99, 1},
-	}
-	for _, c := range cases {
-		if got := e.At(c.x); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("ECDF(%v) = %v, want %v", c.x, got, c.want)
-		}
 	}
 }
 

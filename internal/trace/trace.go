@@ -21,8 +21,6 @@ const (
 	BucketWidth = 1.0 / 3
 	// BucketsPerDay is the number of 20-minute buckets per day.
 	BucketsPerDay = 72
-	// BucketsPerWeek is the number of buckets per week.
-	BucketsPerWeek = 7 * BucketsPerDay
 	// Days is the length of the generated trace (1/1–1/28).
 	Days = 28
 )
@@ -137,31 +135,6 @@ func (tr *Trace) Day(d int) []int {
 		panic("trace: day out of range")
 	}
 	return tr.Counts[d*BucketsPerDay : (d+1)*BucketsPerDay]
-}
-
-// DayRate fits a piecewise-constant arrival-rate function to day d's counts,
-// the way the experiments bind λ(t) to tracker data (Section 5.2).
-func (tr *Trace) DayRate(d int) *rate.Piecewise {
-	return nhpp.EstimatePiecewise(tr.Day(d), BucketWidth)
-}
-
-// AverageDays averages the bucket counts of several days into one training
-// day profile, matching Section 5.2.5's "average arrival-rate of the other
-// 3 days".
-func (tr *Trace) AverageDays(days []int) *rate.Piecewise {
-	if len(days) == 0 {
-		panic("trace: no days to average")
-	}
-	rates := make([]float64, BucketsPerDay)
-	for _, d := range days {
-		for i, c := range tr.Day(d) {
-			rates[i] += float64(c)
-		}
-	}
-	for i := range rates {
-		rates[i] = rates[i] / float64(len(days)) / BucketWidth
-	}
-	return rate.NewPiecewise(BucketWidth, rates)
 }
 
 // Rate fits a piecewise-constant rate over the whole trace.

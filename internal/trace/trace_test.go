@@ -19,6 +19,7 @@ func TestGenerateShape(t *testing.T) {
 			t.Fatalf("negative count at %d", i)
 		}
 	}
+	assertPanics(t, func() { tr.Day(99) })
 }
 
 func TestGenerateDeterministic(t *testing.T) {
@@ -93,19 +94,6 @@ func TestTraceRateEstimation(t *testing.T) {
 	if math.Abs(integral-float64(total)) > 1 {
 		t.Errorf("integral %v, total %v", integral, total)
 	}
-}
-
-func TestAverageDaysProfile(t *testing.T) {
-	tr := Generate(DefaultConfig())
-	avg := tr.AverageDays([]int{7, 14, 21})
-	// The averaged profile should track each source day's mean level.
-	m := (stats.Mean(toFloat(tr.Day(7))) + stats.Mean(toFloat(tr.Day(14))) + stats.Mean(toFloat(tr.Day(21)))) / 3
-	got := avg.Integral(0, 24) / 24 * BucketWidth
-	if math.Abs(got-m) > 0.02*m {
-		t.Errorf("averaged rate level %v, want %v", got, m)
-	}
-	assertPanics(t, func() { tr.AverageDays(nil) })
-	assertPanics(t, func() { tr.Day(99) })
 }
 
 func TestSixHourSeries(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"testing"
 	"time"
 )
@@ -327,6 +328,66 @@ func TestTornTailTruncation(t *testing.T) {
 		}
 		if err := re.Close(); err != nil {
 			t.Fatalf("cut %d: close: %v", cut, err)
+		}
+	}
+}
+
+// TestDirFSRotationAndTornTail runs the log on DirFS, the filesystem the
+// daemon uses (every other test here runs on MemFS or FaultFS): synced
+// appends across a segment rotation, then junk appended to the last
+// segment as a crash mid-write leaves it. Reopening must cut the junk and
+// replay every record in order.
+func TestDirFSRotationAndTornTail(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{SyncInterval: time.Hour, SegmentBytes: 64}
+	l, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const records = 6
+	for i := 1; i <= records; i++ {
+		mustAppend(t, l, 1, fmt.Sprintf("record-%d", i))
+		if err := l.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	names, err := DirFS{}.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(names) < 2 {
+		t.Fatalf("segments %v: the appends never rotated", names)
+	}
+	junk := []byte("torn tail junk")
+	f, err := os.OpenFile(join(dir, names[len(names)-1]), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(junk); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if m := re.Metrics(); m.TruncatedBytes != int64(len(junk)) || m.RecoveredRecords != records {
+		t.Fatalf("recovery metrics %+v, want %d truncated bytes and %d records", m, len(junk), records)
+	}
+	got := collect(t, re)
+	if len(got) != records {
+		t.Fatalf("replayed %d records, want %d", len(got), records)
+	}
+	for i, rec := range got {
+		if want := fmt.Sprintf("record-%d", i+1); string(rec.Data) != want || rec.LSN != uint64(i+1) {
+			t.Fatalf("record %d = lsn %d %q, want lsn %d %q", i, rec.LSN, rec.Data, i+1, want)
 		}
 	}
 }
