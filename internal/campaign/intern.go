@@ -20,8 +20,7 @@ import (
 // while taking t.mu; t.mu never waits on decodeMu or the engine. The quote
 // hot path takes neither — a resident table is an atomic pointer load.
 type internTable struct {
-	solve func(ctx context.Context, spec engine.Spec) (*engine.Result, error)
-	batch func(ctx context.Context, spec engine.Spec) (*engine.Result, error)
+	solver Solver
 
 	mu       sync.Mutex
 	entries  map[string]*internedQuoter
@@ -31,12 +30,8 @@ type internTable struct {
 	misses atomic.Int64
 }
 
-func newInternTable(solve, batch func(ctx context.Context, spec engine.Spec) (*engine.Result, error)) *internTable {
-	return &internTable{
-		solve:   solve,
-		batch:   batch,
-		entries: make(map[string]*internedQuoter),
-	}
+func newInternTable(solver Solver) *internTable {
+	return &internTable{solver: solver, entries: make(map[string]*internedQuoter)}
 }
 
 // internedQuoter is one intern-table entry: a refcounted handle on the
@@ -144,9 +139,9 @@ func (h *internedQuoter) ensure(ctx context.Context, spec engine.Spec, backgroun
 		// Singleflight: another caller decoded while this one waited.
 		return true, nil
 	}
-	solve := h.t.solve
+	solve := h.t.solver.Solve
 	if background {
-		solve = h.t.batch
+		solve = h.t.solver.SolveBatch
 	}
 	res, err := solve(ctx, spec)
 	if err != nil {

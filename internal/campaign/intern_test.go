@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -324,6 +325,25 @@ func TestAdaptiveCreateSolvesOnlyTheBank(t *testing.T) {
 	}
 }
 
+// TestUnsupportedKindRefusedBeforeSolve: a registered kind with no
+// sequential price table (budget) is refused before the engine sees it. It
+// used to solve, fill a cache entry and only then fail to decode, which
+// for an exact budget problem inside the service limits held a solver
+// worker for seconds.
+func TestUnsupportedKindRefusedBeforeSolve(t *testing.T) {
+	m, eng := newInternManager(t, Options{})
+	_, err := m.Create(context.Background(), kinds.KindBudget, sampleRequest(t, kinds.KindBudget, 1, "small"), nil)
+	if !errors.Is(err, ErrUnsupportedKind) {
+		t.Fatalf("budget create: err=%v, want ErrUnsupportedKind", err)
+	}
+	if n := strings.Count(err.Error(), "campaign:"); n != 1 {
+		t.Errorf("budget create error %q carries the campaign: prefix %d times, want once", err, n)
+	}
+	if em := eng.Metrics(); em.Solves != 0 || em.CacheEntries != 0 {
+		t.Errorf("refused budget create ran %d solves and left %d cache entries, want 0 and 0", em.Solves, em.CacheEntries)
+	}
+}
+
 // TestInternedBankMemoryBound is the acceptance fence: 1,000 identical
 // adaptive campaigns must hold resident quoter bytes within 2× of ONE
 // campaign's footprint — O(distinct problems), not O(campaigns).
@@ -355,7 +375,7 @@ func TestInternedBankMemoryBound(t *testing.T) {
 var errInjected = errors.New("injected solve failure")
 
 // failingSolver fails every solve of one fingerprint and passes the rest to
-// the engine. It has no SolveBatch, so bank solves come through Solve too.
+// the engine. Its SolveBatch is its Solve, so bank solves fail the same way.
 type failingSolver struct {
 	eng *engine.Engine
 	key string
@@ -366,6 +386,10 @@ func (s failingSolver) Solve(ctx context.Context, spec engine.Spec) (*engine.Res
 		return nil, errInjected
 	}
 	return s.eng.Solve(ctx, spec)
+}
+
+func (s failingSolver) SolveBatch(ctx context.Context, spec engine.Spec) (*engine.Result, error) {
+	return s.Solve(ctx, spec)
 }
 
 // TestBankSolveFailureReleasesTables: when one factor of an adaptive bank

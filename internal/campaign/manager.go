@@ -19,16 +19,12 @@ import (
 )
 
 // Solver is the slice of internal/engine the manager needs: one
-// admission-controlled, cached, deduplicated solve. *engine.Engine
-// implements it.
+// admission-controlled, cached, deduplicated solve on each of the engine's
+// two lanes. Solve is the interactive lane; SolveBatch is the background
+// lane, which runs adaptive bank pre-solves behind interactive work.
+// *engine.Engine implements it.
 type Solver interface {
 	Solve(ctx context.Context, spec engine.Spec) (*engine.Result, error)
-}
-
-// batchSolver is the optional background lane: solvers that implement it
-// (the engine does) run bank pre-solves behind interactive work; others
-// serve both from one lane.
-type batchSolver interface {
 	SolveBatch(ctx context.Context, spec engine.Spec) (*engine.Result, error)
 }
 
@@ -108,11 +104,7 @@ func NewManager(solver Solver, reg *engine.Registry, opts Options) *Manager {
 		campaigns: make(map[string]*campaign),
 		quit:      make(chan struct{}),
 	}
-	batch := solver.Solve
-	if bs, ok := solver.(batchSolver); ok {
-		batch = bs.SolveBatch
-	}
-	m.intern = newInternTable(solver.Solve, batch)
+	m.intern = newInternTable(solver)
 	if opts.TTL > 0 {
 		go m.sweeper()
 	}
@@ -181,12 +173,15 @@ func (m *Manager) ExpireIdle() int {
 	return len(removed)
 }
 
-// decodeSpec resolves kind through the registry and strictly decodes
-// request into a fresh validated Spec.
+// decodeSpec resolves kind through the registry, refuses a kind with no
+// campaign runtime, and strictly decodes request into a fresh Spec.
 func (m *Manager) decodeSpec(kind string, request json.RawMessage) (engine.Spec, error) {
 	def, ok := m.registry.Lookup(kind)
 	if !ok {
 		return nil, fmt.Errorf("%w: unknown kind %q", ErrUnsupportedKind, kind)
+	}
+	if !SupportsKind(kind) {
+		return nil, fmt.Errorf("%w: kind %q has no sequential price table", ErrUnsupportedKind, kind)
 	}
 	spec := def.New()
 	dec := json.NewDecoder(bytes.NewReader(request))
@@ -195,30 +190,6 @@ func (m *Manager) decodeSpec(kind string, request json.RawMessage) (engine.Spec,
 		return nil, &engine.InvalidSpecError{Err: fmt.Errorf("bad %s request: %w", kind, err)}
 	}
 	return spec, nil
-}
-
-// acquireQuoter interns one spec's policy handle and ensures its table is
-// decoded: an intern hit on a resident table costs a map lookup; a miss
-// solves through the engine — warm-cache cheap when an identical problem
-// was solved before — and decodes once. The caller owns one reference on
-// the returned handle.
-func (m *Manager) acquireQuoter(ctx context.Context, kind string, spec engine.Spec) (*internedQuoter, bool, error) {
-	h, err := m.intern.acquire(kind, spec)
-	if err != nil {
-		return nil, false, err
-	}
-	warm, err := h.ensure(ctx, spec, false)
-	if err != nil {
-		m.intern.release(h)
-		return nil, false, err
-	}
-	return h, warm, nil
-}
-
-// releaseCampaign returns every bank handle's intern reference. Call it on
-// every path that unregisters (or never registers) a built campaign.
-func (m *Manager) releaseCampaign(c *campaign) {
-	m.intern.releaseAll(c.bank)
 }
 
 // Create registers a new campaign: intern the policy for (kind, request) —
@@ -245,7 +216,7 @@ func (m *Manager) Create(ctx context.Context, kind string, request json.RawMessa
 	registered := false
 	defer func() {
 		if !registered {
-			m.releaseCampaign(c)
+			m.intern.releaseAll(c.bank)
 		}
 	}()
 
@@ -289,52 +260,59 @@ func (m *Manager) Create(ctx context.Context, kind string, request json.RawMessa
 	return st, nil
 }
 
-// newCampaign builds an unregistered campaign at its initial state: decode
-// the request, intern its policy, and, in adaptive mode, build the factor
-// bank. Create and both replay paths (snapshot entry and create event)
-// build through it, so a replayed campaign is constructed exactly as the
-// live one was. The request is fully checked before the first solve, so a
-// rejected create costs the engine nothing. The caller sets the ID and
-// timestamps, and owns the campaign's intern references: any path that
-// does not register it must releaseCampaign it. warm reports that no table
-// needed a fresh solve.
+// newCampaign builds an unregistered campaign at its initial state. It is
+// the one builder: Create calls it, and so does ReplayWAL for every
+// campaign in the log, whether a create record or a snapshot entry holds
+// its request (ReplayWAL then restores a snapshot entry's recorded state).
+// It decodes and checks the request, derives the specs the campaign quotes
+// from (its one problem, or one problem with λ_t scaled per §5.2.5 factor),
+// and interns and solves them through buildBank. Everything that can be
+// refused without a solve is refused before the first one, so a rejected
+// create costs the engine nothing. The caller sets the ID and timestamps,
+// and owns the campaign's intern references: any path that does not
+// register it must release c.bank. warm reports that no table needed a
+// fresh solve.
 func (m *Manager) newCampaign(ctx context.Context, kind string, request json.RawMessage, adaptive *AdaptiveOptions) (*campaign, bool, error) {
 	spec, err := m.decodeSpec(kind, request)
 	if err != nil {
 		return nil, false, err
-	}
-	base, isDeadline := spec.(*kinds.DeadlineRequest)
-	var norm AdaptiveOptions
-	if adaptive != nil {
-		if !isDeadline {
-			return nil, false, fmt.Errorf("%w, got %q", ErrAdaptiveUnsupported, kind)
-		}
-		if norm, err = adaptive.normalized(); err != nil {
-			return nil, false, &engine.InvalidSpecError{Err: err}
-		}
 	}
 	c := &campaign{
 		kind:    kind,
 		request: append([]byte(nil), request...),
 		factor:  1,
 	}
-	var warm bool
-	if adaptive == nil {
-		h, hit, err := m.acquireQuoter(ctx, kind, spec)
-		if err != nil {
-			return nil, false, err
+	specs := []engine.Spec{spec}
+	if adaptive != nil {
+		base, ok := spec.(*kinds.DeadlineRequest)
+		if !ok {
+			return nil, false, fmt.Errorf("%w, got %q", ErrAdaptiveUnsupported, kind)
 		}
-		c.fingerprint, c.bank, warm = h.key, []*internedQuoter{h}, hit
-	} else {
-		// An adaptive campaign quotes only from its bank, so the base
-		// problem is not solved on its own (a grid holding 1.0 solves it
-		// in that slot); its fingerprint still names the campaign.
-		if c.fingerprint, err = spec.Fingerprint(); err != nil {
+		norm, err := adaptive.normalized()
+		if err != nil {
 			return nil, false, &engine.InvalidSpecError{Err: err}
 		}
-		if warm, err = m.buildBank(ctx, c, base, norm); err != nil {
-			return nil, false, err
+		specs = make([]engine.Spec, len(norm.Factors))
+		for i, f := range norm.Factors {
+			scaled := *base
+			scaled.Lambdas = sim.ScaledLambdas(base.Lambdas, f)
+			specs[i] = &scaled
 		}
+		c.factors, c.window = norm.Factors, norm.WindowIntervals
+		c.baseLambdas = append([]float64(nil), base.Lambdas...)
+		// Start on the factor nearest 1.0 — the trained profile — exactly as
+		// the sim controller does before its first window closes.
+		c.activeIdx = sim.NearestFactor(norm.Factors, 1)
+	}
+	// The request's own fingerprint names the campaign. An adaptive
+	// campaign quotes only from its bank, so its base problem is not solved
+	// on its own (a grid holding 1.0 solves it in that slot).
+	if c.fingerprint, err = spec.Fingerprint(); err != nil {
+		return nil, false, &engine.InvalidSpecError{Err: err}
+	}
+	warm, err := m.buildBank(ctx, c, specs, adaptive != nil)
+	if err != nil {
+		return nil, false, err
 	}
 	tab := c.bank[0].load()
 	c.remaining = append([]int(nil), tab.counts...)
@@ -342,28 +320,32 @@ func (m *Manager) newCampaign(ctx context.Context, kind string, request json.Raw
 	return c, warm, nil
 }
 
-// buildBank builds the adaptive factor bank: one interned handle per
-// factor of the base deadline problem with λ_t scaled, so identical banks
-// across campaigns (or across a restart's replay) share one decoded table
-// per factor, not one per campaign. Every factor is pre-solved
-// concurrently through the engine's background lane — its worker pool,
-// queue, and singleflight table are the admission control, and the lane
-// keeps the grid from monopolizing workers against interactive solves.
-// warm reports that every table was served without a fresh solve.
-func (m *Manager) buildBank(ctx context.Context, c *campaign, base *kinds.DeadlineRequest, norm AdaptiveOptions) (warm bool, err error) {
-	// Acquire every factor's handle up front (a fingerprint and a map
-	// entry each), then solve them all at once.
-	bank := make([]*internedQuoter, len(norm.Factors))
-	specs := make([]engine.Spec, len(norm.Factors))
-	for i, f := range norm.Factors {
-		scaled := *base
-		scaled.Lambdas = sim.ScaledLambdas(base.Lambdas, f)
-		h, err := m.intern.acquire(c.kind, &scaled)
+// buildBank interns one handle per spec into c.bank, in order, so
+// identical campaigns (or a restart's replay of them) share one decoded
+// table per problem instead of one per campaign. It acquires every handle
+// first (a fingerprint and a map entry each), so a spec that cannot be
+// fingerprinted is refused before any solve; then it solves and decodes
+// them all at once through the engine, whose worker pool, queue and
+// singleflight table are the admission control. background routes the
+// solves through the engine's background lane, which keeps an adaptive
+// grid from monopolizing workers against interactive solves. An adaptive
+// bank's errors name the factor they belong to. warm reports that every
+// table was served without a fresh solve.
+func (m *Manager) buildBank(ctx context.Context, c *campaign, specs []engine.Spec, background bool) (warm bool, err error) {
+	named := func(op string, i int, err error) error {
+		if !c.adaptive() {
+			return err
+		}
+		return fmt.Errorf("%s adaptive bank factor %g: %w", op, c.factors[i], err)
+	}
+	bank := make([]*internedQuoter, len(specs))
+	for i, spec := range specs {
+		h, err := m.intern.acquire(c.kind, spec)
 		if err != nil {
 			m.intern.releaseAll(bank[:i])
-			return false, fmt.Errorf("interning adaptive bank factor %g: %w", f, err)
+			return false, named("interning", i, err)
 		}
-		bank[i], specs[i] = h, &scaled
+		bank[i] = h
 	}
 	errs := make([]error, len(bank))
 	hits := make([]bool, len(bank))
@@ -372,27 +354,17 @@ func (m *Manager) buildBank(ctx context.Context, c *campaign, base *kinds.Deadli
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			hit, err := bank[i].ensure(ctx, specs[i], true)
-			if err != nil {
-				errs[i] = fmt.Errorf("solving adaptive bank factor %g: %w", norm.Factors[i], err)
-			}
-			hits[i] = hit
+			hits[i], errs[i] = bank[i].ensure(ctx, specs[i], background)
 		}(i)
 	}
 	wg.Wait()
-	for _, err := range errs {
+	for i, err := range errs {
 		if err != nil {
 			m.intern.releaseAll(bank)
-			return false, err
+			return false, named("solving", i, err)
 		}
 	}
 	c.bank = bank
-	c.factors = norm.Factors
-	c.window = norm.WindowIntervals
-	c.baseLambdas = append([]float64(nil), base.Lambdas...)
-	// Start on the factor nearest 1.0 — the trained profile — exactly as
-	// the sim controller does before its first window closes.
-	c.activeIdx = sim.NearestFactor(norm.Factors, 1)
 	return !slices.Contains(hits, false), nil
 }
 
@@ -567,7 +539,7 @@ func (m *Manager) Finish(id string) (*Summary, error) {
 	}
 	// The campaign left the table; return its intern references. Shared
 	// tables stay resident for their surviving holders.
-	m.releaseCampaign(c)
+	m.intern.releaseAll(c.bank)
 	if logErr != nil {
 		return nil, fmt.Errorf("campaign: logging finish: %w", logErr)
 	}

@@ -87,8 +87,9 @@ func (q *priceTable) appendQuote(dst, remaining []int, t int) []int {
 
 // SupportsKind reports whether kind has a campaign runtime — a sequential
 // per-state price table to quote from. Budget strategies are static
-// up-front allocations, so they (and unknown kinds) report false. The
-// bench harness uses this to validate campaign-scenario mixes.
+// up-front allocations, so they (and unknown kinds) report false. A
+// campaign create refuses any other kind before it solves, and the bench
+// harness uses this to validate campaign-scenario mixes.
 func SupportsKind(kind string) bool {
 	switch kind {
 	case kinds.KindDeadline, kinds.KindTradeoff, kinds.KindMulti:
@@ -168,6 +169,6 @@ func decodeTable(kind string, artifact []byte) (*priceTable, error) {
 		}
 		return q, nil
 	default:
-		return nil, fmt.Errorf("campaign: %w: kind %q has no sequential price table", ErrUnsupportedKind, kind)
+		return nil, fmt.Errorf("%w: kind %q has no sequential price table", ErrUnsupportedKind, kind)
 	}
 }

@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -108,36 +107,24 @@ func (m *Manager) snapshotPayload() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// rebuild re-solves one snapshot entry and replays its dynamic state.
-func (m *Manager) rebuild(ctx context.Context, cs campaignSnapshot, now time.Time) (*campaign, error) {
-	c, _, err := m.newCampaign(ctx, cs.Kind, cs.Request, cs.Adaptive)
-	if err != nil {
-		return nil, err
-	}
-	ok := false
-	defer func() {
-		if !ok {
-			m.releaseCampaign(c)
-		}
-	}()
-
-	// Replay the dynamic state, validating shape against the fresh policy
-	// rather than trusting the log.
+// restore applies a snapshot entry's recorded state to c, which newCampaign
+// built from the same entry's request, checking its shape against the
+// fresh policy rather than trusting the log.
+func (c *campaign) restore(cs *campaignSnapshot) error {
 	if len(cs.Remaining) != len(c.remaining) {
-		return nil, fmt.Errorf("%d remaining counts for %d task types", len(cs.Remaining), len(c.remaining))
+		return fmt.Errorf("%d remaining counts for %d task types", len(cs.Remaining), len(c.remaining))
 	}
 	for i, n := range cs.Remaining {
 		if n < 0 || n > c.remaining[i] {
-			return nil, fmt.Errorf("remaining[%d]=%d outside [0, %d]", i, n, c.remaining[i])
+			return fmt.Errorf("remaining[%d]=%d outside [0, %d]", i, n, c.remaining[i])
 		}
 	}
 	if cs.Interval < 0 || len(cs.Observed) > cs.Interval {
-		return nil, fmt.Errorf("%d observed-window entries recorded for interval %d", len(cs.Observed), cs.Interval)
+		return fmt.Errorf("%d observed-window entries recorded for interval %d", len(cs.Observed), cs.Interval)
 	}
 	if cs.ObservedTotal < 0 || cs.ObservedTotal != cs.ObservedTotal {
-		return nil, fmt.Errorf("invalid observed arrivals total %v", cs.ObservedTotal)
+		return fmt.Errorf("invalid observed arrivals total %v", cs.ObservedTotal)
 	}
-	c.id = cs.ID
 	c.remaining = append([]int(nil), cs.Remaining...)
 	c.interval = cs.Interval
 	c.observed = append([]float64(nil), cs.Observed...)
@@ -145,19 +132,13 @@ func (m *Manager) rebuild(ctx context.Context, cs campaignSnapshot, now time.Tim
 	c.factor = cs.Factor
 	if c.adaptive() {
 		if cs.ActiveIdx < 0 || cs.ActiveIdx >= len(c.bank) {
-			return nil, fmt.Errorf("active factor index %d outside the %d-policy bank", cs.ActiveIdx, len(c.bank))
+			return fmt.Errorf("active factor index %d outside the %d-policy bank", cs.ActiveIdx, len(c.bank))
 		}
 		if len(cs.Observed) > c.window {
-			return nil, fmt.Errorf("observed window has %d entries, adaptive window is %d", len(cs.Observed), c.window)
+			return fmt.Errorf("observed window has %d entries, adaptive window is %d", len(cs.Observed), c.window)
 		}
 		c.activeIdx = cs.ActiveIdx
 	}
 	c.replans = cs.Replans
-	c.lastLSN = cs.LastLSN
-	c.created = time.Unix(0, cs.CreatedUnixNano)
-	// The rebuilt campaign is touched now: surviving a restart should not
-	// count as idleness against the TTL.
-	c.lastTouched = now
-	ok = true
-	return c, nil
+	return nil
 }

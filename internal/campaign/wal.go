@@ -127,17 +127,17 @@ type WALReplayStats struct {
 	Removed   int
 }
 
-// walFold accumulates one campaign's replayed history: a base (either a
-// snapshot entry or a create event) plus ordered observe events. kind,
-// adaptive and interval (the intervals observed so far) label the events
-// the pass streams to a sink.
+// walFold accumulates one campaign's replayed history: the create that
+// builds it (a snapshot entry fills it from its own fields), the recorded
+// state to restore when a snapshot entry is its base, and the ordered
+// observe events after that base. create's kind and adaptive options and
+// interval (the intervals observed so far) label the events the pass
+// streams to a sink.
 type walFold struct {
-	base     *campaignSnapshot
-	create   *walCreateEvent
+	create   walCreateEvent
+	state    *campaignSnapshot
 	observes []walObserveEvent
 	lastLSN  uint64
-	kind     string
-	adaptive bool
 	interval int
 }
 
@@ -185,7 +185,7 @@ func readWAL(src WALSource, sink EventSink) (folds map[string]*walFold, nextSeq 
 				return fmt.Errorf("campaign: duplicate create for %q (lsn %d)", ev.ID, rec.LSN)
 			}
 			ev.Request = append(json.RawMessage(nil), ev.Request...)
-			folds[ev.ID] = &walFold{create: &ev, lastLSN: rec.LSN, kind: ev.Kind, adaptive: ev.Adaptive != nil}
+			folds[ev.ID] = &walFold{create: ev, lastLSN: rec.LSN}
 			nextSeq = max(nextSeq, ev.Seq)
 			sink.CampaignCreated(ev.Kind, ev.Adaptive != nil)
 		case WALRecordObserve:
@@ -199,7 +199,7 @@ func readWAL(src WALSource, sink EventSink) (folds map[string]*walFold, nextSeq 
 			}
 			f.observes = append(f.observes, ev)
 			f.lastLSN = rec.LSN
-			sink.CampaignObserved(f.kind, f.adaptive, ev.Arrivals, sumCompleted(ev.Completed), f.interval)
+			sink.CampaignObserved(f.create.Kind, f.create.Adaptive != nil, ev.Arrivals, sumCompleted(ev.Completed), f.interval)
 			f.interval++
 		case WALRecordFinish, WALRecordExpire:
 			var ev walRefEvent
@@ -213,9 +213,9 @@ func readWAL(src WALSource, sink EventSink) (folds map[string]*walFold, nextSeq 
 			delete(folds, ev.ID)
 			removed[ev.ID] = true
 			if rec.Type == WALRecordFinish {
-				sink.CampaignFinished(f.kind, f.adaptive)
+				sink.CampaignFinished(f.create.Kind, f.create.Adaptive != nil)
 			} else {
-				sink.CampaignExpired(f.kind, f.adaptive)
+				sink.CampaignExpired(f.create.Kind, f.create.Adaptive != nil)
 			}
 		case WALRecordSnapshot:
 			var file snapshotFile
@@ -237,14 +237,19 @@ func readWAL(src WALSource, sink EventSink) (folds map[string]*walFold, nextSeq 
 				if _, dup := next[cs.ID]; dup {
 					return fmt.Errorf("campaign: snapshot record (lsn %d) contains ID %q twice", rec.LSN, cs.ID)
 				}
-				f := &walFold{base: cs, lastLSN: cs.LastLSN, kind: cs.Kind, adaptive: cs.Adaptive != nil, interval: cs.Interval}
-				next[cs.ID] = f
+				next[cs.ID] = &walFold{
+					create: walCreateEvent{ID: cs.ID, Kind: cs.Kind, Request: cs.Request,
+						Adaptive: cs.Adaptive, CreatedUnixNano: cs.CreatedUnixNano},
+					state:    cs,
+					lastLSN:  cs.LastLSN,
+					interval: cs.Interval,
+				}
 				if folds[cs.ID] != nil {
 					continue // streamed from its own records already
 				}
-				sink.CampaignCreated(f.kind, f.adaptive)
+				sink.CampaignCreated(cs.Kind, cs.Adaptive != nil)
 				for t := 0; t < cs.Interval; t++ {
-					sink.CampaignObserved(f.kind, f.adaptive, cs.ObservedTotal/float64(cs.Interval), 0, t)
+					sink.CampaignObserved(cs.Kind, cs.Adaptive != nil, cs.ObservedTotal/float64(cs.Interval), 0, t)
 				}
 			}
 			var gone []string
@@ -255,7 +260,7 @@ func readWAL(src WALSource, sink EventSink) (folds map[string]*walFold, nextSeq 
 			}
 			sort.Strings(gone)
 			for _, id := range gone {
-				sink.CampaignFinished(folds[id].kind, folds[id].adaptive)
+				sink.CampaignFinished(folds[id].create.Kind, folds[id].create.Adaptive != nil)
 			}
 			folds = next
 			nextSeq = max(nextSeq, file.NextSeq)
@@ -277,11 +282,12 @@ func (nopSink) CampaignQuoted(string, bool, int)                 {}
 func (nopSink) CampaignFinished(string, bool)                    {}
 func (nopSink) CampaignExpired(string, bool)                     {}
 
-// ReplayWAL folds src's records into live campaigns: each campaign's
-// base state (latest snapshot entry, else its create event) is rebuilt
-// through the engine's deterministic re-solve and its observe events are
-// re-applied through the same code path Observe uses online, so replayed
-// campaigns quote bit-identical prices. The records are read in one pass
+// ReplayWAL folds src's records into live campaigns: each campaign is
+// built by newCampaign from its create record, or from the latest
+// snapshot entry holding it, through the engine's deterministic re-solve;
+// a snapshot entry's recorded state is restored onto it; and its later
+// observe events are re-applied through the same code path Observe uses
+// online, so replayed campaigns quote bit-identical prices. The records are read in one pass
 // (readWAL), which also streams the recorded history to the manager's
 // attached sink: at boot that is how the analytics plane learns the
 // traffic before the restart, counted once.
@@ -313,32 +319,27 @@ func (m *Manager) ReplayWAL(ctx context.Context, src WALSource) (*WALReplayStats
 	defer func() {
 		if !committed {
 			for _, c := range rebuilt {
-				m.releaseCampaign(c)
+				m.intern.releaseAll(c.bank)
 			}
 		}
 	}()
 	for _, id := range ids {
 		f := folds[id]
-		var (
-			c   *campaign
-			err error
-		)
-		if f.base != nil {
-			c, err = m.rebuild(ctx, *f.base, now)
-		} else {
-			// A create event rebuilds the campaign exactly as Create built
-			// it; the observe events below advance it from there.
-			c, _, err = m.newCampaign(ctx, f.create.Kind, f.create.Request, f.create.Adaptive)
-			if err == nil {
-				c.id = id
-				c.created = time.Unix(0, f.create.CreatedUnixNano)
-				c.lastTouched = now
-			}
-		}
+		c, _, err := m.newCampaign(ctx, f.create.Kind, f.create.Request, f.create.Adaptive)
 		if err != nil {
 			return nil, fmt.Errorf("campaign: replaying %q: %w", id, err)
 		}
 		rebuilt = append(rebuilt, c)
+		if f.state != nil {
+			if err := c.restore(f.state); err != nil {
+				return nil, fmt.Errorf("campaign: replaying %q: %w", id, err)
+			}
+		}
+		c.id = id
+		c.created = time.Unix(0, f.create.CreatedUnixNano)
+		// A rebuilt campaign is touched now: surviving a restart should not
+		// count as idleness against the TTL.
+		c.lastTouched = now
 		c.mu.Lock()
 		for _, ob := range f.observes {
 			before := c.replans
