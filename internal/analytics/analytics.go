@@ -32,6 +32,7 @@
 package analytics
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -150,23 +151,30 @@ func (a *Aggregator) CampaignObserved(kind string, adaptive bool, arrivals float
 	a.recent[a.next] = arrivals
 	a.next = (a.next + 1) % a.window
 	a.count++
-	a.arrivals += arrivals
+	a.arrivals = saturatingAdd(a.arrivals, arrivals)
 	a.completions += int64(completed)
 	if interval >= 0 && interval < maxProfileIntervals {
 		for len(a.profileSum) <= interval {
 			a.profileSum = append(a.profileSum, 0)
 			a.profileObs = append(a.profileObs, 0)
 		}
-		a.profileSum[interval] += arrivals
+		a.profileSum[interval] = saturatingAdd(a.profileSum[interval], arrivals)
 		a.profileObs[interval]++
 	} else {
 		a.profileClipped++
 	}
 	c := a.cohort(kind, adaptive)
 	c.observes++
-	c.arrivals += arrivals
+	c.arrivals = saturatingAdd(c.arrivals, arrivals)
 	c.completions += int64(completed)
 }
+
+// saturatingAdd is the step of every arrivals sum the aggregator keeps: it
+// saturates at math.MaxFloat64, as sim.EstimateScale caps its ratio. Live
+// observes are bounded per interval, but a log written before that limit
+// can replay counts whose sum overflows, and a +Inf sum would fail every
+// encode of the snapshot.
+func saturatingAdd(sum, x float64) float64 { return min(sum+x, math.MaxFloat64) }
 
 // CampaignQuoted implements campaign.EventSink. It is on the quote hot
 // path: after a cohort's first quote it is two atomic adds against the
@@ -225,7 +233,7 @@ func (a *Aggregator) Snapshot() *Snapshot {
 		start := (a.next - int(n) + a.window) % a.window
 		var sum float64
 		for i := 0; i < int(n); i++ {
-			sum += a.recent[(start+i)%a.window]
+			sum = saturatingAdd(sum, a.recent[(start+i)%a.window])
 		}
 		s.WindowObserves = n
 		s.LambdaHat = sum / float64(n)

@@ -183,7 +183,10 @@ func (c *campaign) observeLocked(arrivals float64, completed []int) error {
 			c.remaining[i] = 0
 		}
 	}
-	c.observedTotal += arrivals
+	// The running total saturates, as sim.EstimateScale caps its ratio: a
+	// log written before the observe limit can replay counts whose sum
+	// overflows, and +Inf would fail every encode of the campaign's state.
+	c.observedTotal = min(c.observedTotal+arrivals, math.MaxFloat64)
 	c.interval++
 	if c.adaptive() {
 		c.observed = append(c.observed, arrivals)

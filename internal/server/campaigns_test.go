@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"math"
 	"net/http"
 	"path/filepath"
@@ -276,12 +275,13 @@ func TestCampaignObserveArrivalLimit(t *testing.T) {
 	}
 }
 
-// TestCampaignReplyEncodeFailure: a log written before the observe limit
-// can hold two observes of math.MaxFloat64, and replay still folds them,
-// so the campaign's running total is +Inf and its finish summary cannot
-// be encoded. The finish must answer 500 with the encoder's error, where
-// it used to answer 200 with an empty body.
-func TestCampaignReplyEncodeFailure(t *testing.T) {
+// TestReplayedArrivalOverflowSaturates: a log written before the observe
+// limit can hold two observes of math.MaxFloat64, and replay still folds
+// them. Every running sum of arrivals saturates at math.MaxFloat64, so the
+// campaign's state, the compaction snapshot, the analytics plane and an
+// offline fold of the log all still encode. A +Inf total used to fail all
+// four: the finish answered 500 after it had removed the campaign.
+func TestReplayedArrivalOverflowSaturates(t *testing.T) {
 	ctx := context.Background()
 	fsys := wal.NewMemFS()
 	srvA, tsA := newTestServer(t, Options{})
@@ -310,13 +310,30 @@ func TestCampaignReplyEncodeFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The offline fold wal stats runs, over the two raw observes.
+	agg := analytics.New(0)
+	if err := campaign.FoldWAL(wal.NewReader(fsys, "wal"), agg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := json.MarshalIndent(agg.Snapshot(), "", "  "); err != nil {
+		t.Errorf("the fold of the log does not encode: %v", err)
+	}
+
 	srvB, tsB := newTestServer(t, Options{})
-	bootWAL(t, srvB, fsys)
-	sum, err := NewClient(tsB.URL).FinishCampaign(ctx, st.ID)
-	var apiErr *APIError
-	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusInternalServerError ||
-		!strings.Contains(apiErr.Message, "unsupported value") {
-		t.Fatalf("finish of a campaign with +Inf arrivals: summary %+v, err %v; want a 500 naming the unsupported value", sum, err)
+	logB := bootWAL(t, srvB, fsys)
+	if err := logB.Compact(); err != nil {
+		t.Errorf("compaction: %v", err)
+	}
+	client := NewClient(tsB.URL)
+	if _, err := client.Analytics(ctx); err != nil {
+		t.Errorf("analytics after the replay: %v", err)
+	}
+	sum, err := client.FinishCampaign(ctx, st.ID)
+	if err != nil {
+		t.Fatalf("finish: %v", err)
+	}
+	if sum.ObservedArrivals != math.MaxFloat64 {
+		t.Fatalf("finish summary reports %g observed arrivals, want math.MaxFloat64", sum.ObservedArrivals)
 	}
 }
 

@@ -180,6 +180,23 @@ func TestNonJSONArtifactIs500(t *testing.T) {
 	}
 }
 
+// TestUnencodableReplyIs500: ok encodes before it writes, so a reply value
+// that cannot be encoded is answered 500 with the encoder's error, not 200
+// with an empty body.
+func TestUnencodableReplyIs500(t *testing.T) {
+	s := New(Options{})
+	t.Cleanup(s.Close)
+	rec := httptest.NewRecorder()
+	s.ok(rec, map[string]float64{"observed_arrivals": math.Inf(1)})
+	var e errorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+		t.Fatalf("status %d, body %q is not an error response: %v", rec.Code, rec.Body, err)
+	}
+	if rec.Code != http.StatusInternalServerError || !strings.Contains(e.Error, "unsupported value") {
+		t.Fatalf("status %d, error %q; want 500 naming the unsupported value", rec.Code, e.Error)
+	}
+}
+
 // TestSaturatedCurveRequestSolves is a deadline request within every
 // service limit whose acceptance curve saturates inside the price range
 // (c/S − B passes 709.8 below max_price). It used to crash the daemon: the

@@ -35,15 +35,3 @@ func SemiStaticArrivals(prices []int, accept choice.AcceptanceFn, trials int, r 
 	}
 	return out, nil
 }
-
-// MeanInt returns the mean of an integer sample, or 0 when empty.
-func MeanInt(xs []int) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0
-	for _, x := range xs {
-		sum += x
-	}
-	return float64(sum) / float64(len(xs))
-}

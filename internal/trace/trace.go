@@ -11,7 +11,6 @@ import (
 	"math"
 
 	"crowdpricing/internal/dist"
-	"crowdpricing/internal/nhpp"
 	"crowdpricing/internal/rate"
 )
 
@@ -135,11 +134,6 @@ func (tr *Trace) Day(d int) []int {
 		panic("trace: day out of range")
 	}
 	return tr.Counts[d*BucketsPerDay : (d+1)*BucketsPerDay]
-}
-
-// Rate fits a piecewise-constant rate over the whole trace.
-func (tr *Trace) Rate() *rate.Piecewise {
-	return nhpp.EstimatePiecewise(tr.Counts, BucketWidth)
 }
 
 // SixHourSeries aggregates the trace into 6-hour completion counts, the

@@ -82,20 +82,6 @@ func TestDiurnalCycle(t *testing.T) {
 	}
 }
 
-func TestTraceRateEstimation(t *testing.T) {
-	tr := Generate(DefaultConfig())
-	fit := tr.Rate()
-	// The fitted rate should integrate to the total count.
-	total := 0
-	for _, c := range tr.Counts {
-		total += c
-	}
-	integral := fit.Integral(0, float64(Days)*24)
-	if math.Abs(integral-float64(total)) > 1 {
-		t.Errorf("integral %v, total %v", integral, total)
-	}
-}
-
 func TestSixHourSeries(t *testing.T) {
 	tr := Generate(DefaultConfig())
 	series := tr.SixHourSeries()

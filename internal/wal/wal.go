@@ -319,16 +319,6 @@ func (l *Log) Metrics() Metrics {
 	return m
 }
 
-// Err returns the sticky failure, if any.
-func (l *Log) Err() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.err
-}
-
-// Dir returns the log directory.
-func (l *Log) Dir() string { return l.dir }
-
 // committer is the single goroutine that owns the segment files: it
 // drains the append buffer on each group-commit window (or earlier on a
 // SyncBytes kick or an explicit Sync), rotates segments, and compacts.
