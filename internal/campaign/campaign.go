@@ -21,8 +21,11 @@
 // crash drops live campaigns. The log stores each campaign's original
 // request plus its mutations, folded into snapshot records on compaction;
 // replay re-solves through the engine — deterministic, so replayed
-// campaigns quote bit-identical prices. Every campaign, live or replayed,
-// is built by one constructor (newCampaign).
+// campaigns quote bit-identical prices. Every campaign, static or
+// adaptive, live or replayed, is built by one builder: newCampaign derives
+// its problems and buildBank interns and solves them. Replay builds each
+// campaign from its create record or its compaction snapshot entry alike,
+// and one rebuild step (restore) then applies an entry's recorded state.
 //
 // Adaptive mode implements the Section 5.2.5 controller from
 // internal/sim/adaptive.go as an online service: the bank of per-factor
