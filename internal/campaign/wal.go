@@ -287,10 +287,10 @@ func (nopSink) CampaignExpired(string, bool)                     {}
 // snapshot entry holding it, through the engine's deterministic re-solve;
 // a snapshot entry's recorded state is restored onto it; and its later
 // observe events are re-applied through the same code path Observe uses
-// online, so replayed campaigns quote bit-identical prices. The records are read in one pass
-// (readWAL), which also streams the recorded history to the manager's
-// attached sink: at boot that is how the analytics plane learns the
-// traffic before the restart, counted once.
+// online, so replayed campaigns quote bit-identical prices. The records
+// are read in one pass (readWAL), which also streams the recorded history
+// to the manager's attached sink: at boot that is how the analytics plane
+// learns the traffic before the restart, counted once.
 //
 // ReplayWAL is all-or-nothing for the campaign table — a malformed
 // record, an unsolvable request, or invalid state aborts with no
