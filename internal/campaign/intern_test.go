@@ -6,6 +6,7 @@ import (
 	"errors"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -341,6 +342,58 @@ func TestUnsupportedKindRefusedBeforeSolve(t *testing.T) {
 	}
 	if em := eng.Metrics(); em.Solves != 0 || em.CacheEntries != 0 {
 		t.Errorf("refused budget create ran %d solves and left %d cache entries, want 0 and 0", em.Solves, em.CacheEntries)
+	}
+}
+
+// countingDeadline is a deadline spec that counts its Fingerprint calls.
+type countingDeadline struct {
+	*kinds.DeadlineRequest
+	calls *atomic.Int64
+}
+
+func (s *countingDeadline) Fingerprint() (string, error) {
+	s.calls.Add(1)
+	return s.DeadlineRequest.Fingerprint()
+}
+
+// TestStaticCreateFingerprintsOnce: a static create fingerprints its
+// request once, when it acquires the intern handle, and names the campaign
+// by that handle's key. An intern-hit create (the table is resident, so
+// the engine is not asked) used to fingerprint twice, once for the
+// campaign's name and again in the acquire.
+func TestStaticCreateFingerprintsOnce(t *testing.T) {
+	var calls atomic.Int64
+	reg := engine.NewRegistry()
+	reg.Register(engine.KindDef{Kind: kinds.KindDeadline, New: func() engine.Spec {
+		return &countingDeadline{DeadlineRequest: new(kinds.DeadlineRequest), calls: &calls}
+	}})
+	eng := engine.New(engine.Options{Workers: 2})
+	t.Cleanup(eng.Close)
+	m := NewManager(eng, reg, Options{})
+	t.Cleanup(m.Close)
+
+	req := sampleRequest(t, kinds.KindDeadline, 5, "small")
+	var plain kinds.DeadlineRequest
+	if err := json.Unmarshal(req, &plain); err != nil {
+		t.Fatal(err)
+	}
+	want, err := plain.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Create(context.Background(), kinds.KindDeadline, req, nil); err != nil {
+		t.Fatal(err)
+	}
+	calls.Store(0)
+	st, err := m.Create(context.Background(), kinds.KindDeadline, req, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Errorf("an intern-hit static create fingerprinted its request %d times, want 1", n)
+	}
+	if st.Fingerprint != want {
+		t.Errorf("campaign fingerprint %q, want the request's %q", st.Fingerprint, want)
 	}
 }
 

@@ -304,15 +304,21 @@ func (m *Manager) newCampaign(ctx context.Context, kind string, request json.Raw
 		// the sim controller does before its first window closes.
 		c.activeIdx = sim.NearestFactor(norm.Factors, 1)
 	}
-	// The request's own fingerprint names the campaign. An adaptive
-	// campaign quotes only from its bank, so its base problem is not solved
-	// on its own (a grid holding 1.0 solves it in that slot).
-	if c.fingerprint, err = spec.Fingerprint(); err != nil {
-		return nil, false, &engine.InvalidSpecError{Err: err}
+	// The request's own fingerprint names the campaign. A static
+	// campaign's is its one handle's key. An adaptive campaign quotes only
+	// from its bank, so its base problem is fingerprinted here and not
+	// solved on its own (a grid holding 1.0 solves it in that slot).
+	if adaptive != nil {
+		if c.fingerprint, err = spec.Fingerprint(); err != nil {
+			return nil, false, &engine.InvalidSpecError{Err: err}
+		}
 	}
 	warm, err := m.buildBank(ctx, c, specs, adaptive != nil)
 	if err != nil {
 		return nil, false, err
+	}
+	if adaptive == nil {
+		c.fingerprint = c.bank[0].key
 	}
 	tab := c.bank[0].load()
 	c.remaining = append([]int(nil), tab.counts...)
@@ -326,7 +332,8 @@ func (m *Manager) newCampaign(ctx context.Context, kind string, request json.Raw
 // first (a fingerprint and a map entry each), so a spec that cannot be
 // fingerprinted is refused before any solve; then it solves and decodes
 // them all at once through the engine, whose worker pool, queue and
-// singleflight table are the admission control. background routes the
+// singleflight table are the admission control (a one-spec bank, every
+// static campaign's, on the calling goroutine). background routes the
 // solves through the engine's background lane, which keeps an adaptive
 // grid from monopolizing workers against interactive solves. An adaptive
 // bank's errors name the factor they belong to. warm reports that every
@@ -349,15 +356,20 @@ func (m *Manager) buildBank(ctx context.Context, c *campaign, specs []engine.Spe
 	}
 	errs := make([]error, len(bank))
 	hits := make([]bool, len(bank))
-	var wg sync.WaitGroup
-	for i := range bank {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			hits[i], errs[i] = bank[i].ensure(ctx, specs[i], background)
-		}(i)
+	ensure := func(i int) { hits[i], errs[i] = bank[i].ensure(ctx, specs[i], background) }
+	if len(bank) == 1 {
+		ensure(0)
+	} else {
+		var wg sync.WaitGroup
+		for i := range bank {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ensure(i)
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
 			m.intern.releaseAll(bank)

@@ -121,86 +121,129 @@ func (pol *DeadlinePolicy) PriceAt(n, t int) int {
 	return pol.Price[t][n]
 }
 
-// typeTable caches, for one interval and every candidate price c, the
+// typeTable holds, for one interval and every candidate price c, the
 // truncated Poisson PMF of the completion count and its running CDF:
 // pmf[c-min] is the PMF of Pois(λ_t·p(c)) up to the truncation point, and
-// cum is its cumulative sum. The deadline solvers build one per interval,
-// the multi-type solvers one per task type and interval.
+// cum is its cumulative sum. A solve makes one per task type, evaluating
+// the acceptance curve once per price, and fill rewrites every row for
+// each interval into backing arrays the table keeps, so an interval
+// allocates nothing once they are large enough.
 type typeTable struct {
-	pmf [][]float64
-	cum [][]float64
-	min int
+	pmf, cum [][]float64
+	min      int
+	// accept[ci] is p(min+ci).
+	accept []float64
+	// limit is the untruncated row length, N+1 for a type of N tasks.
+	limit int
+	eps   float64
+	// pmfBuf and cumBuf back the rows: each row is written into limit free
+	// cells and keeps only the ones it uses.
+	pmfBuf, cumBuf []float64
 }
 
-func buildTypeTable(lambda float64, accept choice.AcceptanceFn, minPrice, maxPrice, nMax int, eps float64) typeTable {
+func newTypeTable(accept choice.AcceptanceFn, minPrice, maxPrice, nMax int, eps float64) *typeTable {
 	n := maxPrice - minPrice + 1
-	tab := typeTable{pmf: make([][]float64, n), cum: make([][]float64, n), min: minPrice}
-	for ci := 0; ci < n; ci++ {
-		mean := lambda * accept.Accept(minPrice+ci)
-		limit := nMax + 1
-		if eps > 0 {
-			if s0 := poissonTruncation(mean, eps); s0 < limit {
-				limit = s0
-			}
-		}
-		tab.pmf[ci], tab.cum[ci] = poissonTable(mean, limit)
+	tab := &typeTable{
+		pmf:    make([][]float64, n),
+		cum:    make([][]float64, n),
+		min:    minPrice,
+		accept: make([]float64, n),
+		limit:  nMax + 1,
+		eps:    eps,
+	}
+	for ci := range tab.accept {
+		tab.accept[ci] = accept.Accept(minPrice + ci)
 	}
 	return tab
 }
 
-func (p *DeadlineProblem) buildTable(t int) typeTable {
-	return buildTypeTable(p.Lambdas[t], p.Accept, p.MinPrice, p.MaxPrice, p.N, p.TruncEps)
+func (p *DeadlineProblem) newTable() *typeTable {
+	return newTypeTable(p.Accept, p.MinPrice, p.MaxPrice, p.N, p.TruncEps)
 }
 
-// poissonTable returns the PMF and running CDF of Pois(mean) for counts
-// 0..limit-1, computed multiplicatively from the mode so large means do not
-// underflow (exp(-mean) is 0 beyond mean ≈ 745).
-func poissonTable(mean float64, limit int) (pmf, cum []float64) {
-	pmf = make([]float64, limit)
-	cum = make([]float64, limit)
-	if limit == 0 {
-		return pmf, cum
+// fill builds every price's row for an interval with lambda expected
+// arrivals.
+func (tab *typeTable) fill(lambda float64) {
+	off := 0
+	for ci, accept := range tab.accept {
+		if off+tab.limit > len(tab.pmfBuf) {
+			// The rows written so far keep the old arrays until the next
+			// fill; from then on every row lands in the new ones.
+			size := 2 * (off + tab.limit)
+			tab.pmfBuf, tab.cumBuf = make([]float64, size), make([]float64, size)
+			off = 0
+		}
+		pmf := tab.pmfBuf[off : off+tab.limit : off+tab.limit]
+		cum := tab.cumBuf[off : off+tab.limit : off+tab.limit]
+		n := poissonRow(pmf, cum, lambda*accept, tab.eps)
+		tab.pmf[ci], tab.cum[ci] = pmf[:n], cum[:n]
+		off += n
 	}
+}
+
+// poissonRow writes the PMF of Pois(mean) and its running CDF for counts
+// 0..n-1 into pmf and cum and returns n. n is len(pmf), at least 1, unless
+// eps > 0 lowers it to the s0 of Section 3.2: the smallest s0 >= 1 with
+// P(X >= s0) <= eps, found exactly as dist.Poisson's TruncationPoint finds
+// it. The terms are computed multiplicatively from the mode, so large means
+// do not underflow (exp(-mean) is 0 beyond mean ≈ 745), and one walk down
+// and one walk up serve the table, the CDF and the truncation mass, which
+// sums the same terms in TruncationPoint's order. A mode at or past
+// len(pmf) anchors the walk at the last cell instead; the truncation point
+// is then past the mode, so it cannot lower n.
+func poissonRow(pmf, cum []float64, mean, eps float64) int {
+	limit := len(pmf)
 	mode := int(mean)
+	trunc := eps > 0
 	if mode >= limit {
 		mode = limit - 1
+		trunc = false
 	}
-	d := dist.Poisson{Lambda: mean}
-	anchor := d.PMF(mode)
+	anchor := dist.Poisson{Lambda: mean}.PMF(mode)
 	pmf[mode] = anchor
+	// mass is TruncationPoint's running sum: the anchor, then the terms
+	// below it down to the first one under anchor·1e-18, then the terms
+	// above it.
+	mass := anchor
+	summing := trunc
 	term := anchor
 	for s := mode - 1; s >= 0; s-- {
 		term *= float64(s+1) / mean
 		pmf[s] = term
-	}
-	term = anchor
-	for s := mode + 1; s < limit; s++ {
-		term *= mean / float64(s)
-		pmf[s] = term
+		if summing {
+			mass += term
+			if term < anchor*1e-18 {
+				summing = false
+			}
+		}
 	}
 	run := 0.0
-	for s := range pmf {
+	for s := 0; s <= mode; s++ {
 		run += pmf[s]
 		cum[s] = run
 	}
-	return pmf, cum
+	// Walk up to the limit or, truncating, until TruncationPoint's loop
+	// would stop.
+	k := mode
+	term = anchor
+	for k+1 < limit && (!trunc || 1-mass > eps && term > 0) {
+		k++
+		term *= mean / float64(k)
+		pmf[k] = term
+		run += term
+		cum[k] = run
+		mass += term
+	}
+	return k + 1
 }
 
-// poissonTruncation is the s0 of Section 3.2, delegated to the numerically
-// stable tail walk in the dist package.
-func poissonTruncation(mean, eps float64) int {
-	return dist.Poisson{Lambda: mean}.TruncationPoint(eps)
-}
-
-// stateCost evaluates the DP objective for state (n, t) at price index ci
-// using the interval's cached tables:
+// stateCost evaluates the DP objective for state (n, t) at a price using
+// that price's row of the interval's table:
 //
 //	Σ_{s<n} PMF(s)·(s·c + Opt[t+1][n−s]) + P(X ≥ n)·n·c + P(X ≥ n)·Opt[t+1][0]
 //
 // with Opt[t+1][0] = 0 by construction.
-func stateCost(tab typeTable, next []float64, n, ci, price int) float64 {
-	pmf := tab.pmf[ci]
-	cum := tab.cum[ci]
+func stateCost(pmf, cum, next []float64, n, price int) float64 {
 	m := n
 	if m > len(pmf) {
 		m = len(pmf)
@@ -223,24 +266,15 @@ func stateCost(tab typeTable, next []float64, n, ci, price int) float64 {
 	return cost
 }
 
-// terminalCosts returns Opt[Intervals][·], the final-state penalties of
-// Section 3.3 (linear plus the optional Alpha surcharge).
-func (p *DeadlineProblem) terminalCosts() []float64 {
-	out := make([]float64, p.N+1)
-	for n := 1; n <= p.N; n++ {
-		out[n] = (float64(n) + p.Alpha) * p.Penalty
-	}
-	return out
-}
-
 // bestPrice scans prices [priceLo, priceHi] for state n and returns the
 // minimizing cost and price. Both solvers evaluate every state through
 // this one function, so they differ only in which prices they scan.
-func (p *DeadlineProblem) bestPrice(tab typeTable, next []float64, n, priceLo, priceHi int) (float64, int) {
+func (p *DeadlineProblem) bestPrice(tab *typeTable, next []float64, n, priceLo, priceHi int) (float64, int) {
 	bestCost := math.Inf(1)
 	best := priceLo
 	for c := priceLo; c <= priceHi; c++ {
-		cost := stateCost(tab, next, n, c-p.MinPrice, c)
+		ci := c - p.MinPrice
+		cost := stateCost(tab.pmf[ci], tab.cum[ci], next, n, c)
 		if cost < bestCost {
 			bestCost = cost
 			best = c
@@ -257,8 +291,9 @@ func (p *DeadlineProblem) SolveSimple() (*DeadlinePolicy, error) {
 		return nil, err
 	}
 	pol := p.newPolicy()
+	tab := p.newTable()
 	for t := p.Intervals - 1; t >= 0; t-- {
-		tab := p.buildTable(t)
+		tab.fill(p.Lambdas[t])
 		next := pol.Opt[t+1]
 		for n := 1; n <= p.N; n++ {
 			pol.Opt[t][n], pol.Price[t][n] = p.bestPrice(tab, next, n, p.MinPrice, p.MaxPrice)
@@ -279,8 +314,9 @@ func (p *DeadlineProblem) SolveEfficient() (*DeadlinePolicy, error) {
 		return nil, err
 	}
 	pol := p.newPolicy()
+	tab := p.newTable()
 	for t := p.Intervals - 1; t >= 0; t-- {
-		tab := p.buildTable(t)
+		tab.fill(p.Lambdas[t])
 		next := pol.Opt[t+1]
 		var solveRange func(lo, hi, priceLo, priceHi int)
 		solveRange = func(lo, hi, priceLo, priceHi int) {
@@ -300,18 +336,32 @@ func (p *DeadlineProblem) SolveEfficient() (*DeadlinePolicy, error) {
 	return pol, nil
 }
 
+// newPolicy allocates a policy whose Price rows are carved from one array
+// (every cell MinPrice) and whose Opt rows from another, with row
+// Intervals holding the terminal penalties of Section 3.3 (linear plus the
+// optional Alpha surcharge).
 func (p *DeadlineProblem) newPolicy() *DeadlinePolicy {
-	pol := &DeadlinePolicy{Problem: p}
-	pol.Price = make([][]int, p.Intervals)
-	pol.Opt = make([][]float64, p.Intervals+1)
-	for t := 0; t < p.Intervals; t++ {
-		pol.Price[t] = make([]int, p.N+1)
-		for n := range pol.Price[t] {
-			pol.Price[t][n] = p.MinPrice
-		}
-		pol.Opt[t] = make([]float64, p.N+1)
+	w := p.N + 1
+	prices := make([]int, p.Intervals*w)
+	for i := range prices {
+		prices[i] = p.MinPrice
 	}
-	pol.Opt[p.Intervals] = p.terminalCosts()
+	costs := make([]float64, (p.Intervals+1)*w)
+	pol := &DeadlinePolicy{
+		Problem: p,
+		Price:   make([][]int, p.Intervals),
+		Opt:     make([][]float64, p.Intervals+1),
+	}
+	for t := range pol.Price {
+		pol.Price[t] = prices[t*w : (t+1)*w : (t+1)*w]
+	}
+	for t := range pol.Opt {
+		pol.Opt[t] = costs[t*w : (t+1)*w : (t+1)*w]
+	}
+	terminal := pol.Opt[p.Intervals]
+	for n := 1; n <= p.N; n++ {
+		terminal[n] = (float64(n) + p.Alpha) * p.Penalty
+	}
 	return pol
 }
 
@@ -341,8 +391,9 @@ func (pol *DeadlinePolicy) Evaluate() Outcome {
 	next := make([]float64, p.N+1)
 	cur[p.N] = 1
 	expectedCost := 0.0
+	tab := p.newTable()
 	for t := 0; t < p.Intervals; t++ {
-		tab := p.buildTable(t)
+		tab.fill(p.Lambdas[t])
 		for i := range next {
 			next[i] = 0
 		}

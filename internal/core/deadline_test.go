@@ -152,11 +152,12 @@ func TestBellmanConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tab := p.newTable()
 	for tt := 0; tt < p.Intervals; tt++ {
-		tab := p.buildTable(tt)
+		tab.fill(p.Lambdas[tt])
 		for n := 1; n <= p.N; n++ {
 			c := pol.Price[tt][n]
-			got := stateCost(tab, pol.Opt[tt+1], n, c-p.MinPrice, c)
+			got := stateCost(tab.pmf[c-p.MinPrice], tab.cum[c-p.MinPrice], pol.Opt[tt+1], n, c)
 			if math.Abs(got-pol.Opt[tt][n]) > 1e-9*(1+got) {
 				t.Fatalf("Bellman mismatch at (%d,%d): %v vs %v", n, tt, got, pol.Opt[tt][n])
 			}

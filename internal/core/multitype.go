@@ -112,9 +112,11 @@ func (p *MultiTypeProblem) Solve() (*MultiTypePolicy, error) {
 	// function is not additively separable in general), so every price pair
 	// is evaluated against the true joint continuation with truncated
 	// Poisson kernels. O(N1·N2·C²) per interval — fine at extension scale.
+	tab1 := newTypeTable(p.Accept1, p.MinPrice, p.MaxPrice, p.N1, p.TruncEps)
+	tab2 := newTypeTable(p.Accept2, p.MinPrice, p.MaxPrice, p.N2, p.TruncEps)
 	for t := p.Intervals - 1; t >= 0; t-- {
-		tab1 := buildTypeTable(p.Lambdas[t], p.Accept1, p.MinPrice, p.MaxPrice, p.N1, p.TruncEps)
-		tab2 := buildTypeTable(p.Lambdas[t], p.Accept2, p.MinPrice, p.MaxPrice, p.N2, p.TruncEps)
+		tab1.fill(p.Lambdas[t])
+		tab2.fill(p.Lambdas[t])
 		next := pol.Opt[t+1]
 		cur := make([]float64, states)
 		pr1 := make([]int, states)
@@ -167,9 +169,11 @@ func (pol *MultiTypePolicy) Evaluate() (expectedCost, expectedRemaining float64)
 	cur := make([]float64, states)
 	next := make([]float64, states)
 	cur[p.idx(p.N1, p.N2)] = 1
+	tab1 := newTypeTable(p.Accept1, p.MinPrice, p.MaxPrice, p.N1, p.TruncEps)
+	tab2 := newTypeTable(p.Accept2, p.MinPrice, p.MaxPrice, p.N2, p.TruncEps)
 	for t := 0; t < p.Intervals; t++ {
-		tab1 := buildTypeTable(p.Lambdas[t], p.Accept1, p.MinPrice, p.MaxPrice, p.N1, p.TruncEps)
-		tab2 := buildTypeTable(p.Lambdas[t], p.Accept2, p.MinPrice, p.MaxPrice, p.N2, p.TruncEps)
+		tab1.fill(p.Lambdas[t])
+		tab2.fill(p.Lambdas[t])
 		for i := range next {
 			next[i] = 0
 		}
@@ -241,7 +245,7 @@ func completionOutcomes(pmf, cum []float64, n int) (counts []int, probs []float6
 // jointCost evaluates the expected stage cost plus continuation for pricing
 // the two types at (c1, c2) from state (n1, n2), marginalizing the two
 // independent truncated Poisson completion counts.
-func jointCost(p *MultiTypeProblem, tab1, tab2 typeTable, next []float64, n1, n2, c1, c2 int) float64 {
+func jointCost(p *MultiTypeProblem, tab1, tab2 *typeTable, next []float64, n1, n2, c1, c2 int) float64 {
 	s1s, p1s := completionOutcomes(tab1.pmf[c1-tab1.min], tab1.cum[c1-tab1.min], n1)
 	s2s, p2s := completionOutcomes(tab2.pmf[c2-tab2.min], tab2.cum[c2-tab2.min], n2)
 	cost := 0.0

@@ -182,11 +182,14 @@ func (p *MultiProblem) Solve() (*MultiPolicy, error) {
 	}
 	enumerate(0)
 
+	// Per-type kernels, refilled for each interval.
+	tabs := make([]*typeTable, k)
+	for i := range tabs {
+		tabs[i] = newTypeTable(p.Accepts[i], p.MinPrice, p.MaxPrice, p.Counts[i], p.TruncEps)
+	}
 	for t := p.Intervals - 1; t >= 0; t-- {
-		// Per-type kernels for this interval.
-		tabs := make([]typeTable, k)
-		for i := 0; i < k; i++ {
-			tabs[i] = buildTypeTable(p.Lambdas[t], p.Accepts[i], p.MinPrice, p.MaxPrice, p.Counts[i], p.TruncEps)
+		for _, tab := range tabs {
+			tab.fill(p.Lambdas[t])
 		}
 		next := pol.Opt[t+1]
 		cur := make([]float64, states)
@@ -237,7 +240,7 @@ func redundantVector(counts, prices []int, minPrice int) bool {
 }
 
 // vectorCost marginalizes the k independent completion counts recursively.
-func (p *MultiProblem) vectorCost(tabs []typeTable, next []float64, pol *MultiPolicy, counts, prices []int) float64 {
+func (p *MultiProblem) vectorCost(tabs []*typeTable, next []float64, pol *MultiPolicy, counts, prices []int) float64 {
 	k := len(counts)
 	// Pre-list outcomes per type.
 	outCounts := make([][]int, k)

@@ -10,6 +10,7 @@ import (
 	"hash"
 	"io"
 	"math"
+	"strconv"
 
 	"crowdpricing/internal/choice"
 )
@@ -20,6 +21,13 @@ import (
 // parametric Logistic acceptance curve serializes; policies built over
 // custom AcceptanceFn implementations must be re-solved on load.
 type policyJSON struct {
+	policyHead
+	Price [][]int `json:"price"`
+	Value float64 `json:"value"`
+}
+
+// policyHead is the wire form's fields ahead of the price table.
+type policyHead struct {
 	N         int        `json:"n"`
 	Horizon   float64    `json:"horizon_hours"`
 	Intervals int        `json:"intervals"`
@@ -30,8 +38,6 @@ type policyJSON struct {
 	Penalty   float64    `json:"penalty"`
 	Alpha     float64    `json:"alpha"`
 	TruncEps  float64    `json:"trunc_eps"`
-	Price     [][]int    `json:"price"`
-	Value     float64    `json:"value"`
 }
 
 type acceptJSON struct {
@@ -40,32 +46,123 @@ type acceptJSON struct {
 	M float64 `json:"m"`
 }
 
+// head returns the policy's wire head. It fails if the policy has no
+// problem or its acceptance curve is not a choice.Logistic.
+func (pol *DeadlinePolicy) head() (policyHead, error) {
+	p := pol.Problem
+	if p == nil {
+		return policyHead{}, errors.New("core: policy has no problem")
+	}
+	l, ok := p.Accept.(choice.Logistic)
+	if !ok {
+		return policyHead{}, fmt.Errorf("core: acceptance curve %T is not serializable", p.Accept)
+	}
+	return policyHead{
+		N:         p.N,
+		Horizon:   p.Horizon,
+		Intervals: p.Intervals,
+		Lambdas:   p.Lambdas,
+		Accept:    acceptJSON{S: l.S, B: l.B, M: l.M},
+		MinPrice:  p.MinPrice,
+		MaxPrice:  p.MaxPrice,
+		Penalty:   p.Penalty,
+		Alpha:     p.Alpha,
+		TruncEps:  p.TruncEps,
+	}, nil
+}
+
 // MarshalJSON serializes the policy's problem parameters, price table and
 // value, so a solved plan can be stored and reloaded without re-running
 // the DP. Opt is not written. It fails if the acceptance curve is not a
-// choice.Logistic.
+// choice.Logistic, or, as encoding/json does, on a NaN or infinite float.
+//
+// The bytes are json.Marshal(policyJSON)'s: encoding/json writes the head
+// fields and the value, and the price rows, nearly all of the artifact, are
+// appended as integers directly instead of through reflection. The result
+// is one slice of exactly the artifact's length, since a cache that keeps
+// the slice keeps its capacity too.
 func (pol *DeadlinePolicy) MarshalJSON() ([]byte, error) {
-	if pol.Problem == nil {
-		return nil, errors.New("core: policy has no problem")
+	h, err := pol.head()
+	if err != nil {
+		return nil, err
 	}
-	l, ok := pol.Problem.Accept.(choice.Logistic)
-	if !ok {
-		return nil, fmt.Errorf("core: acceptance curve %T is not serializable", pol.Problem.Accept)
+	head, err := json.Marshal(h)
+	if err != nil {
+		return nil, err
 	}
-	return json.Marshal(policyJSON{
-		N:         pol.Problem.N,
-		Horizon:   pol.Problem.Horizon,
-		Intervals: pol.Problem.Intervals,
-		Lambdas:   pol.Problem.Lambdas,
-		Accept:    acceptJSON{S: l.S, B: l.B, M: l.M},
-		MinPrice:  pol.Problem.MinPrice,
-		MaxPrice:  pol.Problem.MaxPrice,
-		Penalty:   pol.Problem.Penalty,
-		Alpha:     pol.Problem.Alpha,
-		TruncEps:  pol.Problem.TruncEps,
-		Price:     pol.Price,
-		Value:     pol.Value,
-	})
+	value, err := json.Marshal(pol.Value)
+	if err != nil {
+		return nil, err
+	}
+	const priceKey, valueKey = `,"price":`, `,"value":`
+	head = head[:len(head)-1] // reopen the object: drop its closing brace
+	out := make([]byte, 0, len(head)+len(priceKey)+pricesLen(pol.Price)+len(valueKey)+len(value)+1)
+	out = append(out, head...)
+	out = append(out, priceKey...)
+	out = appendPrices(out, pol.Price)
+	out = append(out, valueKey...)
+	out = append(out, value...)
+	return append(out, '}'), nil
+}
+
+// appendPrices appends rows as encoding/json writes a [][]int.
+func appendPrices(b []byte, rows [][]int) []byte {
+	if rows == nil {
+		return append(b, "null"...)
+	}
+	b = append(b, '[')
+	for t, row := range rows {
+		if t > 0 {
+			b = append(b, ',')
+		}
+		if row == nil {
+			b = append(b, "null"...)
+			continue
+		}
+		b = append(b, '[')
+		for n, c := range row {
+			if n > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, int64(c), 10)
+		}
+		b = append(b, ']')
+	}
+	return append(b, ']')
+}
+
+// pricesLen is the length of appendPrices' output.
+func pricesLen(rows [][]int) int {
+	if rows == nil {
+		return len("null")
+	}
+	size := 2 + max(len(rows)-1, 0)
+	for _, row := range rows {
+		if row == nil {
+			size += len("null")
+			continue
+		}
+		size += 2 + max(len(row)-1, 0)
+		for _, c := range row {
+			size += intLen(c)
+		}
+	}
+	return size
+}
+
+// intLen is the length of v in decimal, sign included. Counting digits
+// takes a third of the time strconv.AppendInt takes to write them.
+func intLen(v int) int {
+	n := 1
+	u := uint64(v)
+	if v < 0 {
+		n++
+		u = -u
+	}
+	for ; u >= 10; u /= 10 {
+		n++
+	}
+	return n
 }
 
 // UnmarshalJSON restores a policy serialized by MarshalJSON, validating the

@@ -2,12 +2,15 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"math"
 	"os"
 	"reflect"
 	"slices"
 	"testing"
+
+	"crowdpricing/internal/choice"
 )
 
 func TestPolicyJSONRoundTrip(t *testing.T) {
@@ -188,6 +191,70 @@ func FuzzDeadlinePolicyJSON(f *testing.F) {
 		}
 		if !bytes.Equal(again, out) {
 			t.Fatalf("marshal is not stable:\n first %s\nsecond %s", out, again)
+		}
+	})
+}
+
+// encodePolicyJSON is MarshalJSON's oracle: the policy's wire struct
+// through encoding/json.
+func encodePolicyJSON(pol *DeadlinePolicy) ([]byte, error) {
+	h, err := pol.head()
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(policyJSON{policyHead: h, Price: pol.Price, Value: pol.Value})
+}
+
+// FuzzMarshalJSON compares MarshalJSON with encoding/json on arbitrary
+// price rows (nil rows, nil tables and any int included) and arbitrary
+// floats. Both must write the same bytes, MarshalJSON in a slice of exactly
+// their length, or fail with the same error, as they must on NaN and ±Inf.
+func FuzzMarshalJSON(f *testing.F) {
+	f.Add(uint8(3), uint8(4), []byte{1, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, uint8(0), 123.5, 1733.0, 15.0, 1e-6)
+	f.Add(uint8(0), uint8(0), []byte(nil), uint8(1), 0.0, 0.0, 0.0, 0.0)
+	f.Add(uint8(2), uint8(1), []byte{0, 0, 0, 0, 0, 0, 0, 0x80}, uint8(2), math.NaN(), 1.0, 2.0, 3.0)
+	f.Add(uint8(1), uint8(2), []byte{7}, uint8(0), 1.0, math.Inf(1), 2.0, 3.0)
+	f.Fuzz(func(t *testing.T, rows, cols uint8, cells []byte, nils uint8, value, lambda, s, eps float64) {
+		var price [][]int
+		if nils&1 == 0 {
+			price = make([][]int, rows%8)
+		}
+		i := 0
+		for r := range price {
+			if nils&2 != 0 && r%2 == 1 {
+				continue // a nil row
+			}
+			price[r] = make([]int, cols%16)
+			for n := range price[r] {
+				var b [8]byte
+				for k := range b {
+					if len(cells) > 0 {
+						b[k] = cells[i%len(cells)]
+						i++
+					}
+				}
+				price[r][n] = int(int64(binary.LittleEndian.Uint64(b[:])))
+			}
+		}
+		pol := &DeadlinePolicy{
+			Problem: &DeadlineProblem{
+				N: int(cols), Horizon: lambda / 3, Intervals: int(rows),
+				Lambdas: []float64{lambda, eps}, Accept: choice.Logistic{S: s, B: -0.39, M: 2000},
+				MinPrice: int(nils), MaxPrice: 50, Penalty: value / 2, Alpha: s, TruncEps: eps,
+			},
+			Price: price,
+			Value: value,
+		}
+		got, gotErr := pol.MarshalJSON()
+		want, wantErr := encodePolicyJSON(pol)
+		if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+			t.Fatalf("MarshalJSON error %v, encoding/json error %v", gotErr, wantErr)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("MarshalJSON differs from encoding/json:\n got %s\nwant %s", got, want)
+		}
+		if cap(got) != len(got) {
+			t.Fatalf("artifact of %d bytes has capacity %d", len(got), cap(got))
 		}
 	})
 }

@@ -174,9 +174,10 @@ func (r *DeadlineRequest) Fingerprint() (string, error) {
 }
 
 // Solve implements engine.Spec, running Algorithm 2 (ImprovedDP). The
-// artifact is the policy's own MarshalJSON output, called directly:
-// json.Marshal(pol) would produce the same bytes but re-validate and copy
-// all of them (~45 KB at paper scale) after the method returned.
+// artifact is the policy's MarshalJSON output: encoding/json writes the
+// problem fields and the value, the price rows are appended as integers,
+// and the bytes (~45 KB at paper scale) come back in one slice of exactly
+// their length, which the engine caches as is.
 func (r *DeadlineRequest) Solve(ctx context.Context) ([]byte, error) {
 	pol, err := r.problem().SolveEfficient()
 	if err != nil {
