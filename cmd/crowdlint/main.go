@@ -1,16 +1,13 @@
 // Command crowdlint runs the repository's custom static-analysis suite:
-// four analyzers that enforce invariants the generic toolchain cannot see.
+// three analyzers that enforce invariants the generic toolchain cannot see.
 //
 //	determinism  no wall-clock reads, global rand draws, or unsorted map
 //	             iteration in the deterministic packages (core, dist, nhpp,
-//	             rate, sim, kinds, bench, exp) or on fingerprint/snapshot
-//	             paths elsewhere
+//	             rate, sim, kinds, bench, exp, wal) or on
+//	             fingerprint/snapshot paths elsewhere
 //	locksafe     no blocking operations (Solve, net/http, channel ops,
 //	             WaitGroup.Wait) while a campaign/engine mutex is held;
 //	             every Lock pairs with an Unlock on all return paths
-//	metriclint   Prometheus naming at metric definition sites: snake_case
-//	             crowdpricing_* names, counters ending in _total, closed
-//	             label set
 //	directive    every //crowdlint:allow directive is well-formed, names a
 //	             real analyzer, and carries a reason after --
 //
@@ -21,60 +18,30 @@
 //
 // Usage:
 //
-//	crowdlint [flags] [packages]
+//	crowdlint [-list] [packages]
 //
-// With package patterns (default ./...) crowdlint loads and checks them
-// standalone. It also speaks the `go vet -vettool` protocol, which is how
-// CI runs it so results are build-cached per package:
-//
-//	go vet -vettool=$(which crowdlint) ./...
+// crowdlint loads the packages (default ./...) with their tests from
+// source, relative to the working directory, and checks every one.
 //
 // Exit status: 0 clean, 1 operational error, 2 findings.
 package main
 
 import (
-	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
-	"crowdpricing/internal/analysis"
-	"crowdpricing/internal/analysis/load"
 	"crowdpricing/internal/analysis/suite"
-	"crowdpricing/internal/analysis/unitchecker"
 )
 
 func main() {
-	args := os.Args[1:]
-	// The `go vet -vettool` handshake probes the tool before any package
-	// work: -V=full must print a build ID for the vet cache key, -flags the
-	// tool's analyzer flags (crowdlint exposes none).
-	if len(args) == 1 {
-		switch {
-		case args[0] == "-V=full":
-			printVersion()
-			return
-		case args[0] == "-flags":
-			fmt.Println("[]")
-			return
-		case strings.HasSuffix(args[0], ".cfg"):
-			os.Exit(unitchecker.Run(args[0], suite.Analyzers))
-		}
+	listOnly := flag.Bool("list", false, "list the analyzers in the suite and exit")
+	flag.Usage = func() {
+		fmt.Fprintf(flag.CommandLine.Output(), "crowdlint: repository-specific static analysis (determinism, locksafe, directive)\n\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: crowdlint [flags] [packages]\n\n")
+		flag.PrintDefaults()
 	}
-
-	fs := flag.NewFlagSet("crowdlint", flag.ExitOnError)
-	listOnly := fs.Bool("list", false, "list the analyzers in the suite and exit")
-	tests := fs.Bool("tests", true, "also load and check _test.go files")
-	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "crowdlint: repository-specific static analysis (determinism, locksafe, metriclint, directive)\n\n")
-		fmt.Fprintf(fs.Output(), "usage: crowdlint [flags] [packages]\n")
-		fmt.Fprintf(fs.Output(), "       go vet -vettool=$(which crowdlint) [packages]\n\n")
-		fs.PrintDefaults()
-	}
-	if err := fs.Parse(args); err != nil {
-		os.Exit(1)
-	}
+	flag.Parse()
 
 	if *listOnly {
 		for _, a := range suite.Analyzers {
@@ -83,41 +50,19 @@ func main() {
 		return
 	}
 
-	patterns := fs.Args()
+	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	pkgs, err := load.Load(".", load.Options{Tests: *tests}, patterns...)
+	diags, err := suite.Check(".", patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "crowdlint:", err)
 		os.Exit(1)
 	}
-	found := false
-	for _, pkg := range pkgs {
-		diags, err := analysis.RunPackage(pkg.Fset, pkg.Syntax, pkg.Types, pkg.Info, suite.Analyzers)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "crowdlint:", err)
-			os.Exit(1)
-		}
-		for _, d := range diags {
-			found = true
-			fmt.Println(d)
-		}
+	for _, d := range diags {
+		fmt.Println(d)
 	}
-	if found {
+	if len(diags) > 0 {
 		os.Exit(2)
 	}
-}
-
-// printVersion emits the `-V=full` line cmd/go hashes into the vet cache
-// key. The content ID is the hash of the executable itself, so rebuilding
-// crowdlint (new analyzers, changed rules) invalidates cached vet results.
-func printVersion() {
-	id := "unknown"
-	if exe, err := os.Executable(); err == nil {
-		if data, err := os.ReadFile(exe); err == nil {
-			id = fmt.Sprintf("%x", sha256.Sum256(data))[:24]
-		}
-	}
-	fmt.Printf("crowdlint version devel buildID=%s/%s\n", id, id)
 }

@@ -5,14 +5,14 @@
 //
 // The repo's correctness story leans on invariants the compiler cannot see
 // — bit-identical policies by seed, stable Fingerprint() cache keys, O(1)
-// quotes that never block under a campaign mutex, Prometheus-conformant
-// metric names. The analyzers under passes/ turn those invariants into
-// compile-time checks; cmd/crowdlint drives them either standalone or as a
-// `go vet -vettool`. The framework is intentionally API-compatible in
-// spirit with x/tools (Analyzer/Pass/Reportf, analysistest golden files,
-// the unitchecker vet protocol) so the suite can migrate onto the real
-// module if the dependency ever lands; it is hand-rolled here because the
-// build is dependency-free by policy.
+// quotes that never block under a campaign mutex. The analyzers under
+// passes/ turn those invariants into compile-time checks; suite.Check runs
+// them over source the load package type-checks, for cmd/crowdlint and for
+// the repository self-check test. The framework is intentionally
+// API-compatible in spirit with x/tools (Analyzer/Pass/Reportf,
+// analysistest golden files) so the suite can migrate onto the real module
+// if the dependency ever lands; it is hand-rolled here because the build
+// is dependency-free by policy.
 //
 // # Suppression directives
 //

@@ -5,10 +5,8 @@
 // no export data, no network, no module downloads (the repository and its
 // analyzer testdata import nothing outside the standard library).
 //
-// cmd/crowdlint's standalone mode, the analysistest golden harness, and
-// the repository self-check test all load through this package; the `go
-// vet -vettool` path instead type-checks from the gc export data the build
-// system hands it (see internal/analysis/unitchecker).
+// suite.Check (which cmd/crowdlint and the repository self-check test
+// call) and the analysistest golden harness all load through this package.
 package load
 
 import (

@@ -5,10 +5,10 @@
 // Two package tiers are checked:
 //
 //   - Strict packages (the solver core, distributions, arrival processes,
-//     the simulator, the kind registry, the bench generator, the figure
-//     pipeline): every non-test function is a deterministic path. Wall-clock
-//     reads, global math/rand draws, and order-sensitive map iteration are
-//     flagged anywhere.
+//     the rate fit, the simulator, the kind registry, the bench generator,
+//     the figure pipeline, the event log): every non-test function is a
+//     deterministic path. Wall-clock reads, global math/rand draws, and
+//     order-sensitive map iteration are flagged anywhere.
 //   - Reachability packages (server, engine, campaign): wall-clock and
 //     global-rand rules still apply everywhere (these daemons cache and
 //     replay deterministic artifacts), but map-iteration is only flagged

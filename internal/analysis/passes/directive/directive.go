@@ -7,11 +7,15 @@
 //
 // Rejected: unknown verbs, unknown analyzer names, missing "--", and
 // empty reasons. A directive that suppresses nothing is a lie in the
-// source; this analyzer is the reason the other three can afford a
+// source; this analyzer is the reason the other two can afford a
 // liberal escape hatch.
 package directive
 
 import (
+	"maps"
+	"slices"
+	"strings"
+
 	"crowdpricing/internal/analysis"
 )
 
@@ -46,22 +50,5 @@ func run(pass *analysis.Pass) error {
 }
 
 func knownList() string {
-	names := make([]string, 0, len(KnownAnalyzers))
-	for name := range KnownAnalyzers {
-		names = append(names, name)
-	}
-	// Deterministic order for the diagnostic text.
-	for i := 1; i < len(names); i++ {
-		for j := i; j > 0 && names[j] < names[j-1]; j-- {
-			names[j], names[j-1] = names[j-1], names[j]
-		}
-	}
-	out := ""
-	for i, n := range names {
-		if i > 0 {
-			out += ", "
-		}
-		out += n
-	}
-	return out
+	return strings.Join(slices.Sorted(maps.Keys(KnownAnalyzers)), ", ")
 }

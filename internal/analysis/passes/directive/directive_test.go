@@ -49,7 +49,7 @@ func TestDirectiveValidation(t *testing.T) {
 }
 
 func TestKnownAnalyzersRegistered(t *testing.T) {
-	for _, name := range []string{"determinism", "locksafe", "metriclint", "directive"} {
+	for _, name := range []string{"determinism", "locksafe", "directive"} {
 		if !directive.KnownAnalyzers[name] {
 			t.Errorf("suite did not register analyzer %q", name)
 		}

@@ -3,33 +3,23 @@ package analysis_test
 import (
 	"testing"
 
-	"crowdpricing/internal/analysis"
-	"crowdpricing/internal/analysis/load"
 	"crowdpricing/internal/analysis/suite"
 )
 
 // TestSuiteCleanOnRepository is the dogfood gate: the crowdlint suite must
 // run clean over this repository itself, test files included. A failure
 // here means either a real invariant violation crept in or an analyzer
-// grew a false positive — both block the merge, by design.
+// grew a false positive — both block the merge, by design. It runs the
+// same function as cmd/crowdlint.
 func TestSuiteCleanOnRepository(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module; skipped in -short mode")
 	}
-	pkgs, err := load.Load("../..", load.Options{Tests: true}, "./...")
+	diags, err := suite.Check("../..", "./...")
 	if err != nil {
-		t.Fatalf("loading repository: %v", err)
+		t.Fatalf("checking repository: %v", err)
 	}
-	if len(pkgs) < 10 {
-		t.Fatalf("loaded only %d packages; expected the whole module", len(pkgs))
-	}
-	for _, pkg := range pkgs {
-		diags, err := analysis.RunPackage(pkg.Fset, pkg.Syntax, pkg.Types, pkg.Info, suite.Analyzers)
-		if err != nil {
-			t.Fatalf("%s: %v", pkg.PkgPath, err)
-		}
-		for _, d := range diags {
-			t.Errorf("%s", d)
-		}
+	for _, d := range diags {
+		t.Errorf("%s", d)
 	}
 }

@@ -8,10 +8,13 @@ import (
 // Coarsen returns a copy of the problem whose decision epochs are hold
 // intervals of the original grid merged together — the marketplace
 // constraint Section 2.3 mentions ("some marketplaces may impose a minimum
-// time only after which the task reward may be changed"). A policy solved on
-// the coarsened problem changes price at most once per hold×(original
-// interval length) and is directly comparable to the fine-grained policy,
-// which is how Figure 8(d)'s granularity sweep is built.
+// time only after which the task reward may be changed"). Each merged λ_t
+// is the sum of the hold original ones, so the expected arrivals over the
+// horizon are unchanged, and a policy solved on the coarsened problem
+// changes price at most once per hold×(original interval length): it is
+// the original problem restricted to prices held over each merged epoch,
+// so its optimal cost is at least the original's, up to the Poisson
+// truncation error.
 //
 // The original interval count must be divisible by hold: merged intervals
 // with ragged tails would bias the λ_t of Equation (4).

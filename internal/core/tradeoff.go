@@ -80,33 +80,10 @@ func (p *TradeoffProblem) SolveFixedRate() (*TradeoffPolicy, error) {
 	}
 	lambdaStep := p.Lambda * stepHours
 	alphaStep := p.Alpha * stepHours
-	pol := &TradeoffPolicy{
-		Price: make([]int, p.N+1),
-		Value: make([]float64, p.N+1),
-	}
-	// The per-task increment is state independent; still record it per n to
-	// keep the policy interface uniform (and allow future n-dependence).
-	bestInc := math.Inf(1)
-	bestPrice := p.MinPrice
-	for c := p.MinPrice; c <= p.MaxPrice; c++ {
+	return p.solveStationary(alphaStep, func(c int) float64 {
 		m := lambdaStep * p.Accept.Accept(c)
-		q := math.Exp(-m) * m
-		if q <= 0 {
-			continue
-		}
-		if inc := float64(c) + alphaStep/q; inc < bestInc {
-			bestInc = inc
-			bestPrice = c
-		}
-	}
-	if math.IsInf(bestInc, 1) {
-		return nil, errors.New("core: no price yields a positive completion rate")
-	}
-	for n := 1; n <= p.N; n++ {
-		pol.Price[n] = bestPrice
-		pol.Value[n] = pol.Value[n-1] + bestInc
-	}
-	return pol, nil
+		return math.Exp(-m) * m
+	})
 }
 
 // SolveWorkerArrival solves the worker-arrival formulation of Section 6:
@@ -119,25 +96,33 @@ func (p *TradeoffProblem) SolveWorkerArrival() (*TradeoffPolicy, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	perArrival := p.Alpha / p.Lambda
-	pol := &TradeoffPolicy{
-		Price: make([]int, p.N+1),
-		Value: make([]float64, p.N+1),
-	}
+	return p.solveStationary(p.Alpha/p.Lambda, p.Accept.Accept)
+}
+
+// solveStationary is the price scan both formulations telescope to: the
+// increment c + latency/q(c) is the same for every remaining task, so the
+// scan keeps the cheapest one over the prices with q(c) > 0 (the lowest
+// such price on a tie) and every state posts its price. Price[0] and
+// Value[0] stay zero.
+func (p *TradeoffProblem) solveStationary(latency float64, q func(c int) float64) (*TradeoffPolicy, error) {
 	bestInc := math.Inf(1)
 	bestPrice := p.MinPrice
 	for c := p.MinPrice; c <= p.MaxPrice; c++ {
-		q := p.Accept.Accept(c)
-		if q <= 0 {
+		qc := q(c)
+		if qc <= 0 {
 			continue
 		}
-		if inc := float64(c) + perArrival/q; inc < bestInc {
+		if inc := float64(c) + latency/qc; inc < bestInc {
 			bestInc = inc
 			bestPrice = c
 		}
 	}
 	if math.IsInf(bestInc, 1) {
-		return nil, errors.New("core: no price yields positive acceptance")
+		return nil, errors.New("core: no price yields a positive completion probability")
+	}
+	pol := &TradeoffPolicy{
+		Price: make([]int, p.N+1),
+		Value: make([]float64, p.N+1),
 	}
 	for n := 1; n <= p.N; n++ {
 		pol.Price[n] = bestPrice

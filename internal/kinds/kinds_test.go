@@ -123,33 +123,61 @@ func TestFingerprintVariantInKey(t *testing.T) {
 	}
 }
 
-// TestServiceLimits: oversized problems fail Validate and Fingerprint for
-// every kind, so the engine rejects them before any solver work.
+// TestServiceLimits walks every checkLimits branch of the four kinds
+// (the arrival limit has TestArrivalLimit): each oversized request fails
+// Validate and Fingerprint with that branch's service-limit error, so no
+// request reaches a solver or a cache key that would allocate past it.
 func TestServiceLimits(t *testing.T) {
-	dl := sampleDeadline(1, "small").(*DeadlineRequest)
-	dl.N = MaxTasks + 1
-	if err := dl.Validate(); err == nil || !strings.Contains(err.Error(), "service limit") {
-		t.Errorf("oversized deadline N validated: %v", err)
+	deadline := func(edit func(*DeadlineRequest)) engine.Spec {
+		r := sampleDeadline(1, "small").(*DeadlineRequest)
+		edit(r)
+		return r
 	}
-	bu := sampleBudget(1, "small").(*BudgetRequest)
-	bu.Budget = MaxBudget + 1
-	if err := bu.Validate(); err == nil || !strings.Contains(err.Error(), "service limit") {
-		t.Errorf("oversized budget validated: %v", err)
+	budget := func(edit func(*BudgetRequest)) engine.Spec {
+		r := sampleBudget(1, "small").(*BudgetRequest)
+		edit(r)
+		return r
 	}
-	to := sampleTradeoff(1, "small").(*TradeoffRequest)
-	to.MaxPrice = to.MinPrice + MaxPriceRange + 1
-	if err := to.Validate(); err == nil || !strings.Contains(err.Error(), "service limit") {
-		t.Errorf("oversized tradeoff price range validated: %v", err)
+	tradeoff := func(edit func(*TradeoffRequest)) engine.Spec {
+		r := sampleTradeoff(1, "small").(*TradeoffRequest)
+		edit(r)
+		return r
 	}
-	mu := sampleMulti(1, "small").(*MultiRequest)
-	mu.Counts = []int{99, 99, 99}
-	if err := mu.Validate(); err == nil || !strings.Contains(err.Error(), "service limit") {
-		t.Errorf("oversized multi state space validated: %v", err)
+	multi := func(edit func(*MultiRequest)) engine.Spec {
+		r := sampleMulti(1, "small").(*MultiRequest)
+		edit(r)
+		return r
 	}
-	mu2 := sampleMulti(1, "small").(*MultiRequest)
-	mu2.Counts = []int{1, 1, 1, 1, 1}
-	if err := mu2.Validate(); err == nil || !strings.Contains(err.Error(), "service limit") {
-		t.Errorf("too many multi types validated: %v", err)
+	wide := func(lo, hi *int) { *hi = *lo + MaxPriceRange + 1 }
+	for _, c := range []struct {
+		name string
+		spec engine.Spec
+		want string // the branch's error text
+	}{
+		{"deadline n", deadline(func(r *DeadlineRequest) { r.N = MaxTasks + 1 }), "n 10001 exceeds"},
+		{"deadline intervals", deadline(func(r *DeadlineRequest) { r.Intervals = MaxIntervals + 1 }), "intervals 10001 exceeds"},
+		{"deadline n×intervals", deadline(func(r *DeadlineRequest) { r.N, r.Intervals = 1001, 1000 }), "n×intervals 1001000 exceeds"},
+		{"deadline price range", deadline(func(r *DeadlineRequest) { wide(&r.MinPrice, &r.MaxPrice) }), "price range 1001 exceeds"},
+		{"budget n", budget(func(r *BudgetRequest) { r.N = MaxTasks + 1 }), "n 10001 exceeds"},
+		{"budget budget", budget(func(r *BudgetRequest) { r.Budget = MaxBudget + 1 }), "budget 1000001 exceeds"},
+		{"budget price range", budget(func(r *BudgetRequest) { wide(&r.MinPrice, &r.MaxPrice) }), "price range 1001 exceeds"},
+		{"budget exact n", budget(func(r *BudgetRequest) { r.Method, r.N = BudgetMethodExact, MaxExactTasks+1 }), `n 501 exceeds the service limit 500 for method "exact"`},
+		{"budget exact budget", budget(func(r *BudgetRequest) { r.Method, r.Budget = BudgetMethodExact, MaxExactBudget+1 }), `budget 50001 exceeds the service limit 50000 for method "exact"`},
+		{"tradeoff n", tradeoff(func(r *TradeoffRequest) { r.N = MaxTasks + 1 }), "n 10001 exceeds"},
+		{"tradeoff price range", tradeoff(func(r *TradeoffRequest) { wide(&r.MinPrice, &r.MaxPrice) }), "price range 1001 exceeds"},
+		{"multi types", multi(func(r *MultiRequest) { r.Counts = []int{1, 1, 1, 1, 1} }), "5 task types exceeds"},
+		{"multi count", multi(func(r *MultiRequest) { r.Counts = []int{MaxTasks + 1} }), "count 10001 exceeds"},
+		{"multi states", multi(func(r *MultiRequest) { r.Counts = []int{99, 99, 99} }), "joint state space exceeds"},
+		{"multi intervals", multi(func(r *MultiRequest) { r.Intervals = MaxIntervals + 1 }), "intervals 10001 exceeds"},
+		{"multi states×intervals", multi(func(r *MultiRequest) { r.Counts, r.Intervals = []int{99, 99}, 101 }), "states×intervals 1010000 exceeds"},
+		{"multi price range", multi(func(r *MultiRequest) { wide(&r.MinPrice, &r.MaxPrice) }), "price range 1001 exceeds"},
+	} {
+		_, fpErr := c.spec.Fingerprint()
+		for _, err := range []error{c.spec.Validate(), fpErr} {
+			if err == nil || !strings.Contains(err.Error(), "service limit") || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s: error %v, want the service limit %q", c.name, err, c.want)
+			}
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"crowdpricing/internal/dist"
 	"crowdpricing/internal/mdp"
@@ -43,7 +44,7 @@ func EstimateGroupRates(cfg Config, results map[int]*Result) (GroupRates, error)
 	if len(gr.Sizes) == 0 {
 		return GroupRates{}, errors.New("market: no fixed trials supplied")
 	}
-	sortInts(gr.Sizes)
+	slices.Sort(gr.Sizes)
 	return gr, nil
 }
 
@@ -128,12 +129,4 @@ func PlanGroupSizes(cfg Config, rates GroupRates, unitTasks int, penaltyCents fl
 		}
 		return actions[pol.Action[hour][u]]
 	}, nil
-}
-
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

@@ -16,8 +16,8 @@ import (
 
 // metric declares one /metrics family. The families table holds every
 // family the daemon exposes, in exposition order, and writeFamily renders
-// each row the same way; metriclint checks each row's name, type, help
-// and label at compile time.
+// each row the same way; TestMetricFamilies checks each row's name, type,
+// help, label and buckets.
 type metric struct {
 	name, typ, help string
 	// label is the key of the family's one label; "" for an unlabelled

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -183,6 +184,101 @@ func validateMetricsConventions(t *testing.T, body string) map[string]string {
 		t.Fatal(err)
 	}
 	return types
+}
+
+// familyName is a snake_case family name in the crowdpricing_ namespace:
+// lowercase letters and digits in words joined by single underscores.
+var familyName = regexp.MustCompile(`^crowdpricing_[a-z0-9]+(_[a-z0-9]+)*$`)
+
+// familyLabels is the closed label set of the families table, "" being an
+// unlabelled family. Each key is bounded by construction: kinds are
+// registered, endpoints are routes, stages are a compiled enum and cohorts
+// are kind × adaptive. Growing the set is a deliberate act, with review of
+// the cardinality.
+var familyLabels = []string{"", "kind", "endpoint", "stage", "cohort"}
+
+// familyProblems lists the Prometheus rules one row of the families table
+// breaks.
+func familyProblems(m metric) []string {
+	var out []string
+	if !familyName.MatchString(m.name) {
+		out = append(out, "name is not snake_case in the crowdpricing_ namespace")
+	}
+	switch m.typ {
+	case "counter", "gauge", "histogram":
+	default:
+		out = append(out, fmt.Sprintf("type %q is not counter, gauge or histogram", m.typ))
+	}
+	if (m.typ == "counter") != strings.HasSuffix(m.name, "_total") {
+		out = append(out, "_total ends a counter's name and no other's")
+	}
+	if m.typ == "histogram" {
+		if !strings.HasSuffix(m.name, "_seconds") {
+			out = append(out, "a histogram's name ends in _seconds")
+		}
+		// writeFamily would render an unlabelled histogram's buckets as
+		// {,le=…}.
+		if m.label == "" {
+			out = append(out, "a histogram needs a label")
+		}
+		if len(m.buckets) == 0 {
+			out = append(out, "a histogram needs buckets")
+		}
+		for i := 1; i < len(m.buckets); i++ {
+			if m.buckets[i] <= m.buckets[i-1] {
+				out = append(out, fmt.Sprintf("bucket %g does not rise above %g", m.buckets[i], m.buckets[i-1]))
+			}
+		}
+	}
+	if strings.TrimSpace(m.help) == "" || !strings.HasSuffix(m.help, ".") {
+		out = append(out, "HELP is not a sentence ending in a period")
+	}
+	if !slices.Contains(familyLabels, m.label) {
+		out = append(out, fmt.Sprintf("label %q is not in the closed set %q", m.label, familyLabels[1:]))
+	}
+	return out
+}
+
+// TestMetricFamilies checks the Prometheus naming rules on the families
+// table, the one declaration of every /metrics family: unique snake_case
+// crowdpricing_ names; a counter, gauge or histogram type; _total on
+// counters only; histograms in seconds, labelled, with strictly ascending
+// buckets; a HELP sentence ending in a period; and a label from the closed
+// set. It also requires each rule to catch a row that breaks only it.
+func TestMetricFamilies(t *testing.T) {
+	seen := make(map[string]bool, len(families))
+	for _, m := range families {
+		if seen[m.name] {
+			t.Errorf("%s: declared twice", m.name)
+		}
+		seen[m.name] = true
+		for _, p := range familyProblems(m) {
+			t.Errorf("%s: %s", m.name, p)
+		}
+	}
+
+	ascending := []float64{0.001, 0.01}
+	for _, bad := range []metric{
+		{name: "crowdpricing_Requests_total", typ: "counter", help: "Requests."},
+		{name: "crowdpricing__requests_total", typ: "counter", help: "Requests."},
+		{name: "requests_total", typ: "counter", help: "Requests."},
+		{name: "crowdpricing_requests", typ: "summary", help: "Requests."},
+		{name: "crowdpricing_requests", typ: "counter", help: "Requests."},
+		{name: "crowdpricing_entries_total", typ: "gauge", help: "Entries."},
+		{name: "crowdpricing_wait", typ: "histogram", help: "Wait.", label: "stage", buckets: ascending},
+		{name: "crowdpricing_wait_seconds", typ: "histogram", help: "Wait.", buckets: ascending},
+		{name: "crowdpricing_wait_seconds", typ: "histogram", help: "Wait.", label: "stage"},
+		{name: "crowdpricing_wait_seconds", typ: "histogram", help: "Wait.", label: "stage", buckets: []float64{0.01, 0.01}},
+		{name: "crowdpricing_wait_seconds", typ: "histogram", help: "Wait.", label: "stage", buckets: []float64{0.01, 0.001}},
+		{name: "crowdpricing_entries", typ: "gauge", help: "Entries"},
+		{name: "crowdpricing_entries", typ: "gauge", help: " "},
+		{name: "crowdpricing_requests_total", typ: "counter", help: "Requests.", label: "tenant"},
+		{name: "crowdpricing_requests_total", typ: "counter", help: "Requests.", label: "le"},
+	} {
+		if got := familyProblems(bad); len(got) != 1 {
+			t.Errorf("row %s %s help %q label %q buckets %v: problems %q, want exactly one", bad.name, bad.typ, bad.help, bad.label, bad.buckets, got)
+		}
+	}
 }
 
 // TestWALMetricsExposition attaches a campaign event log and checks its
