@@ -23,7 +23,7 @@
 // crowdlint loads the packages (default ./...) with their tests from
 // source, relative to the working directory, and checks every one.
 //
-// Exit status: 0 clean, 1 operational error, 2 findings.
+// Exit status: 0 clean, 1 operational error, 2 findings or a bad flag.
 package main
 
 import (
