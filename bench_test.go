@@ -18,6 +18,7 @@ import (
 	"crowdpricing/internal/core"
 	"crowdpricing/internal/dist"
 	"crowdpricing/internal/exp"
+	"crowdpricing/internal/market"
 )
 
 var (
@@ -152,25 +153,12 @@ func BenchmarkFigure11Budget(b *testing.B) {
 	}
 }
 
-func BenchmarkFigure12Live(b *testing.B) {
+// BenchmarkLiveStudy runs the Section 5.4 study behind Figures 12-15 and
+// Tables 3-4, which are projections of its one result.
+func BenchmarkLiveStudy(b *testing.B) {
+	cfg := market.PaperLiveConfig(market.PaperArrival())
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.Figure12(int64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure1314Accuracy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.Figure1314(int64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure15Retention(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.Figure15(int64(i)); err != nil {
+		if _, err := market.RunStudy(cfg, int64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,7 +3,8 @@
 //
 //	determinism  no wall-clock reads, global rand draws, or unsorted map
 //	             iteration in the deterministic packages (core, dist, nhpp,
-//	             rate, sim, kinds, bench, exp, wal) or on
+//	             rate, sim, kinds, bench, exp, wal, every command but
+//	             priced and loadbench, and the examples) or on
 //	             fingerprint/snapshot paths elsewhere
 //	locksafe     no blocking operations (Solve, net/http, channel ops,
 //	             WaitGroup.Wait) while a campaign/engine mutex is held;

@@ -7,9 +7,7 @@
 // bounded queue, and overload is shed with HTTP 429 instead of unbounded
 // goroutines. Warm requests return in microseconds; N simultaneous
 // identical requests cost exactly one solve. Each solve runs serially on
-// one pool worker, so -concurrency is the daemon's only solve parallelism:
-// there is no per-solve -workers flag, and a daemon started with one fails
-// at flag parsing.
+// one pool worker, so -concurrency is the daemon's only solve parallelism.
 //
 // Start it, then POST problems as JSON:
 //
@@ -32,16 +30,13 @@
 // and replayed at boot (tolerating torn trailing writes from a crash), so
 // a restarted daemon resumes quoting identical prices. A graceful shutdown
 // (SIGINT or SIGTERM) drains in-flight requests, then flushes and fsyncs
-// the log. Without -wal-dir campaigns live in memory only. The old
-// -campaign-snapshot file is gone: a daemon started with that flag fails
-// at flag parsing. Inspect a log with cmd/wal (wal list, wal verify) and
-// regenerate rate fits from recorded traffic with wal stats.
+// the log. Without -wal-dir campaigns live in memory only. Inspect a log
+// with cmd/wal (wal list, wal verify) and regenerate rate fits from
+// recorded traffic with wal stats.
 //
 // A campaign's policy tables — every factor of an adaptive bank included —
 // are solved and decoded before it goes live and stay resident until the
-// last campaign sharing them ends, so a quote never waits on a solve. The
-// old quoter memory budget and lazy bank flags are gone too: a daemon
-// started with either fails at flag parsing.
+// last campaign sharing them ends, so a quote never waits on a solve.
 //
 // Observability: every request is traced through the pipeline stages
 // (decode, engine queue, solve, quoter decode, campaign lock, WAL append);

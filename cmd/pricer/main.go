@@ -34,7 +34,9 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"maps"
 	"os"
+	"slices"
 
 	"crowdpricing/internal/core"
 	"crowdpricing/internal/exp"
@@ -152,8 +154,8 @@ func runBudget(w *exp.Workload, n, budget int) {
 	}
 	lambdaBar := nhpp.AverageRate(w.Arrival, exp.DefaultHorizonHours)
 	fmt.Printf("budget plan: N=%d, B=%dc\n", n, budget)
-	for price, count := range s.Counts {
-		fmt.Printf("  %d tasks at %dc\n", count, price)
+	for _, price := range slices.Sorted(maps.Keys(s.Counts)) {
+		fmt.Printf("  %d tasks at %dc\n", s.Counts[price], price)
 	}
 	fmt.Printf("committed spend: %dc of %dc\n", s.TotalCost(), budget)
 	fmt.Printf("E[worker arrivals]: %.0f   E[completion time]: %.1fh (at %.0f workers/h)\n",

@@ -29,10 +29,11 @@
 // shedding under overload), warm solves return in microseconds, and
 // concurrent identical requests are deduplicated onto a single solve.
 // NewPricingServer embeds the service in another process; NewPricingClient
-// talks to a running daemon — its generic Solve(ctx, kind, req) covers any
-// registered kind, with typed wrappers for the classics; the request and
-// response types (DeadlineRequest, BudgetRequest, TradeoffRequest,
-// MultiRequest, SolveResponse, …) are re-exported here.
+// talks to a running daemon — its one Solve(ctx, kind, req) covers any
+// registered kind, and SolveResponse.DecodePolicy, DecodeBudget and
+// DecodeTradeoff turn a reply's artifact into the typed solution; the
+// request and response types (DeadlineRequest, BudgetRequest,
+// TradeoffRequest, MultiRequest, SolveResponse, …) are re-exported here.
 //
 // # Online campaigns
 //

@@ -11,6 +11,8 @@ package main
 import (
 	"fmt"
 	"log"
+	"maps"
+	"slices"
 
 	"crowdpricing/internal/choice"
 	"crowdpricing/internal/core"
@@ -37,8 +39,8 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("hull strategy (at most two prices, Theorem 7):")
-	for price, count := range hull.Counts {
-		fmt.Printf("  %4d tasks at %d cents\n", count, price)
+	for _, price := range slices.Sorted(maps.Keys(hull.Counts)) {
+		fmt.Printf("  %4d tasks at %d cents\n", hull.Counts[price], price)
 	}
 	fmt.Printf("committed spend: %d of %d cents\n", hull.TotalCost(), problem.Budget)
 

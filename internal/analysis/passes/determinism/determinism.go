@@ -6,9 +6,11 @@
 //
 //   - Strict packages (the solver core, distributions, arrival processes,
 //     the rate fit, the simulator, the kind registry, the bench generator,
-//     the figure pipeline, the event log): every non-test function is a
-//     deterministic path. Wall-clock reads, global math/rand draws, and
-//     order-sensitive map iteration are flagged anywhere.
+//     the figure pipeline, the event log, every example, and every command
+//     but priced and loadbench, which read the wall clock by design):
+//     every non-test function is a deterministic path. Wall-clock reads,
+//     global math/rand draws, and order-sensitive map iteration are
+//     flagged anywhere.
 //   - Reachability packages (server, engine, campaign): wall-clock and
 //     global-rand rules still apply everywhere (these daemons cache and
 //     replay deterministic artifacts), but map-iteration is only flagged
@@ -55,6 +57,16 @@ var StrictPackages = []string{
 	"crowdpricing/internal/bench",
 	"crowdpricing/internal/exp",
 	"crowdpricing/internal/wal",
+	"crowdpricing/cmd/crowdlint",
+	"crowdpricing/cmd/experiments",
+	"crowdpricing/cmd/pricer",
+	"crowdpricing/cmd/tracegen",
+	"crowdpricing/cmd/wal",
+	"crowdpricing/examples/entityresolution",
+	"crowdpricing/examples/livemarket",
+	"crowdpricing/examples/moderation",
+	"crowdpricing/examples/quickstart",
+	"crowdpricing/examples/tradeoff",
 }
 
 // ReachPackages get the wall-clock and global-rand rules everywhere but

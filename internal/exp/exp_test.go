@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"crowdpricing/internal/market"
 	"crowdpricing/internal/trace"
 )
 
@@ -447,11 +448,18 @@ func TestQualityExtension(t *testing.T) {
 	}
 }
 
-func TestFigure12Headline(t *testing.T) {
-	res, err := Figure12(7)
+// liveStudy runs the Section 5.4 study on the paper's marketplace.
+func liveStudy(t *testing.T, seed int64) *market.Study {
+	t.Helper()
+	s, err := market.RunStudy(market.PaperLiveConfig(market.PaperArrival()), seed)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return s
+}
+
+func TestFigure12Headline(t *testing.T) {
+	res := Figure12(liveStudy(t, 7))
 	// Dynamic completes all work and beats the fixed-20 cost by ≥25%.
 	if res.Dynamic.WorkByHour[len(res.Dynamic.WorkByHour)-1] < 1 {
 		t.Error("dynamic trial did not finish")
@@ -476,10 +484,7 @@ func TestFigure12Headline(t *testing.T) {
 }
 
 func TestFigure1314Headline(t *testing.T) {
-	res, err := Figure1314(9)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := Figure1314(liveStudy(t, 9))
 	for g, m := range res.FixedMean {
 		if m < 0.85 || m > 0.95 {
 			t.Errorf("fixed g=%d mean accuracy %v", g, m)
@@ -501,10 +506,7 @@ func TestFigure1314Headline(t *testing.T) {
 }
 
 func TestFigure15Trend(t *testing.T) {
-	rows, err := Figure15(11)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := Figure15(liveStudy(t, 11))
 	if len(rows) != 5 {
 		t.Fatalf("got %d rows", len(rows))
 	}

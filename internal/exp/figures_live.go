@@ -3,7 +3,8 @@ package exp
 import (
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 
 	"crowdpricing/internal/market"
 	"crowdpricing/internal/stats"
@@ -30,44 +31,15 @@ type Figure12Result struct {
 	DynamicChoices []int
 }
 
-// Figure12 reruns the Section 5.4 experiments on the marketplace simulator:
-// five fixed bundle sizes, then the MDP-planned dynamic schedule using rates
-// estimated from the fixed trials.
-func Figure12(seed int64) (Figure12Result, error) {
-	cfg := market.PaperLiveConfig(market.PaperArrival())
-	res := Figure12Result{}
-	fixedResults := map[int]*market.Result{}
-	for i, g := range market.PaperGroupSizes {
-		out, err := market.RunFixed(cfg, g, seed+int64(i))
-		if err != nil {
-			return res, err
-		}
-		fixedResults[g] = out
-		res.Fixed = append(res.Fixed, curvesFrom(cfg, out, g))
+// Figure12 projects the live study onto Figure 12: the hourly curves of
+// the five fixed trials and of the dynamic trial, with the bundle size the
+// planned schedule chose each hour.
+func Figure12(s *market.Study) Figure12Result {
+	res := Figure12Result{Dynamic: curvesFrom(s.Config, s.Dynamic, 0), DynamicChoices: s.Choices}
+	for i, r := range s.Fixed {
+		res.Fixed = append(res.Fixed, curvesFrom(s.Config, r, market.PaperGroupSizes[i]))
 	}
-	rates, err := market.EstimateGroupRates(cfg, fixedResults)
-	if err != nil {
-		return res, err
-	}
-	choose, err := market.PlanGroupSizes(cfg, rates, 10, 500)
-	if err != nil {
-		return res, err
-	}
-	choices := make([]int, int(cfg.Horizon))
-	logged := func(remaining, hour int) int {
-		g := choose(remaining, hour)
-		if hour >= 0 && hour < len(choices) {
-			choices[hour] = g
-		}
-		return g
-	}
-	dyn, err := market.RunDynamic(cfg, logged, seed+100)
-	if err != nil {
-		return res, err
-	}
-	res.Dynamic = curvesFrom(cfg, dyn, 0)
-	res.DynamicChoices = choices
-	return res, nil
+	return res
 }
 
 func curvesFrom(cfg market.Config, r *market.Result, g int) LiveCurves {
@@ -105,7 +77,7 @@ func PrintFigure12(w io.Writer, res Figure12Result) {
 	}
 	fmt.Fprintln(w, "Figure 12(c): % work completed by hour (dynamic)")
 	for h, v := range res.Dynamic.WorkByHour {
-		fmt.Fprintf(w, "%4d  %-7.3f (g=%d)\n", h+1, v, res.DynamicChoices[minInt(h, len(res.DynamicChoices)-1)])
+		fmt.Fprintf(w, "%4d  %-7.3f (g=%d)\n", h+1, v, res.DynamicChoices[min(h, len(res.DynamicChoices)-1)])
 	}
 	fmt.Fprintf(w, "dynamic cost: %d cents; fixed costs:", res.Dynamic.CostCents)
 	for _, f := range res.Fixed {
@@ -129,56 +101,34 @@ type AccuracyResult struct {
 	DynamicMean map[int]float64
 }
 
-// Figure1314 reruns the accuracy analysis of Section 5.4.3.
-func Figure1314(seed int64) (AccuracyResult, error) {
-	cfg := market.PaperLiveConfig(market.PaperArrival())
+// Figure1314 projects the live study onto the accuracy analysis of
+// Section 5.4.3.
+func Figure1314(s *market.Study) AccuracyResult {
 	res := AccuracyResult{
 		FixedECDF: map[int][]float64{}, FixedMean: map[int]float64{},
 		DynamicECDF: map[int][]float64{}, DynamicMean: map[int]float64{},
 	}
-	fixedResults := map[int]*market.Result{}
-	for i, g := range market.PaperGroupSizes {
-		out, err := market.RunFixed(cfg, g, seed+int64(i))
-		if err != nil {
-			return res, err
-		}
-		fixedResults[g] = out
-		acc := out.Accuracies()
-		sort.Float64s(acc)
+	for i, r := range s.Fixed {
+		g := market.PaperGroupSizes[i]
+		acc := r.Accuracies()
+		slices.Sort(acc)
 		res.FixedECDF[g] = acc
 		res.FixedMean[g] = stats.Mean(acc)
 	}
-	rates, err := market.EstimateGroupRates(cfg, fixedResults)
-	if err != nil {
-		return res, err
-	}
-	choose, err := market.PlanGroupSizes(cfg, rates, 10, 500)
-	if err != nil {
-		return res, err
-	}
-	dyn, err := market.RunDynamic(cfg, choose, seed+100)
-	if err != nil {
-		return res, err
-	}
 	byGroup := map[int][]float64{}
-	for _, h := range dyn.HITs {
+	for _, h := range s.Dynamic.HITs {
 		byGroup[h.Group] = append(byGroup[h.Group], h.Accuracy())
 	}
-	groups := make([]int, 0, len(byGroup))
-	for g := range byGroup {
-		groups = append(groups, g)
-	}
-	sort.Ints(groups)
-	for _, g := range groups {
+	for _, g := range slices.Sorted(maps.Keys(byGroup)) {
 		acc := byGroup[g]
 		if len(acc) < 10 {
 			continue // the paper plots only the sizes the policy actually used
 		}
-		sort.Float64s(acc)
+		slices.Sort(acc)
 		res.DynamicECDF[g] = acc
 		res.DynamicMean[g] = stats.Mean(acc)
 	}
-	return res, nil
+	return res
 }
 
 // PrintFigure1314 writes the accuracy tables and decile CDFs.
@@ -188,11 +138,7 @@ func PrintFigure1314(w io.Writer, res AccuracyResult) {
 		fmt.Fprintf(w, "g=%d: %.1f%%\n", g, res.FixedMean[g]*100)
 	}
 	fmt.Fprintln(w, "Table 4: average accuracy in the dynamic trial")
-	var gs []int
-	for g := range res.DynamicMean {
-		gs = append(gs, g)
-	}
-	sort.Ints(gs)
+	gs := slices.Sorted(maps.Keys(res.DynamicMean))
 	for _, g := range gs {
 		fmt.Fprintf(w, "g=%d: %.1f%% (%d HITs)\n", g, res.DynamicMean[g]*100, len(res.DynamicECDF[g]))
 	}
@@ -226,18 +172,14 @@ type Figure15Row struct {
 	HITsPerWorker float64
 }
 
-// Figure15 reruns the worker-retention analysis.
-func Figure15(seed int64) ([]Figure15Row, error) {
-	cfg := market.PaperLiveConfig(market.PaperArrival())
+// Figure15 projects the live study's fixed trials onto the
+// worker-retention analysis.
+func Figure15(s *market.Study) []Figure15Row {
 	var rows []Figure15Row
-	for i, g := range market.PaperGroupSizes {
-		out, err := market.RunFixed(cfg, g, seed+int64(i))
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, Figure15Row{Group: g, HITsPerWorker: out.HITsPerWorker()})
+	for i, r := range s.Fixed {
+		rows = append(rows, Figure15Row{Group: market.PaperGroupSizes[i], HITsPerWorker: r.HITsPerWorker()})
 	}
-	return rows, nil
+	return rows
 }
 
 // PrintFigure15 writes the retention rows.
@@ -247,11 +189,4 @@ func PrintFigure15(w io.Writer, rows []Figure15Row) {
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-7d %-14.5f %-11.2f\n", r.Group, 0.02/float64(r.Group), r.HITsPerWorker)
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

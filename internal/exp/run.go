@@ -3,6 +3,8 @@ package exp
 import (
 	"fmt"
 	"io"
+
+	"crowdpricing/internal/market"
 )
 
 // Render runs the experiments named by ids and prints each under a
@@ -10,8 +12,10 @@ import (
 // table1, table2, fig1, fig5, fig6, fig7a, fig7b, fig8, fig8d, fig9, fig10,
 // fig10adaptive, fig11, fig12, fig1314, fig15 and quality. seed is the base
 // random seed and trials the Monte Carlo trial count of the sensitivity
-// studies. Render stops at the first unknown id or failed experiment, after
-// printing its header, and returns the error.
+// studies. The workload and the Section 5.4 live study are each built at
+// most once per call, when an id first needs them; fig12, fig1314 and fig15
+// project the one study. Render stops at the first unknown id or failed
+// experiment, after printing its header, and returns the error.
 func Render(out io.Writer, ids []string, seed int64, trials int) error {
 	if len(ids) == 0 {
 		ids = []string{"table1", "table2", "fig1", "fig5", "fig6", "fig7a", "fig7b",
@@ -24,6 +28,14 @@ func Render(out io.Writer, ids []string, seed int64, trials int) error {
 			w = DefaultWorkload()
 		}
 		return w
+	}
+	var live *market.Study
+	study := func() (*market.Study, error) {
+		var err error
+		if live == nil {
+			live, err = market.RunStudy(market.PaperLiveConfig(market.PaperArrival()), seed)
+		}
+		return live, err
 	}
 	for _, id := range ids {
 		fmt.Fprintf(out, "\n==== %s ====\n", id)
@@ -89,23 +101,23 @@ func Render(out io.Writer, ids []string, seed int64, trials int) error {
 			}
 			PrintFigure11(out, res)
 		case "fig12":
-			res, err := Figure12(seed)
+			s, err := study()
 			if err != nil {
 				return err
 			}
-			PrintFigure12(out, res)
+			PrintFigure12(out, Figure12(s))
 		case "fig1314":
-			res, err := Figure1314(seed)
+			s, err := study()
 			if err != nil {
 				return err
 			}
-			PrintFigure1314(out, res)
+			PrintFigure1314(out, Figure1314(s))
 		case "fig15":
-			rows, err := Figure15(seed)
+			s, err := study()
 			if err != nil {
 				return err
 			}
-			PrintFigure15(out, rows)
+			PrintFigure15(out, Figure15(s))
 		case "quality":
 			rows, err := QualityExtension(workload())
 			if err != nil {

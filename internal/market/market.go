@@ -198,7 +198,7 @@ func run(cfg Config, choose GroupChooser, seed int64) (*Result, error) {
 			}
 			workerID++
 			res.Workers++
-			acc := clampF(r.Normal(cfg.AccuracyMean, cfg.AccuracySigma), 0.5, 1)
+			acc := min(max(r.Normal(cfg.AccuracyMean, cfg.AccuracySigma), 0.5), 1)
 			// Arrival lands uniformly within the minute.
 			at := t + r.Float64()*step
 			now := at
@@ -231,14 +231,4 @@ func run(cfg Config, choose GroupChooser, seed int64) (*Result, error) {
 	}
 	sort.Slice(res.HITs, func(i, j int) bool { return res.HITs[i].Time < res.HITs[j].Time })
 	return res, nil
-}
-
-func clampF(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
 }

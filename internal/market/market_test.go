@@ -2,6 +2,7 @@ package market
 
 import (
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -215,6 +216,60 @@ func TestRunDynamicControllerSavesMoney(t *testing.T) {
 	fixed20 := fixedResults[20]
 	if dyn.CostCents >= fixed20.CostCents {
 		t.Errorf("dynamic cost %d¢ not below fixed-20 cost %d¢", dyn.CostCents, fixed20.CostCents)
+	}
+}
+
+// TestRunStudyMatchesDirectCalls holds RunStudy to the four calls it
+// wraps, made directly at its seed scheme: fixed trial i at seed+i, then
+// the estimate, the plan and the dynamic trial at seed+100, with the bundle
+// offered each hour recorded from the chooser.
+func TestRunStudyMatchesDirectCalls(t *testing.T) {
+	cfg := liveConfig()
+	const seed = 3
+	got, err := RunStudy(cfg, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fixed []*Result
+	byGroup := map[int]*Result{}
+	for i, g := range PaperGroupSizes {
+		res, err := RunFixed(cfg, g, seed+int64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fixed = append(fixed, res)
+		byGroup[g] = res
+	}
+	rates, err := EstimateGroupRates(cfg, byGroup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	choose, err := PlanGroupSizes(cfg, rates, 10, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	choices := make([]int, int(cfg.Horizon))
+	dyn, err := RunDynamic(cfg, func(remaining, hour int) int {
+		choices[hour] = choose(remaining, hour)
+		return choices[hour]
+	}, seed+100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Fixed, fixed) {
+		t.Error("fixed trials differ from RunFixed at seed+i")
+	}
+	if !reflect.DeepEqual(got.Choices, choices) {
+		t.Errorf("choices %v, want %v", got.Choices, choices)
+	}
+	if !reflect.DeepEqual(got.Dynamic, dyn) {
+		t.Error("dynamic trial differs from RunDynamic at seed+100")
+	}
+	if got.Config.TotalTasks != cfg.TotalTasks || got.Config.Horizon != cfg.Horizon {
+		t.Errorf("study config %+v, want %+v", got.Config, cfg)
+	}
+	if _, err := RunStudy(Config{}, seed); err == nil {
+		t.Error("RunStudy accepted an invalid config")
 	}
 }
 

@@ -1,11 +1,12 @@
 // Package wal is the campaign runtime's durability layer: an append-only,
 // length-prefixed, CRC32C-checksummed binary event log with group commit.
 // Writers enqueue records from any goroutine; a single committer goroutine
-// batches them per fsync window (configurable bytes/interval), so the
-// quote hot path never waits on a disk flush. Segments rotate at a size
-// threshold and are periodically compacted into a snapshot record plus a
-// truncated tail; recovery tolerates torn or partial trailing writes by
-// truncating the final segment at the first bad frame.
+// batches them per fsync window (a configurable interval, cut short once
+// 256 KiB are buffered), so the quote hot path never waits on a disk
+// flush. Segments rotate at a size threshold and are periodically
+// compacted into a snapshot record plus a truncated tail; recovery
+// tolerates torn or partial trailing writes by truncating the final
+// segment at the first bad frame.
 //
 // The package stores opaque (type, payload) records — the campaign event
 // schema (create/observe/finish/expire/snapshot) lives in

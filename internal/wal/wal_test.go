@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"strings"
 	"testing"
 	"time"
 )
@@ -105,26 +106,25 @@ func TestGroupCommitSharesOneFsync(t *testing.T) {
 }
 
 func TestSyncBytesKicksEarly(t *testing.T) {
-	fsys := NewMemFS()
-	opts := testOptions(fsys)
-	opts.SyncBytes = 32 // tiny: a couple of records cross it
-	l, err := Open("wal", opts)
+	l, err := Open("wal", testOptions(NewMemFS()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	for i := 0; i < 10; i++ {
-		mustAppend(t, l, 1, "0123456789abcdef")
+	// 20 records of 16 KiB buffer 320 KiB, past syncBytes.
+	record := strings.Repeat("x", 16<<10)
+	for i := 0; i < 20; i++ {
+		mustAppend(t, l, 1, record)
 	}
 	// The committer ticker is parked for an hour, so any durable bytes got
-	// there via the SyncBytes kick alone.
+	// there via the syncBytes kick alone.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if l.Metrics().Fsyncs > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("SyncBytes overflow never triggered a flush")
+			t.Fatal("buffering past syncBytes never triggered a flush")
 		}
 		time.Sleep(time.Millisecond)
 	}
