@@ -6,8 +6,10 @@
 //
 //   - Strict packages (the solver core, distributions, arrival processes,
 //     the rate fit, the simulator, the kind registry, the bench generator,
-//     the figure pipeline, the event log, every example, and every command
-//     but priced and loadbench, which read the wall clock by design):
+//     the figure pipeline, the event log, the marketplace simulator and the
+//     generic MDP solvers behind the live figures, every example, and every
+//     command but priced and loadbench, which read the wall clock by
+//     design):
 //     every non-test function is a deterministic path. Wall-clock reads,
 //     global math/rand draws, and order-sensitive map iteration are
 //     flagged anywhere.
@@ -57,6 +59,8 @@ var StrictPackages = []string{
 	"crowdpricing/internal/bench",
 	"crowdpricing/internal/exp",
 	"crowdpricing/internal/wal",
+	"crowdpricing/internal/market",
+	"crowdpricing/internal/mdp",
 	"crowdpricing/cmd/crowdlint",
 	"crowdpricing/cmd/experiments",
 	"crowdpricing/cmd/pricer",

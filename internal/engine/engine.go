@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -64,8 +63,8 @@ type Result struct {
 	Fingerprint string
 	// Value is the serialized artifact, byte-identical for every caller of
 	// the same fingerprint. It is a valid JSON document: the engine checks
-	// each artifact once, when it is solved, and caches only those that
-	// pass.
+	// each artifact once with ValidJSON, when it is solved, and caches only
+	// those that pass.
 	Value []byte
 	// CacheHit reports whether the artifact was served from the warm cache
 	// without waiting on any solver.
@@ -327,8 +326,9 @@ func (e *Engine) run(c *call) {
 	}
 	// The one validity check an artifact gets: the server writes cached
 	// bytes to the socket verbatim, so a non-JSON artifact must fail here,
-	// once per solve, and never reach the cache.
-	if !json.Valid(val) {
+	// once per solve, and never reach the cache. ValidJSON accepts what
+	// json.Valid accepts, at a fraction of its cost.
+	if !ValidJSON(val) {
 		c.err = fmt.Errorf("engine: %s solver returned an artifact that is not a JSON document", c.kind)
 		return
 	}

@@ -1,6 +1,7 @@
 package market
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"slices"
@@ -293,6 +294,24 @@ func TestEstimateGroupRates(t *testing.T) {
 	}
 	if _, err := EstimateGroupRates(cfg, nil); err == nil {
 		t.Error("want error for empty results")
+	}
+}
+
+// TestEstimateGroupRatesNamesSmallestFailingSize: with no arrivals every
+// bundle size fails, and the error names the smallest one on every call,
+// whatever order the map yields its keys in.
+func TestEstimateGroupRatesNamesSmallestFailingSize(t *testing.T) {
+	cfg := liveConfig()
+	cfg.Arrival = rate.Constant(0)
+	results := map[int]*Result{}
+	for _, g := range PaperGroupSizes {
+		results[g] = &Result{CompletionTime: math.Inf(1)}
+	}
+	want := fmt.Sprintf("market: no expected arrivals for group %d", slices.Min(PaperGroupSizes))
+	for i := 0; i < 20; i++ {
+		if _, err := EstimateGroupRates(cfg, results); err == nil || err.Error() != want {
+			t.Fatalf("call %d: err = %v, want %q", i, err, want)
+		}
 	}
 }
 

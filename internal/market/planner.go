@@ -3,6 +3,7 @@ package market
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 
@@ -28,8 +29,16 @@ type GroupRates struct {
 // arrivals over the effective runtime (completion time if the batch
 // finished, otherwise the horizon).
 func EstimateGroupRates(cfg Config, results map[int]*Result) (GroupRates, error) {
-	gr := GroupRates{HITPerArrival: map[int]float64{}, basePr: cfg.BasePriceCents}
-	for g, res := range results {
+	gr := GroupRates{
+		Sizes:         slices.Sorted(maps.Keys(results)),
+		HITPerArrival: map[int]float64{},
+		basePr:        cfg.BasePriceCents,
+	}
+	if len(gr.Sizes) == 0 {
+		return GroupRates{}, errors.New("market: no fixed trials supplied")
+	}
+	for _, g := range gr.Sizes {
+		res := results[g]
 		dur := cfg.Horizon
 		if !math.IsInf(res.CompletionTime, 1) && res.CompletionTime > 0 {
 			dur = res.CompletionTime
@@ -38,13 +47,8 @@ func EstimateGroupRates(cfg Config, results map[int]*Result) (GroupRates, error)
 		if arrivals <= 0 {
 			return GroupRates{}, fmt.Errorf("market: no expected arrivals for group %d", g)
 		}
-		gr.Sizes = append(gr.Sizes, g)
 		gr.HITPerArrival[g] = float64(len(res.HITs)) / arrivals
 	}
-	if len(gr.Sizes) == 0 {
-		return GroupRates{}, errors.New("market: no fixed trials supplied")
-	}
-	slices.Sort(gr.Sizes)
 	return gr, nil
 }
 
@@ -75,34 +79,52 @@ func PlanGroupSizes(cfg Config, rates GroupRates, unitTasks int, penaltyCents fl
 	for h := range hourArrivals {
 		hourArrivals[h] = cfg.Arrival.Integral(float64(h), math.Min(float64(h+1), cfg.Horizon))
 	}
+	// Units completed in hour t under action a are Poisson with the
+	// unit-rate mean. rows[t*len(actions)+a] holds the probabilities of
+	// k = 0, 1, … completed units, for k below units and up to the first
+	// term past the mean that falls under 1e-12. State s reads the row's
+	// first s terms and sends the rest of the mass to state 0.
+	rows := make([][]float64, hours*len(actions))
+	costPerUnit := make([]float64, len(actions))
+	for a, g := range actions {
+		costPerUnit[a] = float64(rates.basePr) * float64(unitTasks) / float64(g)
+		for t, arrivals := range hourArrivals {
+			meanUnits := rates.HITPerArrival[g] * arrivals * float64(g) / float64(unitTasks)
+			pois := dist.Poisson{Lambda: meanUnits}
+			var row []float64
+			for k := 0; k < units; k++ {
+				p := pois.PMF(k)
+				if p < 1e-12 && k > int(meanUnits)+5 {
+					break
+				}
+				row = append(row, p)
+			}
+			rows[t*len(actions)+a] = row
+		}
+	}
+	// SolveFiniteHorizon reads each slice Transitions returns before its
+	// next call, so every call reuses one buffer.
+	trs := make([]mdp.Transition, 0, units+1)
 	m := mdp.FiniteHorizon{
 		Horizon: hours,
 		States:  units + 1,
 		Actions: len(actions),
 		Transitions: func(t, s, a int) []mdp.Transition {
+			trs = trs[:0]
 			if s == 0 {
-				return []mdp.Transition{{Next: 0, Prob: 1}}
+				return append(trs, mdp.Transition{Next: 0, Prob: 1})
 			}
-			g := actions[a]
-			// Units completed this hour: Poisson with the unit-rate mean.
-			meanUnits := rates.HITPerArrival[g] * hourArrivals[t] * float64(g) / float64(unitTasks)
-			costPerUnit := float64(rates.basePr) * float64(unitTasks) / float64(g)
-			pois := dist.Poisson{Lambda: meanUnits}
-			var trs []mdp.Transition
+			row, cost := rows[t*len(actions)+a], costPerUnit[a]
 			cum := 0.0
-			for k := 0; k < s; k++ {
-				p := pois.PMF(k)
-				if p < 1e-12 && k > int(meanUnits)+5 {
-					break
-				}
+			for k, p := range row[:min(s, len(row))] {
 				cum += p
 				trs = append(trs, mdp.Transition{
-					Next: s - k, Prob: p, Cost: float64(k) * costPerUnit,
+					Next: s - k, Prob: p, Cost: float64(k) * cost,
 				})
 			}
 			if tail := 1 - cum; tail > 0 {
 				trs = append(trs, mdp.Transition{
-					Next: 0, Prob: tail, Cost: float64(s) * costPerUnit,
+					Next: 0, Prob: tail, Cost: float64(s) * cost,
 				})
 			}
 			return trs

@@ -33,7 +33,9 @@ type FiniteHorizon struct {
 	Actions int
 	// Transitions returns the outcome distribution of action a in state s
 	// at stage t. Probabilities should sum to 1; any shortfall is treated
-	// as remaining in s at zero cost.
+	// as remaining in s at zero cost. SolveFiniteHorizon reads each
+	// returned slice before its next call, so an implementation may return
+	// the same buffer every time.
 	Transitions func(t, s, a int) []Transition
 	// TerminalCost is the cost of ending the horizon in state s.
 	TerminalCost func(s int) float64

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"crowdpricing/internal/engine"
 	"crowdpricing/internal/telemetry"
 )
 
@@ -146,7 +147,8 @@ const jsonSpace = " \t\r\n"
 //     SolveResponse, so the match is a member of the top-level object: a
 //     match inside a nested value leaves that head unbalanced, and one at
 //     a string's closing quote leaves a bare word in it;
-//   - after the artifact come only whitespace and one }, and json.Valid
+//   - after the artifact come only whitespace and one }, and
+//     engine.ValidJSON, which accepts exactly what json.Valid accepts,
 //     accepts the artifact, so "result" is that object's last member.
 //
 // Result is then a copy of the artifact without its surrounding whitespace,
@@ -166,7 +168,7 @@ func splitSolve(body []byte) (SolveResponse, bool) {
 	// The full slice expression makes append copy the head instead of
 	// writing "null}" over the artifact.
 	head := append(body[:end:end], "null}"...)
-	if json.Unmarshal(head, &resp) != nil || !json.Valid(artifact) {
+	if json.Unmarshal(head, &resp) != nil || !engine.ValidJSON(artifact) {
 		return resp, false
 	}
 	resp.Result = append(json.RawMessage(nil), artifact...)
@@ -220,12 +222,12 @@ func readBody(res *http.Response, b []byte) ([]byte, error) {
 // with SolveResponse.Decode, or DecodePolicy / DecodeBudget /
 // DecodeTradeoff for the classic kinds.
 //
-// The envelope is decoded with one scan of the artifact, relying on result
-// being its last field as the daemon writes it. The client checks that the
-// body is one JSON object whose head fields decode into a SolveResponse
-// and whose last member is a valid result; any other body is decoded by
-// json.Unmarshal, so the returned envelope and error are the same as
-// json.Unmarshal's on every body.
+// The envelope is decoded with one scan of the artifact (engine.ValidJSON),
+// relying on result being its last field as the daemon writes it. The
+// client checks that the body is one JSON object whose head fields decode
+// into a SolveResponse and whose last member is a valid result; any other
+// body is decoded by json.Unmarshal, so the returned envelope and error are
+// the same as json.Unmarshal's on every body.
 func (c *Client) Solve(ctx context.Context, kind string, req any) (*SolveResponse, error) {
 	var out SolveResponse
 	if err := c.do(ctx, http.MethodPost, "/v1/solve/"+kind, req, &out); err != nil {

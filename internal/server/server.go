@@ -363,7 +363,7 @@ func (s *Server) solveSpec(ctx context.Context, spec engine.Spec) (*SolveRespons
 // writeSolve writes a single-solve 200 response with the cached artifact
 // spliced in verbatim, where json.Encoder would re-validate and copy all of
 // it on every response; the engine checked once, at solve time, that it is
-// JSON. The head fields go through json.Marshal, so their escaping and the
+// JSON (engine.ValidJSON). The head fields go through json.Marshal, so their escaping and the
 // solve_ms format are unchanged: for an artifact encoding/json produced
 // (compact, HTML-escaped) the body is byte-identical to
 // json.NewEncoder(w).Encode(resp). Its reader is Client.Solve, which reads
