@@ -26,7 +26,7 @@ func validCases(deep bool) [][]byte {
 		"0", "-0", "1", "-", "01", "-01", "1.", ".5", "1e", "1e+", "1e-", "1E5", "1e+5", "-0.0e-0",
 		"123456789", "1.5e3", "+1", "1.e5", "1e5.3", "--1", "0x1", "-a", "00", "1.5.", "0e0", "9E-9",
 		// Strings and every escape.
-		`""`, `"abc"`, `"abc`, `"`, `"\"`, `"\"\\\/\b\f\n\r\t"`, `"é"`, `"ꯍ"`, `"ꯍx"`,
+		`""`, `"abc"`, `"abc`, `"`, `"\"`, `"\"\\\/\b\f\n\r\t"`, `"\u00e9"`, `"\uABCD"`, `"\uabcdx"`, `"é\u00E9"`,
 		`"\x"`, `"\u12"`, `"\u12`, `"\u12g4"`, `"\u"`, `"\U1234"`, `"\`, `"\u123"`,
 		// Arrays.
 		"[]", "[ ]", "[", "]", "[1,]", "[,1]", "[1 2]", "[1,2]", "[ 1 , 2 ]", "[1\n,2]", "[0]", "[0,1]",
@@ -39,6 +39,14 @@ func validCases(deep bool) [][]byte {
 	} {
 		cases = append(cases, []byte(s))
 	}
+	// Each whitespace byte, and bytes JSON does not count as whitespace,
+	// around every token.
+	for _, ws := range []string{" ", "\t", "\r", "\n", "\v", "\f", "\u00a0"} {
+		cases = append(cases,
+			[]byte(ws+"1"+ws),
+			[]byte("["+ws+"1"+ws+","+ws+"2"+ws+"]"),
+			[]byte("{"+ws+`"a"`+ws+":"+ws+"1"+ws+","+ws+`"b"`+ws+":"+ws+"[]"+ws+"}"))
+	}
 	for c := 0; c < 0x20; c++ {
 		cases = append(cases, []byte{'"', 'a', byte(c), 'b', '"'})
 	}
@@ -50,7 +58,7 @@ func validCases(deep bool) [][]byte {
 			cases = append(cases,
 				[]byte(strings.Repeat("[", n)+strings.Repeat("]", n)),
 				[]byte(strings.Repeat(`{"a":`, n)+"1"+strings.Repeat("}", n)),
-				[]byte(strings.Repeat(`[{"a":`, n/2)+"[]"+strings.Repeat("}]", n/2)))
+				[]byte(strings.Repeat(`[{"a":`, n/2)+strings.Repeat("[", n%2)+"1"+strings.Repeat("]", n%2)+strings.Repeat("}]", n/2)))
 		}
 	}
 	return cases
