@@ -324,10 +324,9 @@ func (e *Engine) run(c *call) {
 		c.err = err
 		return
 	}
-	// The one validity check an artifact gets: the server writes cached
-	// bytes to the socket verbatim, so a non-JSON artifact must fail here,
-	// once per solve, and never reach the cache. ValidJSON accepts what
-	// json.Valid accepts, at a fraction of its cost.
+	// The one validity check an artifact gets, ValidJSON: the server
+	// writes cached bytes to the socket verbatim, so a non-JSON artifact
+	// must fail here, once per solve, and never reach the cache.
 	if !ValidJSON(val) {
 		c.err = fmt.Errorf("engine: %s solver returned an artifact that is not a JSON document", c.kind)
 		return
