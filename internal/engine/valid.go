@@ -1,5 +1,10 @@
 package engine
 
+import (
+	"bytes"
+	"encoding/binary"
+)
+
 // maxNesting is encoding/json's nesting limit: a document with more than
 // this many arrays and objects open at once is not valid.
 const maxNesting = 10000
@@ -12,8 +17,16 @@ const maxNesting = 10000
 //
 // It is a recursive descent that allocates nothing, where json.Valid
 // steps a state machine once per byte. An array element that is a run of
-// digits followed directly by , or ], which is most of a deadline
-// artifact's bytes, is checked by one loop over its digits.
+// digits followed directly by , or ] is checked by one loop over its
+// digits. Once that loop has accepted a few elements of one array, a row
+// loop (scanRow) checks the run of "digits, then a comma" elements that
+// follows eight bytes a step, which covers most of a deadline artifact's
+// bytes. Its test on each word flags every byte that is neither a digit
+// nor a comma, a comma where a number starts, and a '0' that starts a
+// number followed by a digit. Two bits carry the last byte of one word to
+// the next: whether it was a comma, and whether it was a '0' that starts
+// a number. At the first word that fails the test, or the end of data, the
+// row loop hands back to the element after the last comma it accepted.
 func ValidJSON(data []byte) bool {
 	i := skipSpace(data, scanValue(data, skipSpace(data, 0), 0))
 	return i == len(data)
@@ -53,15 +66,24 @@ func scanArray(b []byte, i, depth int) int {
 		return i + 1
 	}
 	for {
-		// The fast path: digits with no leading zero, then , or ]. Any
-		// other element takes the general path from its first byte.
-		if j := skipDigits(b, i); j > i && j < len(b) && (b[i] != '0' || j == i+1) {
-			if b[j] == ',' {
-				i = skipSpace(b, j+1)
-				continue
+		// The fast path: digits with no leading zero, then , or ]. Once it
+		// has accepted rowEntry elements in a row, the row loop checks the
+		// elements that follow. Any other element takes the general path
+		// from its first byte.
+		for fast := 1; ; fast++ {
+			j := skipDigits(b, i)
+			if j == i || j >= len(b) || b[i] == '0' && j > i+1 {
+				break
 			}
 			if b[j] == ']' {
 				return j + 1
+			}
+			if b[j] != ',' {
+				break
+			}
+			i = skipSpace(b, j+1)
+			if fast == rowEntry {
+				i, fast = scanRow(b, i), 0
 			}
 		}
 		if i = skipSpace(b, scanValue(b, i, depth)); i < 0 || i >= len(b) {
@@ -75,6 +97,60 @@ func scanArray(b []byte, i, depth int) int {
 		}
 		i = skipSpace(b, i+1)
 	}
+}
+
+// rowEntry is how many elements of one array the fast path accepts before
+// scanArray runs the row loop. A short array, such as a multi-type
+// artifact's [12,12], ends before the loop could pay for its exit.
+const rowEntry = 4
+
+// The row loop's constants repeat one byte in each of a word's eight
+// bytes.
+const (
+	lanes = 0x0101010101010101
+	high  = 0x80 * lanes // bit 7 of each byte: the loop's one flag a byte
+	low7  = 0x7f * lanes
+)
+
+// scanRow checks a run of array elements that are each digits then a
+// comma, eight bytes a step, from b[i], the first byte of an element. It
+// returns the index just past the last comma in the words it accepted,
+// after any whitespace, or i if there is none. Every element before that
+// index is checked; scanArray checks the rest.
+//
+// A word passes when each byte is a digit or a comma, no comma stands
+// where a number starts, and no '0' that starts a number is followed by
+// a digit. A byte starts a number when the byte before it is a comma, so
+// two carries hand the last byte of one word to the next: comma (it was a
+// comma; true at b[i]) and zero (it was a '0' that starts a number). The
+// loop always steps eight bytes and looks for the last comma only when it
+// stops, so no step waits on where the one before it ended.
+func scanRow(b []byte, i int) int {
+	p, comma, zero := i, uint64(0x80), uint64(0)
+	for ; p <= len(b)-8; p += 8 {
+		w := binary.LittleEndian.Uint64(b[p : p+8])
+		// d maps the digits to 0-9. On d's low seven bits, adding 0x76
+		// reaches bit 7 from 10 up without a carry into the next byte, and
+		// d's own bit 7 flags the bytes 0x80 and above, so commas flags
+		// every byte that is not a digit. The first test below requires
+		// each of those to be ',' (0xAC is not), so the flags are the
+		// word's commas when it passes.
+		d := w ^ '0'*lanes
+		commas := (d | (d&low7 + (0x80-10)*lanes)) & high
+		starts := commas<<8 | comma
+		// Adding 0x7f leaves bit 7 clear on a byte of d exactly when it
+		// is 0, a '0'. A byte of 0x80 and above can carry into the next
+		// one, but it fails the word on its own.
+		zeros := starts &^ (d + low7)
+		if (w^','*lanes)&((commas>>7)*0xff)|starts&commas|(zeros<<8|zero)&^commas != 0 {
+			break
+		}
+		comma, zero = commas>>56, zeros>>56
+	}
+	if k := bytes.LastIndexByte(b[i:p], ','); k >= 0 {
+		return skipSpace(b, i+k+1)
+	}
+	return i
 }
 
 // scanObject checks an object whose { is just before b[i].

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -68,9 +69,16 @@ func validCases(deep bool) [][]byte {
 // sampler's seed-1 problem at size.
 func deadlineArtifact(tb testing.TB, size string) []byte {
 	tb.Helper()
-	def, ok := kinds.Default().Lookup(kinds.KindDeadline)
+	return kindArtifact(tb, kinds.KindDeadline, size)
+}
+
+// kindArtifact is the artifact a built-in kind serves for its sampler's
+// seed-1 problem at size.
+func kindArtifact(tb testing.TB, kind, size string) []byte {
+	tb.Helper()
+	def, ok := kinds.Default().Lookup(kind)
 	if !ok {
-		tb.Fatal("deadline kind not registered")
+		tb.Fatalf("%s kind not registered", kind)
 	}
 	b, err := def.Sample(1, size).Solve(context.Background())
 	if err != nil {
@@ -128,11 +136,108 @@ func TestValidJSONAllocationFree(t *testing.T) {
 	}
 }
 
+// rowBodies are the element lists the row tests put between brackets:
+// rows of 1-, 2-, 3-, 9- and 13-digit numbers and of mixed widths with
+// lone zeros, each long enough for the row loop to check several words,
+// and rows of exactly 3, 4 and 5 elements, around the point where
+// scanArray starts the row loop. The row loop's words start at an
+// element's first byte, so each long row also comes with its fifth
+// element widened by 1-7 digits, which moves the rest of the row to each
+// of a word's eight byte positions.
+func rowBodies() []string {
+	var bodies []string
+	for _, elems := range [][]string{
+		{"7"}, {"42"}, {"305"}, {"123456789"}, {"1000000000007"},
+		{"0", "7", "42", "0", "305", "123456789", "0", "10", "100", "0"},
+	} {
+		var row []string
+		for k := 0; len(strings.Join(row, ",")) < 120; k++ {
+			row = append(row, elems[k%len(elems)])
+		}
+		for wide := range 8 {
+			row := slices.Clone(row)
+			row[4] += strings.Repeat("1", wide)
+			bodies = append(bodies, strings.Join(row, ","))
+		}
+		for n := 3; n <= 5; n++ {
+			bodies = append(bodies, strings.Join(row[:n], ","))
+		}
+	}
+	return bodies
+}
+
+// rowDocs puts a row body in an array on its own and in an array nested
+// in an object, where the row loop's last words run past the ].
+func rowDocs(body string) [2]string {
+	return [2]string{"[" + body + "]", `{"p":[[` + body + `],[1]],"v":0}`}
+}
+
+// TestValidJSONRowAlignment: on long integer rows, every insertion and
+// substitution of a byte or pair the row loop must refuse or hand back,
+// at every offset from the row's first element, and every position of
+// the row's ], gets json.Valid's answer.
+func TestValidJSONRowAlignment(t *testing.T) {
+	check := func(doc string) bool {
+		t.Helper()
+		got, want := engine.ValidJSON([]byte(doc)), json.Valid([]byte(doc))
+		if got != want {
+			t.Fatalf("ValidJSON(%q) = %v, json.Valid = %v", doc, got, want)
+		}
+		return want
+	}
+	muts := []string{
+		",", ",,", "0", "05", "00", // ,, [, and a leading zero, by insertion
+		"-", ".", "e", "/", ":", "+",
+		" ", "\t", "\n", ", ", ",\t", ",\n",
+		"]", "[", "\xac",
+	}
+	for c := byte(0xb0); c <= 0xb9; c++ {
+		muts = append(muts, string([]byte{c}))
+	}
+	var valid, invalid int
+	for _, body := range rowBodies() {
+		for _, doc := range rowDocs(body) {
+			if !check(doc) {
+				t.Fatalf("%q is not valid JSON", doc)
+			}
+		}
+		for k := 0; k <= len(body); k++ {
+			// The row cut short at k, which puts its ] at every offset
+			// and gives ,] after each comma.
+			for _, doc := range rowDocs(body[:k]) {
+				check(doc)
+			}
+			for _, m := range muts {
+				edits := []string{body[:k] + m + body[k:]}
+				if k < len(body) {
+					edits = append(edits, body[:k]+m+body[min(k+len(m), len(body)):])
+				}
+				for _, e := range edits {
+					for _, doc := range rowDocs(e) {
+						if check(doc) {
+							valid++
+						} else {
+							invalid++
+						}
+					}
+				}
+			}
+		}
+	}
+	if valid == 0 || invalid == 0 {
+		t.Fatalf("%d mutated rows valid, %d invalid; want some of each", valid, invalid)
+	}
+}
+
 func FuzzValidJSON(f *testing.F) {
 	f.Add(deadlineArtifact(f, "small"))
 	for _, c := range validCases(false) {
 		f.Add(c)
 	}
+	// Mixed-width rows long enough for the row loop, so the fuzzer
+	// mutates inside its words.
+	f.Add([]byte("[0,10,100,0,7,42,305,0,123456789,0,5,10,100,1000,0,7,42]"))
+	f.Add([]byte(`{"price":[[0,50,50,50,50,50,50,50,50,50,50,50,50,50,50],[0,10,100,0,7,42,305,0,9,0,1]],"value":1.5}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if got, want := engine.ValidJSON(data), json.Valid(data); got != want {
 			t.Fatalf("ValidJSON(%q) = %v, json.Valid = %v", data, got, want)
@@ -186,22 +291,26 @@ func TestEngineChecksEdgeCaseArtifacts(t *testing.T) {
 }
 
 func BenchmarkValidJSON(b *testing.B) {
-	art := deadlineArtifact(b, "paper")
-	b.SetBytes(int64(len(art)))
-	for b.Loop() {
-		if !engine.ValidJSON(art) {
-			b.Fatal("ValidJSON rejects the deadline artifact")
-		}
-	}
+	benchmarkValid(b, engine.ValidJSON)
 }
 
 // BenchmarkJSONValid is BenchmarkValidJSON with encoding/json's check.
 func BenchmarkJSONValid(b *testing.B) {
-	art := deadlineArtifact(b, "paper")
-	b.SetBytes(int64(len(art)))
-	for b.Loop() {
-		if !json.Valid(art) {
-			b.Fatal("json.Valid rejects the deadline artifact")
-		}
+	benchmarkValid(b, json.Valid)
+}
+
+// benchmarkValid times valid on the paper-scale artifact of each built-in
+// kind, one sub-benchmark a kind.
+func benchmarkValid(b *testing.B, valid func([]byte) bool) {
+	for _, kind := range []string{kinds.KindDeadline, kinds.KindTradeoff, kinds.KindMulti, kinds.KindBudget} {
+		b.Run(kind, func(b *testing.B) {
+			art := kindArtifact(b, kind, "paper")
+			b.SetBytes(int64(len(art)))
+			for b.Loop() {
+				if !valid(art) {
+					b.Fatalf("the %s artifact is not valid", kind)
+				}
+			}
+		})
 	}
 }

@@ -227,6 +227,9 @@ func FuzzDecodeSolve(f *testing.F) {
 		`{"cache_hit":"yes","result":[1]}`,
 		`{"result": [1] , "kind":"x"}`,
 		"{\"result\":[1]\u00a0}",
+		// Mixed-width rows long enough for engine.ValidJSON's row loop.
+		`{"kind":"deadline","cache_hit":true,"result":{"price":[[0,10,100,0,7,42,305,0,123456789,0,5,10,100,1000,0,7,42]],"value":1}}`,
+		`{"kind":"deadline","result":[0,10,100,0,7,42,305,0,123456789,0,5,10,100,1000,0,7,42,05,0]}`,
 	} {
 		f.Add([]byte(body))
 	}
@@ -241,4 +244,49 @@ func FuzzDecodeSolve(f *testing.F) {
 			t.Fatalf("decodeSolve gave %+v, json.Unmarshal %+v", got, want)
 		}
 	})
+}
+
+// warmSolveBody is the body writeSolve sends for a warm hit on the
+// paper-scale deadline request.
+func warmSolveBody(b *testing.B) []byte {
+	b.Helper()
+	s := New(Options{})
+	defer s.Close()
+	req := paperScaleRequest()
+	solveOnce(b, s, req)
+	resp := solveOnce(b, s, req)
+	if !resp.CacheHit {
+		b.Fatal("the second solve missed the cache")
+	}
+	rec := httptest.NewRecorder()
+	s.writeSolve(rec, resp)
+	if _, ok := splitSolve(rec.Body.Bytes()); !ok {
+		b.Fatal("splitSolve cannot split a writeSolve body")
+	}
+	return rec.Body.Bytes()
+}
+
+// BenchmarkDecodeSolve times the typed client's decode of a paper-scale
+// warm-hit solve response: the head's decode, one engine.ValidJSON pass
+// over the artifact and its copy.
+func BenchmarkDecodeSolve(b *testing.B) {
+	benchmarkDecodeSolve(b, decodeSolve)
+}
+
+// BenchmarkUnmarshalSolve is BenchmarkDecodeSolve with json.Unmarshal, the
+// decode a body of any other layout gets.
+func BenchmarkUnmarshalSolve(b *testing.B) {
+	benchmarkDecodeSolve(b, func(data []byte, out *SolveResponse) error { return json.Unmarshal(data, out) })
+}
+
+func benchmarkDecodeSolve(b *testing.B, decode func([]byte, *SolveResponse) error) {
+	body := warmSolveBody(b)
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	for b.Loop() {
+		var resp SolveResponse
+		if err := decode(body, &resp); err != nil || !resp.CacheHit {
+			b.Fatalf("decoded %+v, %v", resp.CacheHit, err)
+		}
+	}
 }
