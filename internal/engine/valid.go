@@ -25,8 +25,9 @@ const maxNesting = 10000
 // nor a comma, a comma where a number starts, and a '0' that starts a
 // number followed by a digit. Two bits carry the last byte of one word to
 // the next: whether it was a comma, and whether it was a '0' that starts
-// a number. At the first word that fails the test, or the end of data, the
-// row loop hands back to the element after the last comma it accepted.
+// a number. At the first word that fails, or with fewer than eight bytes
+// left, the row loop hands back to the element after the last comma it
+// accepted.
 func ValidJSON(data []byte) bool {
 	i := skipSpace(data, scanValue(data, skipSpace(data, 0), 0))
 	return i == len(data)
@@ -108,23 +109,18 @@ const rowEntry = 4
 // bytes.
 const (
 	lanes = 0x0101010101010101
-	high  = 0x80 * lanes // bit 7 of each byte: the loop's one flag a byte
+	high  = 0x80 * lanes // bit 7 of each byte, which holds the byte's flag
 	low7  = 0x7f * lanes
 )
 
-// scanRow checks a run of array elements that are each digits then a
-// comma, eight bytes a step, from b[i], the first byte of an element. It
-// returns the index just past the last comma in the words it accepted,
-// after any whitespace, or i if there is none. Every element before that
-// index is checked; scanArray checks the rest.
-//
-// A word passes when each byte is a digit or a comma, no comma stands
-// where a number starts, and no '0' that starts a number is followed by
-// a digit. A byte starts a number when the byte before it is a comma, so
-// two carries hand the last byte of one word to the next: comma (it was a
-// comma; true at b[i]) and zero (it was a '0' that starts a number). The
-// loop always steps eight bytes and looks for the last comma only when it
-// stops, so no step waits on where the one before it ended.
+// scanRow is ValidJSON's row loop. From b[i], the first byte of an
+// element, it checks "digits, then a comma" elements eight bytes a step
+// and returns the index just past the last comma in the words it
+// accepted, after any whitespace, or i if there is none: every element
+// before that index is checked, and scanArray checks the rest. The comma
+// carry starts set, since b[i] starts a number. The loop always steps
+// eight bytes and looks for the last comma only when it stops, so no step
+// waits on where the one before it ended.
 func scanRow(b []byte, i int) int {
 	p, comma, zero := i, uint64(0x80), uint64(0)
 	for ; p <= len(b)-8; p += 8 {

@@ -142,8 +142,9 @@ func TestValidJSONAllocationFree(t *testing.T) {
 // and rows of exactly 3, 4 and 5 elements, around the point where
 // scanArray starts the row loop. The row loop's words start at an
 // element's first byte, so each long row also comes with its fifth
-// element widened by 1-7 digits, which moves the rest of the row to each
-// of a word's eight byte positions.
+// element widened by 1-3 digits, which moves the commas of the rest of
+// the row to other byte positions of a word: with the four widths, to
+// every one of them in each row.
 func rowBodies() []string {
 	var bodies []string
 	for _, elems := range [][]string{
@@ -154,7 +155,7 @@ func rowBodies() []string {
 		for k := 0; len(strings.Join(row, ",")) < 120; k++ {
 			row = append(row, elems[k%len(elems)])
 		}
-		for wide := range 8 {
+		for wide := range 4 {
 			row := slices.Clone(row)
 			row[4] += strings.Repeat("1", wide)
 			bodies = append(bodies, strings.Join(row, ","))
@@ -185,8 +186,10 @@ func TestValidJSONRowAlignment(t *testing.T) {
 		}
 		return want
 	}
+	// A comma inserted next to a comma makes ,, and at offset 0 [,; a
+	// 0 inserted before a digit makes a leading zero.
 	muts := []string{
-		",", ",,", "0", "05", "00", // ,, [, and a leading zero, by insertion
+		",", ",,", "0", "05", "00",
 		"-", ".", "e", "/", ":", "+",
 		" ", "\t", "\n", ", ", ",\t", ",\n",
 		"]", "[", "\xac",

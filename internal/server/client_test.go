@@ -286,7 +286,7 @@ func benchmarkDecodeSolve(b *testing.B, decode func([]byte, *SolveResponse) erro
 	for b.Loop() {
 		var resp SolveResponse
 		if err := decode(body, &resp); err != nil || !resp.CacheHit {
-			b.Fatalf("decoded %+v, %v", resp.CacheHit, err)
+			b.Fatalf("cache_hit %v, error %v; want a decoded warm hit", resp.CacheHit, err)
 		}
 	}
 }
