@@ -77,8 +77,17 @@ func (p *DeadlineProblem) Validate() error {
 	case p.TruncEps < 0:
 		return errors.New("core: negative truncation threshold")
 	}
-	for t, l := range p.Lambdas {
-		if l < 0 || math.IsNaN(l) {
+	return checkLambdas(p.Lambdas)
+}
+
+// checkLambdas requires every λ_t to be a finite, non-negative number of
+// expected arrivals. The deadline, multi and two-type problems all validate
+// their arrivals here. A negative λ_t gives negative means, which either
+// index a table below its first cell or solve as if no worker arrived, and
+// an infinite one makes its interval's means infinite or NaN.
+func checkLambdas(lambdas []float64) error {
+	for t, l := range lambdas {
+		if !(l >= 0) || math.IsInf(l, 1) {
 			return fmt.Errorf("core: invalid lambda %v at interval %d", l, t)
 		}
 	}
@@ -130,9 +139,15 @@ func (pol *DeadlinePolicy) PriceAt(n, t int) int {
 // allocates nothing once they are large enough.
 type typeTable struct {
 	pmf, cum [][]float64
-	min      int
+	// tail[ci] is 1 − cum[ci][last], the mass at or past the row's end,
+	// truncated mass included.
+	tail []float64
+	min  int
 	// accept[ci] is p(min+ci).
 	accept []float64
+	// rev holds a cost-to-go row back to front for the deadline kernel
+	// (see reversed). accept, tail and rev share one array.
+	rev []float64
 	// limit is the untruncated row length, N+1 for a type of N tasks.
 	limit int
 	eps   float64
@@ -143,11 +158,14 @@ type typeTable struct {
 
 func newTypeTable(accept choice.AcceptanceFn, minPrice, maxPrice, nMax int, eps float64) *typeTable {
 	n := maxPrice - minPrice + 1
+	vals := make([]float64, 2*n+nMax+1)
 	tab := &typeTable{
 		pmf:    make([][]float64, n),
 		cum:    make([][]float64, n),
+		tail:   vals[n : 2*n : 2*n],
 		min:    minPrice,
-		accept: make([]float64, n),
+		accept: vals[:n:n],
+		rev:    vals[2*n:],
 		limit:  nMax + 1,
 		eps:    eps,
 	}
@@ -177,6 +195,7 @@ func (tab *typeTable) fill(lambda float64) {
 		cum := tab.cumBuf[off : off+tab.limit : off+tab.limit]
 		n := poissonRow(pmf, cum, lambda*accept, tab.eps)
 		tab.pmf[ci], tab.cum[ci] = pmf[:n], cum[:n]
+		tab.tail[ci] = 1 - cum[n-1]
 		off += n
 	}
 }
@@ -190,16 +209,32 @@ func (tab *typeTable) fill(lambda float64) {
 // and one walk up serve the table, the CDF and the truncation mass, which
 // sums the same terms in TruncationPoint's order. A mode at or past
 // len(pmf) anchors the walk at the last cell instead; the truncation point
-// is then past the mode, so it cannot lower n.
+// is then past the mode, so it cannot lower n. The mean is compared with
+// the limit before it is converted, so a finite mean of any size, 2⁶³ and
+// past it included, anchors there.
+//
+// The anchor is dist.Poisson's PMF at the mode. For a mean in (0, 1) that
+// is PMF(0), which computes exp(0·log(mean) − mean − lgamma(1)), and
+// lgamma(1) is exactly 0, so the row takes math.Exp(-mean) directly: the
+// same bits without the Lgamma and Log calls. Every row of a small-λ
+// problem, the service's sampled ones among them, has such a mean. Every
+// other mean, zero and negative ones included, calls PMF.
 func poissonRow(pmf, cum []float64, mean, eps float64) int {
 	limit := len(pmf)
-	mode := int(mean)
+	var mode int
 	trunc := eps > 0
-	if mode >= limit {
+	if mean >= float64(limit) {
 		mode = limit - 1
 		trunc = false
+	} else {
+		mode = int(mean)
 	}
-	anchor := dist.Poisson{Lambda: mean}.PMF(mode)
+	var anchor float64
+	if mean > 0 && mean < 1 {
+		anchor = math.Exp(-mean)
+	} else {
+		anchor = dist.Poisson{Lambda: mean}.PMF(mode)
+	}
 	pmf[mode] = anchor
 	// mass is TruncationPoint's running sum: the anchor, then the terms
 	// below it down to the first one under anchor·1e-18, then the terms
@@ -237,44 +272,59 @@ func poissonRow(pmf, cum []float64, mean, eps float64) int {
 	return k + 1
 }
 
-// stateCost evaluates the DP objective for state (n, t) at a price using
-// that price's row of the interval's table:
-//
-//	Σ_{s<n} PMF(s)·(s·c + Opt[t+1][n−s]) + P(X ≥ n)·n·c + P(X ≥ n)·Opt[t+1][0]
-//
-// with Opt[t+1][0] = 0 by construction.
-func stateCost(pmf, cum, next []float64, n, price int) float64 {
-	m := n
-	if m > len(pmf) {
-		m = len(pmf)
+// reversed copies next, the cost-to-go row of the interval after tab's,
+// into tab's scratch row back to front and returns that row, in which
+// next[k] sits at index len(next)-1-k. bestPrice reads the row this way
+// round.
+func (tab *typeTable) reversed(next []float64) []float64 {
+	rev := tab.rev[:len(next)]
+	for k, v := range next {
+		rev[len(rev)-1-k] = v
 	}
-	cost := 0.0
-	for s := 0; s < m; s++ {
-		cost += pmf[s] * (float64(s*price) + next[n-s])
-	}
-	// Tail mass P(X >= m'): everything at or beyond n completes all n
-	// tasks; truncated mass beyond the table is treated the same, which is
-	// exactly the estimate Est_trunc of Theorem 1 when m == len(pmf) < n.
-	var covered float64
-	if m > 0 {
-		covered = cum[m-1]
-	}
-	tail := 1 - covered
-	if tail > 0 {
-		cost += tail * float64(n*price)
-	}
-	return cost
+	return rev
 }
 
-// bestPrice scans prices [priceLo, priceHi] for state n and returns the
-// minimizing cost and price. Both solvers evaluate every state through
-// this one function, so they differ only in which prices they scan.
-func (p *DeadlineProblem) bestPrice(tab *typeTable, next []float64, n, priceLo, priceHi int) (float64, int) {
+// bestPrice scans prices [priceLo, priceHi] for state n, with n ≥ 1, and
+// returns the lowest cost and the first price that reaches it. rev is the
+// cost-to-go of the interval after tab's as reversed returns it: next[k]
+// is rev[N−k]. A price c costs the DP objective
+//
+//	Σ_{s<m} PMF(s)·(s·c + next[n−s]) + P(X ≥ m)·n·c,   m = min(n, len(PMF)),
+//
+// summed in that order. Each completion count below m leaves n−s tasks to
+// the next interval, and the tail, all the mass at or past m, completes
+// all n; next[0] is 0, so nothing follows. The tail counts the truncated
+// mass as completing, which is Theorem 1's estimate Est_trunc when
+// m = len(PMF) < n. Both solvers evaluate every state here, so they differ
+// only in which prices they scan.
+//
+// The cost is computed inline, with no call per price. rest[s] below is
+// next[n−s], so the term loop reads the row and rest at one ascending
+// index, and with both cut to one length the compiler drops every bounds
+// check in it; it proves no descending index such as n−s in range. A
+// row's whole tail is read from the table. Each term keeps the objective's
+// form, PMF(s)·(s·c + next[n−s]) added to the running cost, so a target on
+// which Go fuses x*y+z into one instruction fuses the same operations as
+// the reference form in kernel_test.go, and the two agree bit for bit on
+// every target.
+func (p *DeadlineProblem) bestPrice(tab *typeTable, rev []float64, n, priceLo, priceHi int) (float64, int) {
 	bestCost := math.Inf(1)
 	best := priceLo
+	rest := rev[len(rev)-1-n:]
 	for c := priceLo; c <= priceHi; c++ {
 		ci := c - p.MinPrice
-		cost := stateCost(tab.pmf[ci], tab.cum[ci], next, n, c)
+		pmf, tail := tab.pmf[ci], tab.tail[ci]
+		if n < len(pmf) {
+			pmf, tail = pmf[:n], 1-tab.cum[ci][n-1]
+		}
+		r := rest[:len(pmf)]
+		cost := 0.0
+		for s, q := range pmf {
+			cost += q * (float64(s*c) + r[s])
+		}
+		if tail > 0 {
+			cost += tail * float64(n*c)
+		}
 		if cost < bestCost {
 			bestCost = cost
 			best = c
@@ -294,9 +344,9 @@ func (p *DeadlineProblem) SolveSimple() (*DeadlinePolicy, error) {
 	tab := p.newTable()
 	for t := p.Intervals - 1; t >= 0; t-- {
 		tab.fill(p.Lambdas[t])
-		next := pol.Opt[t+1]
+		rev := tab.reversed(pol.Opt[t+1])
 		for n := 1; n <= p.N; n++ {
-			pol.Opt[t][n], pol.Price[t][n] = p.bestPrice(tab, next, n, p.MinPrice, p.MaxPrice)
+			pol.Opt[t][n], pol.Price[t][n] = p.bestPrice(tab, rev, n, p.MinPrice, p.MaxPrice)
 		}
 	}
 	pol.Value = pol.Opt[0][p.N]
@@ -309,28 +359,41 @@ func (p *DeadlineProblem) SolveSimple() (*DeadlinePolicy, error) {
 // halves, for complexity O(NT·N·(N + C·log N)). Like SolveSimple it is exact
 // and serial: equal problems give bit-identical policies, which is what
 // lets the service cache a solved policy under its problem's Fingerprint.
+//
+// The halving is a loop over a stack of spans, runs of states with the
+// price range their optimal prices lie in, kept in a fixed array on the
+// goroutine's stack. The lower half is popped first, so states are solved
+// in a recursive walk's order (midpoint, lower half, upper half), each
+// against its own price range. A span leaves at most one pending upper
+// half per level of the halving, so the stack holds at most its depth plus
+// two: 64 spans cover any N.
 func (p *DeadlineProblem) SolveEfficient() (*DeadlinePolicy, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	pol := p.newPolicy()
 	tab := p.newTable()
+	type span struct{ lo, hi, priceLo, priceHi int }
+	var stack [64]span
 	for t := p.Intervals - 1; t >= 0; t-- {
 		tab.fill(p.Lambdas[t])
-		next := pol.Opt[t+1]
-		var solveRange func(lo, hi, priceLo, priceHi int)
-		solveRange = func(lo, hi, priceLo, priceHi int) {
-			if lo > hi {
-				return
+		rev, opt, price := tab.reversed(pol.Opt[t+1]), pol.Opt[t], pol.Price[t]
+		stack[0] = span{1, p.N, p.MinPrice, p.MaxPrice}
+		for top := 1; top > 0; {
+			top--
+			s := stack[top]
+			mid := (s.lo + s.hi) / 2
+			cost, c := p.bestPrice(tab, rev, mid, s.priceLo, s.priceHi)
+			opt[mid], price[mid] = cost, c
+			if mid < s.hi {
+				stack[top] = span{mid + 1, s.hi, c, s.priceHi}
+				top++
 			}
-			mid := (lo + hi) / 2
-			bestCost, bestPrice := p.bestPrice(tab, next, mid, priceLo, priceHi)
-			pol.Opt[t][mid] = bestCost
-			pol.Price[t][mid] = bestPrice
-			solveRange(lo, mid-1, priceLo, bestPrice)
-			solveRange(mid+1, hi, bestPrice, priceHi)
+			if s.lo < mid {
+				stack[top] = span{s.lo, mid - 1, s.priceLo, c}
+				top++
+			}
 		}
-		solveRange(1, p.N, p.MinPrice, p.MaxPrice)
 	}
 	pol.Value = pol.Opt[0][p.N]
 	return pol, nil

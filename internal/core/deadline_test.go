@@ -56,6 +56,77 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsBadLambdas: the deadline, multi and two-type problems
+// share one arrival check, so a negative, NaN or infinite λ_t is a Validate
+// error (and so a Fingerprint error) for each of them. A negative λ used to
+// reach the multi solve, which panicked on an index below its table or
+// solved as if no worker arrived, and +Inf reached every solve.
+func TestValidateRejectsBadLambdas(t *testing.T) {
+	for _, l := range []float64{-3000, -30, -1e-300, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		d := testProblem(10, 6)
+		d.Lambdas[2] = l
+		k := testMultiK([]int{3, 3}, []choice.AcceptanceFn{choice.Paper13, choice.Paper13})
+		k.Lambdas[0] = l
+		two := testMultiType()
+		two.Lambdas[5] = l
+		for name, validate := range map[string]func() error{
+			"deadline": d.Validate, "multi": k.Validate, "two-type": two.Validate,
+		} {
+			if err := validate(); err == nil || !strings.Contains(err.Error(), "invalid lambda") {
+				t.Errorf("%s problem with lambda %v: Validate error %v, want invalid lambda", name, l, err)
+			}
+		}
+		if _, err := d.Fingerprint(); err == nil {
+			t.Errorf("deadline problem with lambda %v fingerprints", l)
+		}
+		if _, err := k.Fingerprint(); err == nil {
+			t.Errorf("multi problem with lambda %v fingerprints", l)
+		}
+	}
+}
+
+// TestHugeFiniteLambdaSolves: a finite λ_t of any size solves. At 1e300
+// every mean of the interval is far past N, so each row is anchored at its
+// last cell and is all zeros, truncated or not: every state completes at
+// once and the interval prices at MinPrice. int(mean) of such a mean is no
+// count, and the solvers used to index a row with it.
+func TestHugeFiniteLambdaSolves(t *testing.T) {
+	for _, eps := range []float64{0, 1e-6} {
+		p := testProblem(12, 4)
+		p.MinPrice, p.TruncEps = 2, eps
+		p.Lambdas[1] = 1e300
+		for name, solve := range map[string]func() (*DeadlinePolicy, error){
+			"SolveEfficient": p.SolveEfficient, "SolveSimple": p.SolveSimple,
+		} {
+			pol, err := solve()
+			if err != nil {
+				t.Fatalf("%s eps %v: %v", name, eps, err)
+			}
+			for n := 1; n <= p.N; n++ {
+				if pol.Price[1][n] != p.MinPrice || pol.Opt[1][n] != float64(n*p.MinPrice) {
+					t.Fatalf("%s eps %v: state (%d, 1) prices %d at cost %v, want %d at %d",
+						name, eps, n, pol.Price[1][n], pol.Opt[1][n], p.MinPrice, n*p.MinPrice)
+				}
+			}
+			if out := pol.Evaluate(); math.IsNaN(out.ExpectedCost) || math.Abs(out.CompletionProb-1) > 1e-12 {
+				t.Errorf("%s eps %v: outcome %+v, want every task done", name, eps, out)
+			}
+		}
+		k := testMultiK([]int{3, 2}, []choice.AcceptanceFn{choice.Paper13, choice.Paper13})
+		k.TruncEps = eps
+		k.Lambdas[1] = 1e300
+		if _, err := k.Solve(); err != nil {
+			t.Errorf("multi eps %v: %v", eps, err)
+		}
+		two := testMultiType()
+		two.TruncEps = eps
+		two.Lambdas[2] = 1e300
+		if _, err := two.Solve(); err != nil {
+			t.Errorf("two-type eps %v: %v", eps, err)
+		}
+	}
+}
+
 // TestSimpleMatchesEfficient is the correctness check for Algorithm 2: the
 // monotone divide-and-conquer price search must reproduce Algorithm 1's
 // value function (Conjecture 1 holding on this family of instances).
@@ -145,7 +216,8 @@ func TestOptMonotoneInN(t *testing.T) {
 }
 
 // TestBellmanConsistency re-derives Opt[t][n] from Opt[t+1] at the policy's
-// chosen price and checks it matches — the DP respects its own recurrence.
+// chosen price, through the oracle's stateCost (kernel_test.go), and checks
+// it matches — the DP respects its own recurrence.
 func TestBellmanConsistency(t *testing.T) {
 	p := testProblem(25, 6)
 	pol, err := p.SolveSimple()

@@ -68,6 +68,45 @@ func TestFingerprintGolden(t *testing.T) {
 	}
 }
 
+// TestFingerprintAllocations fences a fingerprint's allocations at a small
+// constant: the encoding starts in an array on the stack and is hashed
+// once, so a problem whose encoding fits the array allocates only the
+// digest's string, and a longer one also grows the encoding once or twice
+// (one more under the race detector, whose instrumented build allocates
+// the zeroed slice that slices.Grow appends). Writing each field through
+// hash.Hash, which passed a fresh [8]byte through an interface per field,
+// made 93 allocations on the paper-scale deadline problem.
+func TestFingerprintAllocations(t *testing.T) {
+	const maxAllocs = 4
+	long := paperScaleDeadline()
+	long.Intervals = 500
+	long.Lambdas = make([]float64, long.Intervals)
+	for i := range long.Lambdas {
+		long.Lambdas[i] = 1733
+	}
+	cases := []struct {
+		name string
+		fp   func() (string, error)
+	}{
+		{"paper-scale deadline", paperScaleDeadline().Fingerprint},
+		{"500-interval deadline", long.Fingerprint},
+		{"budget", fpBudgetProblem().Fingerprint},
+		{"tradeoff", fpTradeoffProblem().Fingerprint},
+		{"multi", fpMultiProblem().Fingerprint},
+	}
+	for _, tc := range cases {
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := tc.fp(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s Fingerprint: %.0f allocations", tc.name, allocs)
+		if allocs > maxAllocs {
+			t.Errorf("%s Fingerprint makes %.0f allocations, want at most %d", tc.name, allocs, maxAllocs)
+		}
+	}
+}
+
 // TestFingerprintStableAcrossRuns re-hashes the same problem many times via
 // fresh copies; any dependence on allocation addresses or iteration order
 // would show up as a mismatch.

@@ -52,7 +52,7 @@ func (p *MultiTypeProblem) Validate() error {
 	case p.Penalty < 0:
 		return errors.New("core: negative penalty")
 	}
-	return nil
+	return checkLambdas(p.Lambdas)
 }
 
 // MultiTypePolicy holds the solved joint policy. Indexing is

@@ -71,6 +71,9 @@ func (p *MultiProblem) Validate() error {
 	if p.Intervals <= 0 || len(p.Lambdas) != p.Intervals {
 		return errors.New("core: bad interval configuration")
 	}
+	if err := checkLambdas(p.Lambdas); err != nil {
+		return err
+	}
 	if p.MinPrice < 0 || p.MaxPrice < p.MinPrice {
 		return errors.New("core: bad price range")
 	}

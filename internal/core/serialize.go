@@ -7,9 +7,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash"
-	"io"
 	"math"
+	"slices"
 	"strconv"
 
 	"crowdpricing/internal/choice"
@@ -105,7 +104,9 @@ func (pol *DeadlinePolicy) MarshalJSON() ([]byte, error) {
 	return append(out, '}'), nil
 }
 
-// appendPrices appends rows as encoding/json writes a [][]int.
+// appendPrices appends rows as encoding/json writes a [][]int. A price
+// below 100, as every price of the paper's range is, is written as its one
+// or two digits directly; any other goes through strconv.
 func appendPrices(b []byte, rows [][]int) []byte {
 	if rows == nil {
 		return append(b, "null"...)
@@ -124,7 +125,14 @@ func appendPrices(b []byte, rows [][]int) []byte {
 			if n > 0 {
 				b = append(b, ',')
 			}
-			b = strconv.AppendInt(b, int64(c), 10)
+			switch {
+			case uint(c) < 10:
+				b = append(b, byte('0'+c))
+			case uint(c) < 100:
+				b = append(b, byte('0'+c/10), byte('0'+c%10))
+			default:
+				b = strconv.AppendInt(b, int64(c), 10)
+			}
 		}
 		b = append(b, ']')
 	}
@@ -151,8 +159,15 @@ func pricesLen(rows [][]int) int {
 }
 
 // intLen is the length of v in decimal, sign included. Counting digits
-// takes a third of the time strconv.AppendInt takes to write them.
+// takes a third of the time strconv.AppendInt takes to write them, and a
+// value below 100 is counted without the loop.
 func intLen(v int) int {
+	switch {
+	case uint(v) < 10:
+		return 1
+	case uint(v) < 100:
+		return 2
+	}
 	n := 1
 	u := uint64(v)
 	if v < 0 {
@@ -213,58 +228,69 @@ func (pol *DeadlinePolicy) UnmarshalJSON(data []byte) error {
 // prefixed bytes for strings), so the resulting digest depends only on the
 // problem's content — never on map iteration order, struct layout, platform
 // word size, or JSON formatting.
-type fpHasher struct {
-	h hash.Hash
+//
+// The encoding is one byte slice, hashed once by sum. Each method returns
+// it with one more field appended, as append does, so a Fingerprint that
+// starts it in an array of its own keeps it on the stack: it allocates for
+// the digest's string, and for an encoding past the array's length.
+type fpHasher []byte
+
+// fpBufLen is the array a Fingerprint starts its encoding in: a deadline
+// problem of up to ~110 intervals fits.
+const fpBufLen = 1024
+
+// newFPHasher starts an encoding in buf, in the given domain; the domain
+// tag separates the problem kinds (and versions the encoding), so a
+// deadline problem and a budget problem can never collide even if their
+// field bytes coincide.
+func newFPHasher(buf []byte, domain string) fpHasher {
+	return fpHasher(buf[:0]).str(domain)
 }
 
-// newFPHasher starts a hash in the given domain; the domain tag separates
-// the problem kinds (and versions the encoding), so a deadline problem and a
-// budget problem can never collide even if their field bytes coincide.
-func newFPHasher(domain string) *fpHasher {
-	f := &fpHasher{h: sha256.New()}
-	f.str(domain)
+func (f fpHasher) str(s string) fpHasher {
+	return append(f.int(len(s)), s...)
+}
+
+func (f fpHasher) int(v int) fpHasher {
+	return binary.BigEndian.AppendUint64(f, uint64(int64(v)))
+}
+
+func (f fpHasher) float(v float64) fpHasher {
+	return binary.BigEndian.AppendUint64(f, math.Float64bits(v))
+}
+
+// floats appends a length-prefixed run of floats, growing the encoding at
+// most once for it.
+func (f fpHasher) floats(vs []float64) fpHasher {
+	f = slices.Grow(f.int(len(vs)), 8*len(vs))
+	for _, v := range vs {
+		f = f.float(v)
+	}
 	return f
 }
 
-func (f *fpHasher) str(s string) {
-	f.int(len(s))
-	io.WriteString(f.h, s)
+// curve appends a logistic acceptance curve.
+func (f fpHasher) curve(l choice.Logistic) fpHasher {
+	return f.str("logistic").float(l.S).float(l.B).float(l.M)
 }
 
-func (f *fpHasher) int(v int) {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], uint64(int64(v)))
-	f.h.Write(b[:])
+func (f fpHasher) sum() string {
+	d := sha256.Sum256(f)
+	var dst [2 * sha256.Size]byte
+	hex.Encode(dst[:], d[:])
+	return string(dst[:])
 }
 
-func (f *fpHasher) float(v float64) {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], math.Float64bits(v))
-	f.h.Write(b[:])
-}
-
-func (f *fpHasher) floats(vs []float64) {
-	f.int(len(vs))
-	for _, v := range vs {
-		f.float(v)
-	}
-}
-
-func (f *fpHasher) sum() string { return hex.EncodeToString(f.h.Sum(nil)) }
-
-// fingerprintAccept folds the acceptance curve into the hash. Like policy
-// serialization, fingerprinting requires the parametric choice.Logistic
-// curve; an arbitrary AcceptanceFn has no canonical content to hash.
-func fingerprintAccept(f *fpHasher, fn choice.AcceptanceFn) error {
+// fingerprintAccept returns the curve an acceptance function contributes to
+// a fingerprint. Like policy serialization, fingerprinting requires the
+// parametric choice.Logistic curve; an arbitrary AcceptanceFn has no
+// canonical content to hash.
+func fingerprintAccept(fn choice.AcceptanceFn) (choice.Logistic, error) {
 	l, ok := fn.(choice.Logistic)
 	if !ok {
-		return fmt.Errorf("core: acceptance curve %T is not fingerprintable", fn)
+		return l, fmt.Errorf("core: acceptance curve %T is not fingerprintable", fn)
 	}
-	f.str("logistic")
-	f.float(l.S)
-	f.float(l.B)
-	f.float(l.M)
-	return nil
+	return l, nil
 }
 
 // Fingerprint returns a stable content hash of the problem: two problems
@@ -278,20 +304,15 @@ func (p *DeadlineProblem) Fingerprint() (string, error) {
 	if err := p.Validate(); err != nil {
 		return "", err
 	}
-	f := newFPHasher("crowdpricing/deadline/v1")
-	f.int(p.N)
-	f.float(p.Horizon)
-	f.int(p.Intervals)
-	f.floats(p.Lambdas)
-	if err := fingerprintAccept(f, p.Accept); err != nil {
+	l, err := fingerprintAccept(p.Accept)
+	if err != nil {
 		return "", err
 	}
-	f.int(p.MinPrice)
-	f.int(p.MaxPrice)
-	f.float(p.Penalty)
-	f.float(p.Alpha)
-	f.float(p.TruncEps)
-	return f.sum(), nil
+	var buf [fpBufLen]byte
+	return newFPHasher(buf[:], "crowdpricing/deadline/v1").
+		int(p.N).float(p.Horizon).int(p.Intervals).floats(p.Lambdas).
+		curve(l).int(p.MinPrice).int(p.MaxPrice).
+		float(p.Penalty).float(p.Alpha).float(p.TruncEps).sum(), nil
 }
 
 // Fingerprint returns a stable content hash of the budget problem; see
@@ -300,15 +321,14 @@ func (p *BudgetProblem) Fingerprint() (string, error) {
 	if err := p.Validate(); err != nil {
 		return "", err
 	}
-	f := newFPHasher("crowdpricing/budget/v1")
-	f.int(p.N)
-	f.int(p.Budget)
-	if err := fingerprintAccept(f, p.Accept); err != nil {
+	l, err := fingerprintAccept(p.Accept)
+	if err != nil {
 		return "", err
 	}
-	f.int(p.MinPrice)
-	f.int(p.MaxPrice)
-	return f.sum(), nil
+	var buf [fpBufLen]byte
+	return newFPHasher(buf[:], "crowdpricing/budget/v1").
+		int(p.N).int(p.Budget).
+		curve(l).int(p.MinPrice).int(p.MaxPrice).sum(), nil
 }
 
 // Fingerprint returns a stable content hash of the general-k multi-type
@@ -319,23 +339,20 @@ func (p *MultiProblem) Fingerprint() (string, error) {
 	if err := p.Validate(); err != nil {
 		return "", err
 	}
-	f := newFPHasher("crowdpricing/multi/v1")
-	f.int(len(p.Counts))
+	var buf [fpBufLen]byte
+	f := newFPHasher(buf[:], "crowdpricing/multi/v1").int(len(p.Counts))
 	for _, n := range p.Counts {
-		f.int(n)
+		f = f.int(n)
 	}
-	f.int(p.Intervals)
-	f.floats(p.Lambdas)
+	f = f.int(p.Intervals).floats(p.Lambdas)
 	for _, fn := range p.Accepts {
-		if err := fingerprintAccept(f, fn); err != nil {
+		l, err := fingerprintAccept(fn)
+		if err != nil {
 			return "", err
 		}
+		f = f.curve(l)
 	}
-	f.int(p.MinPrice)
-	f.int(p.MaxPrice)
-	f.float(p.Penalty)
-	f.float(p.TruncEps)
-	return f.sum(), nil
+	return f.int(p.MinPrice).int(p.MaxPrice).float(p.Penalty).float(p.TruncEps).sum(), nil
 }
 
 // Fingerprint returns a stable content hash of the trade-off problem; see
@@ -344,14 +361,12 @@ func (p *TradeoffProblem) Fingerprint() (string, error) {
 	if err := p.Validate(); err != nil {
 		return "", err
 	}
-	f := newFPHasher("crowdpricing/tradeoff/v1")
-	f.int(p.N)
-	f.float(p.Alpha)
-	f.float(p.Lambda)
-	if err := fingerprintAccept(f, p.Accept); err != nil {
+	l, err := fingerprintAccept(p.Accept)
+	if err != nil {
 		return "", err
 	}
-	f.int(p.MinPrice)
-	f.int(p.MaxPrice)
-	return f.sum(), nil
+	var buf [fpBufLen]byte
+	return newFPHasher(buf[:], "crowdpricing/tradeoff/v1").
+		int(p.N).float(p.Alpha).float(p.Lambda).
+		curve(l).int(p.MinPrice).int(p.MaxPrice).sum(), nil
 }

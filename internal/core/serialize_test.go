@@ -8,6 +8,7 @@ import (
 	"os"
 	"reflect"
 	"slices"
+	"strconv"
 	"testing"
 
 	"crowdpricing/internal/choice"
@@ -257,6 +258,25 @@ func FuzzMarshalJSON(f *testing.F) {
 			t.Fatalf("artifact of %d bytes has capacity %d", len(got), cap(got))
 		}
 	})
+}
+
+// TestAppendPricesSmallIntegers: the one- and two-digit paths of
+// appendPrices and intLen write and count what strconv does, around their
+// edges and at the extremes.
+func TestAppendPricesSmallIntegers(t *testing.T) {
+	vals := []int{math.MinInt, math.MinInt + 1, -1 << 32, math.MaxInt, 1 << 40}
+	for v := -1001; v <= 1001; v++ {
+		vals = append(vals, v)
+	}
+	for _, v := range vals {
+		want := strconv.Itoa(v)
+		if got := string(appendPrices(nil, [][]int{{v, v}})); got != "[["+want+","+want+"]]" {
+			t.Fatalf("appendPrices(%d) = %s", v, got)
+		}
+		if got := intLen(v); got != len(want) {
+			t.Fatalf("intLen(%d) = %d, want %d", v, got, len(want))
+		}
+	}
 }
 
 type opaqueAccept struct{}

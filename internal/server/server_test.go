@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -300,6 +301,36 @@ func TestBadRequests(t *testing.T) {
 	defer res.Body.Close()
 	if res.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET on solve endpoint: status %d, want 405", res.StatusCode)
+	}
+}
+
+// TestNegativeArrivalsRejected: a negative λ_t is a 400 naming the
+// arrivals, before any solve, for the multi kind as for the deadline kind.
+// The multi kind used to answer [-3000, 30] with a 500 (its solve panicked
+// on an index below a table) and [-30, 30] with a 200 and a policy solved
+// as if no worker arrived in the first interval.
+func TestNegativeArrivalsRejected(t *testing.T) {
+	s, ts := newTestServer(t, Options{})
+	bodies := map[string]string{
+		"multi":    `{"counts": [3, 2], "intervals": 2, "lambdas": [%s], "accepts": [{"s": 15, "b": -0.39, "m": 2000}, {"s": 12, "b": -0.4, "m": 1500}], "min_price": 1, "max_price": 6, "penalty": 100}`,
+		"deadline": `{"n": 5, "horizon_hours": 2, "intervals": 2, "lambdas": [%s], "accept": {"s": 15, "b": -0.39, "m": 2000}, "min_price": 1, "max_price": 6, "penalty": 100}`,
+	}
+	for _, kind := range []string{"multi", "deadline"} {
+		for _, lambdas := range []string{"-3000, 30", "-30, 30"} {
+			body := fmt.Sprintf(bodies[kind], lambdas)
+			res, err := http.Post(ts.URL+"/v1/solve/"+kind, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			msg, _ := io.ReadAll(res.Body)
+			res.Body.Close()
+			if res.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "invalid lambda") {
+				t.Errorf("%s with lambdas [%s]: status %d, body %s; want 400 naming the invalid lambda", kind, lambdas, res.StatusCode, msg)
+			}
+		}
+	}
+	if m := s.Metrics(); m.Solves != 0 || m.CacheEntries != 0 {
+		t.Errorf("metrics after rejections = %+v, want 0 solves and 0 cache entries", m)
 	}
 }
 
@@ -680,19 +711,22 @@ func solveOnce(b *testing.B, s *Server, req kinds.DeadlineRequest) *SolveRespons
 }
 
 // BenchmarkDeadlineColdSolve measures the full cache-miss path at paper
-// scale: fingerprint, backward induction, serialization, cache fill.
+// scale: fingerprint, backward induction, serialization, artifact check,
+// cache fill. Every iteration solves on the same server a problem of its
+// own: the penalty moves by a millionth of a cent per iteration, which
+// changes the fingerprint and leaves the solve's work all but unchanged.
 func BenchmarkDeadlineColdSolve(b *testing.B) {
 	req := paperScaleRequest()
+	penalty := req.Penalty
+	s := New(Options{})
+	defer s.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		s := New(Options{}) // empty cache every iteration
-		b.StartTimer()
-		solveOnce(b, s, req)
-		b.StopTimer()
-		s.Close()
-		b.StartTimer()
+		req.Penalty = penalty + float64(i)*1e-6
+		if solveOnce(b, s, req).CacheHit {
+			b.Fatal("a distinct problem hit the cache")
+		}
 	}
 }
 
