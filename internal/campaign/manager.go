@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -174,7 +173,8 @@ func (m *Manager) ExpireIdle() int {
 }
 
 // decodeSpec resolves kind through the registry, refuses a kind with no
-// campaign runtime, and strictly decodes request into a fresh Spec.
+// campaign runtime, and strictly decodes request into a fresh Spec
+// (engine.DecodeJSON, the decoder of the server's solve bodies).
 func (m *Manager) decodeSpec(kind string, request json.RawMessage) (engine.Spec, error) {
 	def, ok := m.registry.Lookup(kind)
 	if !ok {
@@ -184,9 +184,7 @@ func (m *Manager) decodeSpec(kind string, request json.RawMessage) (engine.Spec,
 		return nil, fmt.Errorf("%w: kind %q has no sequential price table", ErrUnsupportedKind, kind)
 	}
 	spec := def.New()
-	dec := json.NewDecoder(bytes.NewReader(request))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(spec); err != nil {
+	if err := engine.DecodeJSON(request, spec); err != nil {
 		return nil, &engine.InvalidSpecError{Err: fmt.Errorf("bad %s request: %w", kind, err)}
 	}
 	return spec, nil

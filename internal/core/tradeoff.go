@@ -40,15 +40,22 @@ type TradeoffPolicy struct {
 	Value []float64
 }
 
-// Validate reports whether the problem is well formed.
+// Validate reports whether the problem is well formed: among the rest, α
+// must be finite and non-negative and λ finite and positive, since a NaN
+// or infinite one passes every comparison the solvers make and fails
+// only in the solve.
 func (p *TradeoffProblem) Validate() error {
 	switch {
 	case p.N <= 0:
 		return errors.New("core: N must be positive")
 	case p.Alpha < 0:
 		return errors.New("core: negative latency weight")
+	case math.IsNaN(p.Alpha) || math.IsInf(p.Alpha, 1):
+		return errors.New("core: non-finite latency weight")
 	case p.Lambda <= 0:
 		return errors.New("core: non-positive arrival rate")
+	case math.IsNaN(p.Lambda) || math.IsInf(p.Lambda, 1):
+		return errors.New("core: non-finite arrival rate")
 	case p.Accept == nil:
 		return errors.New("core: nil acceptance function")
 	case p.MinPrice < 0 || p.MaxPrice < p.MinPrice:

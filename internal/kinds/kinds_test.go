@@ -203,6 +203,29 @@ func TestArrivalLimit(t *testing.T) {
 	}
 }
 
+// TestTradeoffRejectsNonFinite: a NaN or infinite latency weight or
+// arrival rate fails the core problem's Validate and the request's
+// Validate and Fingerprint, instead of validating and failing in the
+// solve.
+func TestTradeoffRejectsNonFinite(t *testing.T) {
+	for _, field := range []string{"alpha", "lambda"} {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			r := sampleTradeoff(1, "small").(*TradeoffRequest)
+			if field == "alpha" {
+				r.Alpha = v
+			} else {
+				r.Lambda = v
+			}
+			_, fpErr := r.Fingerprint()
+			for name, err := range map[string]error{"core Validate": r.problem().Validate(), "Validate": r.Validate(), "Fingerprint": fpErr} {
+				if err == nil {
+					t.Errorf("%s %g: %s accepted it", field, v, name)
+				}
+			}
+		}
+	}
+}
+
 // TestSolveSmallAllKinds runs every kind's solver once at the small scale:
 // each produces a non-empty JSON artifact, deterministically (the bytes are
 // the cache contract).

@@ -104,7 +104,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	}
 	buf := bodyBuffers.Get().(*[]byte)
 	defer bodyBuffers.Put(buf)
-	data, err := readBody(res, (*buf)[:0])
+	data, err := readAll(res.Body, res.ContentLength, maxBodyBytes, (*buf)[:0])
 	if err != nil {
 		return err
 	}
@@ -181,16 +181,16 @@ func splitSolve(body []byte) (SolveResponse, bool) {
 // same memory.
 var bodyBuffers = sync.Pool{New: func() any { return new([]byte) }}
 
-// readBody reads a response body into b's backing array, or into one new
-// buffer when that is too small. A Content-Length up to maxBodyBytes sizes
-// the buffer up front, so a paper-scale solve response (~45 KB) costs at
-// most one allocation instead of the doubling garbage a json.Decoder
-// leaves behind. The header is only a hint: past the cap, or when absent,
-// the buffer grows as bytes arrive, so a response that declares a huge
-// length and sends little costs what it sent.
-func readBody(res *http.Response, b []byte) ([]byte, error) {
-	size := res.ContentLength
-	if size < 0 || size > maxBodyBytes {
+// readAll reads src to its end into b's backing array, or into one new
+// buffer when that is too small, and returns what it read, up to the
+// error when a read fails. A size hint between 0 and limit sizes the
+// buffer up front, so a body of the declared length costs at most one
+// allocation instead of the doubling garbage a json.Decoder leaves
+// behind. The hint is only that: past limit, or when absent (-1), the
+// buffer grows as bytes arrive, so a body that declares a huge length and
+// sends little costs what it sent.
+func readAll(src io.Reader, size, limit int64, b []byte) ([]byte, error) {
+	if size < 0 || size > limit {
 		size = 512
 	}
 	// io.ReadAll's loop, starting from the hinted size instead of 512
@@ -200,13 +200,13 @@ func readBody(res *http.Response, b []byte) ([]byte, error) {
 		b = make([]byte, 0, size+1)
 	}
 	for {
-		n, err := res.Body.Read(b[len(b):cap(b)])
+		n, err := src.Read(b[len(b):cap(b)])
 		b = b[:len(b)+n]
 		if err == io.EOF {
 			return b, nil
 		}
 		if err != nil {
-			return nil, err
+			return b, err
 		}
 		if len(b) == cap(b) {
 			b = append(b, 0)[:len(b)]

@@ -8,10 +8,12 @@
 // instead of spawning unbounded solver goroutines.
 //
 // The economics mirror the systems in PAPERS.md that keep hot state next to
-// the compute: the expensive artifact here is a solved policy — a
-// backward-induction MDP at paper scale runs for seconds, while a warm
-// cache hit is a map lookup — and many requesters price similar batches, so
-// deduplication is the common case, not the corner case.
+// the compute: the expensive artifact here is a solved policy, and many
+// requesters price similar batches, so deduplication is the common case,
+// not the corner case. At paper scale, on a 2-vCPU x86-64 host, a deadline
+// solve takes 0.6-0.8 ms (BenchmarkSolveEfficientSampler in internal/core)
+// and the two-type multi solve 0.14-0.2 s, while an in-process warm cache
+// hit takes a few µs (BenchmarkDeadlineWarmHit).
 //
 // Endpoints:
 //
@@ -411,22 +413,68 @@ func (s *Server) respond(w http.ResponseWriter, resp *SolveResponse, err error) 
 
 // maxBodyBytes bounds two things. On the server it caps every request body
 // decodeInto reads, so one connection cannot buffer unbounded JSON into
-// memory. On the client it is the largest Content-Length that readBody
+// memory. On the client it is the largest Content-Length that readAll
 // trusts to size its buffer up front.
 const maxBodyBytes = 32 << 20
 
+// maxPooledBody is the largest request buffer decodeInto returns to its
+// pool, and the largest Content-Length it trusts to size one up front. A
+// paper-scale deadline body is ~1.5 KB; a buffer that grew past this for
+// a rare large body is left to the collector, so no single body keeps up
+// to maxBodyBytes resident.
+const maxPooledBody = 64 << 10
+
+// requestBuffers recycles the buffers decodeInto reads request bodies
+// into.
+var requestBuffers = sync.Pool{New: func() any { return new([]byte) }}
+
+// decodeInto decodes a request body into v with the strict decoder,
+// reading at most maxBodyBytes. A v that reads JSON itself
+// (engine.JSONReader) gets the body read whole into a pooled buffer and
+// decoded by engine.DecodeJSON. Any other v is decoded as the body
+// streams in.
 func decodeInto(w http.ResponseWriter, r *http.Request, v any) error {
 	tr := telemetry.FromContext(r.Context())
 	start := tr.Now()
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(v)
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	var err error
+	if _, ok := v.(engine.JSONReader); ok {
+		err = readInto(body, r.ContentLength, v)
+	} else {
+		err = engine.DecodeJSONFrom(body, v)
+	}
 	tr.ObserveSince(telemetry.StageServerDecode, start)
 	if err != nil {
 		return fmt.Errorf("bad request body: %w", err)
 	}
 	return nil
 }
+
+// readInto reads body to its end into a pooled buffer and decodes it into
+// v with engine.DecodeJSON. When a read fails (the body is cut short,
+// unreadable or over maxBodyBytes), it decodes the bytes read so far
+// followed by that error, so the outcome is the streaming decoder's: a
+// value that ends before the failure decodes, and any other body fails
+// with the error the decoder met first.
+func readInto(body io.Reader, size int64, v any) error {
+	buf := requestBuffers.Get().(*[]byte)
+	data, err := readAll(body, size, maxPooledBody, (*buf)[:0])
+	if err != nil {
+		err = engine.DecodeJSONFrom(io.MultiReader(bytes.NewReader(data), failedReader{err}), v)
+	} else {
+		err = engine.DecodeJSON(data, v)
+	}
+	if cap(data) <= maxPooledBody {
+		*buf = data[:0]
+		requestBuffers.Put(buf)
+	}
+	return err
+}
+
+// failedReader replays a read error.
+type failedReader struct{ err error }
+
+func (f failedReader) Read([]byte) (int, error) { return 0, f.err }
 
 func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFunc) {
 	return context.WithTimeout(r.Context(), s.opts.RequestTimeout)
