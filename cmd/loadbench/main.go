@@ -29,8 +29,11 @@
 // metric regressed past -threshold against -baseline; 3 the -max-p99 /
 // -max-error-rate sanity ceiling was exceeded (the CI smoke gate).
 //
-// In-process, each solve runs serially on one engine worker, so
-// -solve-concurrency is the only solve parallelism.
+// The in-process target is a server at its defaults: each solve runs
+// serially on one engine worker, and GOMAXPROCS workers (recorded in the
+// report) are the only solve parallelism. To load a server sized
+// otherwise, run priced with its -cache, -concurrency and -queue flags and
+// point -url at it. At most 4096 requests are in flight at once.
 //
 // Flags:
 //
@@ -52,10 +55,6 @@
 //	-campaign-wal-dir string  in-process mode: attach a campaign event log at
 //	                      this directory — the durability leg, for measuring
 //	                      WAL overhead against a log-less baseline run
-//	-cache int            in-process mode: policy cache capacity (default 1024)
-//	-solve-concurrency int  in-process mode: engine solve worker pool, how many solves run at once (default 0 = all CPUs)
-//	-queue int            in-process mode: admission queue depth; overflow sheds 429 (default 4096)
-//	-concurrency int      cap on in-flight requests (default 4096)
 //	-out string           write the JSON report here (default "BENCH_loadbench.json"; "" skips)
 //	-baseline string      compare against a previous JSON report
 //	-threshold float      relative regression threshold for -baseline (default 0.1)
@@ -105,10 +104,6 @@ func main() {
 		campDedup   = flag.Float64("campaign-dedup", 0, "campaign scenario: fraction of sessions redirected onto one shared problem per kind")
 		url         = flag.String("url", "", "target daemon base URL; empty runs in-process")
 		walDir      = flag.String("campaign-wal-dir", "", `in-process mode: attach a campaign event log at this directory ("" disables)`)
-		cacheSize   = flag.Int("cache", server.DefaultCacheSize, "in-process mode: policy cache capacity")
-		solveConc   = flag.Int("solve-concurrency", 0, "in-process mode: engine solve worker pool (0 = all CPUs)")
-		queueDepth  = flag.Int("queue", server.DefaultQueueDepth, "in-process mode: admission queue depth; overflow sheds 429")
-		concurrency = flag.Int("concurrency", 4096, "cap on in-flight requests")
 		out         = flag.String("out", "BENCH_loadbench.json", `write the JSON report here ("" skips)`)
 		baseline    = flag.String("baseline", "", "compare against a previous JSON report")
 		threshold   = flag.Float64("threshold", 0.10, "relative regression threshold for -baseline")
@@ -145,19 +140,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	os.Exit(runSingle(ctx, sched, singleFlags{
-		url:         *url,
-		walDir:      *walDir,
-		cacheSize:   *cacheSize,
-		solveConc:   *solveConc,
-		queueDepth:  *queueDepth,
-		concurrency: *concurrency,
-	}, gateFlags{out: *out, baseline: *baseline, threshold: *threshold, maxP99: *maxP99, maxErrRate: *maxErrRate}))
-}
-
-type singleFlags struct {
-	url, walDir                                   string
-	cacheSize, solveConc, queueDepth, concurrency int
+	os.Exit(runSingle(ctx, sched, *url, *walDir,
+		gateFlags{out: *out, baseline: *baseline, threshold: *threshold, maxP99: *maxP99, maxErrRate: *maxErrRate}))
 }
 
 type gateFlags struct {
@@ -167,30 +151,26 @@ type gateFlags struct {
 	maxErrRate    float64
 }
 
-// runSingle builds the target, replays the whole schedule against it, and
-// reports.
-func runSingle(ctx context.Context, sched *bench.Schedule, f singleFlags, gates gateFlags) int {
+// runSingle builds the target (the daemon at url, or an in-process server
+// when url is empty), replays the whole schedule against it, and reports.
+func runSingle(ctx context.Context, sched *bench.Schedule, url, walDir string, gates gateFlags) int {
 	targetName := "in-process"
 	var base *bench.ClientTarget
 	closeWAL := func() {}
-	if f.url != "" {
-		if f.walDir != "" {
+	if url != "" {
+		if walDir != "" {
 			log.Fatal("-campaign-wal-dir applies to the in-process target only; the daemon behind -url owns its own -wal-dir")
 		}
-		targetName = f.url
-		base = bench.NewHTTPTarget(f.url)
+		targetName = url
+		base = bench.NewHTTPTarget(url)
 	} else {
 		var srv *server.Server
-		base, srv = bench.NewInProcessTarget(server.Options{
-			CacheSize:  f.cacheSize,
-			Workers:    f.solveConc,
-			QueueDepth: f.queueDepth,
-		})
-		if f.walDir != "" {
+		base, srv = bench.NewInProcessTarget()
+		if walDir != "" {
 			// The durability leg: same schedule, every campaign mutation
 			// group committed to a real on-disk log. Compare against a
 			// log-less baseline run to price the WAL's overhead.
-			wlog, err := srv.Campaigns().OpenWAL(f.walDir, wal.Options{})
+			wlog, err := srv.Campaigns().OpenWAL(walDir, wal.Options{})
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -212,7 +192,7 @@ func runSingle(ctx context.Context, sched *bench.Schedule, f singleFlags, gates 
 
 	log.Printf("replaying %d requests (%s warmup + %s measured) against %s, schedule %.12s…",
 		len(sched.Requests), sched.Config.Warmup, sched.Config.Duration, targetName, sched.Hash)
-	res, runErr := bench.Run(ctx, sched, bench.RunOptions{Target: target, MaxConcurrent: f.concurrency})
+	res, runErr := bench.Run(ctx, sched, bench.RunOptions{Target: target})
 	if runErr != nil {
 		if res == nil || res.Overall.Requests == 0 {
 			log.Fatal(runErr)
@@ -225,12 +205,12 @@ func runSingle(ctx context.Context, sched *bench.Schedule, f singleFlags, gates 
 
 	closeWAL()
 	rep := bench.BuildReport(sched.Config, targetName, res, time.Now())
-	if f.url != "" {
+	if url != "" {
 		// A live daemon can say where the time went server-side: attach its
 		// per-stage breakdown from /v1/analytics. Best-effort — the daemon
 		// may run with tracing off or predate the analytics plane.
 		actx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		if an, err := server.NewClient(f.url).Analytics(actx); err != nil {
+		if an, err := server.NewClient(url).Analytics(actx); err != nil {
 			log.Printf("server stage breakdown unavailable: %v", err)
 		} else {
 			rep.ServerStages = an.Stages

@@ -41,9 +41,11 @@
 // Observability: every request is traced through the pipeline stages
 // (decode, engine queue, solve, quoter decode, campaign lock, WAL append);
 // GET /debug/requests serves the slowest recent traces of each route and
-// GET /v1/analytics the live analytics plane — fleet λ̂ re-fit over a
-// trailing window, per-cohort campaign/quote summaries, per-stage latency.
-// The same numbers are scraped from /metrics as
+// GET /v1/analytics the live analytics plane — fleet λ̂ re-fit over the
+// last 256 observes (the window wal stats folds a log with, so the two
+// agree), per-cohort campaign/quote summaries, per-stage latency. Trace IDs
+// come from a generator with one fixed seed, so every daemon mints the
+// same sequence. The same numbers are scraped from /metrics as
 // crowdpricing_stage_duration_seconds and the crowdpricing_lambda_hat /
 // crowdpricing_cohort_* families.
 // -debug-addr starts a second, private listener serving net/http/pprof —
@@ -84,12 +86,6 @@
 //	-trace-requests int
 //	      how many of the slowest recent request traces /debug/requests
 //	      retains per route (default 64; 0 disables request tracing)
-//	-trace-seed int
-//	      seed for the trace-ID generator (default 1; IDs are the tracing
-//	      plane's only randomness and are deterministic under a fixed seed)
-//	-analytics-window int
-//	      trailing-window length, in observed intervals, of the live λ̂
-//	      re-fit (default 256)
 //	-log-format string
 //	      log output format, "text" or "json" (default "text")
 //	-debug-addr string
@@ -112,7 +108,6 @@ import (
 	"syscall"
 	"time"
 
-	"crowdpricing/internal/analytics"
 	"crowdpricing/internal/campaign"
 	"crowdpricing/internal/kinds"
 	"crowdpricing/internal/server"
@@ -137,8 +132,6 @@ func main() {
 	walDir := flag.String("wal-dir", "", `campaign event-log directory: replayed at boot, appended while serving ("" disables durability)`)
 	walSync := flag.Duration("wal-sync-interval", wal.DefaultSyncInterval, "group-commit fsync window for the campaign event log")
 	traceRequests := flag.Int("trace-requests", telemetry.DefaultKeep, "slowest recent request traces retained per route on /debug/requests; 0 disables tracing")
-	traceSeed := flag.Int64("trace-seed", 1, "seed for the trace-ID generator")
-	analyticsWindow := flag.Int("analytics-window", analytics.DefaultWindow, "trailing-window length (observed intervals) of the live λ̂ re-fit")
 	logFormat := flag.String("log-format", "text", `log output format: "text" or "json"`)
 	debugAddr := flag.String("debug-addr", "", `private listen address for net/http/pprof ("" disables)`)
 	flag.Parse()
@@ -169,15 +162,13 @@ func main() {
 		traceBuffer = -1
 	}
 	srv := server.New(server.Options{
-		CacheSize:       *cacheSize,
-		RequestTimeout:  *timeout,
-		Workers:         *concurrency,
-		QueueDepth:      *queueDepth,
-		CampaignTTL:     *campaignTTL,
-		TraceBuffer:     traceBuffer,
-		TraceSeed:       *traceSeed,
-		AnalyticsWindow: *analyticsWindow,
-		Logger:          logger,
+		CacheSize:      *cacheSize,
+		RequestTimeout: *timeout,
+		Workers:        *concurrency,
+		QueueDepth:     *queueDepth,
+		CampaignTTL:    *campaignTTL,
+		TraceBuffer:    traceBuffer,
+		Logger:         logger,
 	})
 	defer srv.Close()
 

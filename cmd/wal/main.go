@@ -12,20 +12,20 @@
 //	wal verify -dir D
 //	      check every frame: exit 1 if a segment is corrupt or a torn
 //	      tail was found.
-//	wal stats -dir D [-window n] [-figures f]
+//	wal stats -dir D [-figures f]
 //	      fold every recorded create/observe/finish into the aggregator
 //	      that serves /v1/analytics live and print the fleet λ̂ re-fit,
 //	      the per-interval arrival profile (the piecewise NHPP rate fit)
 //	      and the per-cohort summaries as JSON. It reads the records
 //	      with the pass a restart's replay runs, so it refuses a log
 //	      whose records a restart would refuse and prints the analytics
-//	      a daemon restarted on the log starts from. -window is the λ̂
-//	      re-fit's trailing window in observed intervals, matching the
-//	      daemon's -analytics-window (default 256); -figures also writes the
-//	      profile as TSV (interval index, fitted rate, mean arrivals,
-//	      observe count) for gnuplot/pgfplots. The output is byte-identical
-//	      on every run over the same log, so recorded production traffic
-//	      regenerates paper figures reproducibly.
+//	      a daemon restarted on the log starts from. The λ̂ re-fit's
+//	      trailing window is the daemon's, the last 256 observes;
+//	      -figures also writes the profile as TSV (interval index, fitted
+//	      rate, mean arrivals, observe count) for gnuplot/pgfplots. The
+//	      output is byte-identical on every run over the same log, so
+//	      recorded production traffic regenerates paper figures
+//	      reproducibly.
 //
 // Usage errors exit 2.
 package main
@@ -76,10 +76,9 @@ func main() {
 		parse("")
 		verifyLog(*dir)
 	case "stats":
-		window := fs.Int("window", analytics.DefaultWindow, "trailing-window length (observed intervals) of the λ̂ re-fit")
 		figures := fs.String("figures", "", `write the per-interval arrival profile as TSV ("" disables)`)
-		parse("[-window n] [-figures out.tsv]")
-		printStats(*dir, *window, *figures)
+		parse("[-figures out.tsv]")
+		printStats(*dir, *figures)
 	default:
 		usage()
 	}
@@ -149,8 +148,10 @@ func printSummary(report *wal.ScanReport) {
 	}
 }
 
-func printStats(dir string, window int, figures string) {
-	agg := analytics.New(window)
+func printStats(dir, figures string) {
+	// The daemon's window (analytics.DefaultWindow), so the fold prints
+	// the λ̂ a daemon restarted on this log starts from.
+	agg := analytics.New(0)
 	if err := campaign.FoldWAL(wal.NewReader(nil, dir), agg); err != nil {
 		log.Fatal(err)
 	}

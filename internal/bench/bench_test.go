@@ -158,7 +158,7 @@ func TestRunInProcessSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	target, srv := NewInProcessTarget(server.Options{})
+	target, srv := NewInProcessTarget()
 	res, err := Run(context.Background(), sched, RunOptions{Target: target})
 	if err != nil {
 		t.Fatal(err)
@@ -253,7 +253,7 @@ func TestRunMultiKindSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	target, srv := NewInProcessTarget(server.Options{})
+	target, srv := NewInProcessTarget()
 	defer srv.Close()
 	res, err := Run(context.Background(), sched, RunOptions{Target: target})
 	if err != nil {
@@ -360,7 +360,7 @@ func TestRunCanceled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	target, _ := NewInProcessTarget(server.Options{})
+	target, _ := NewInProcessTarget()
 	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
 	defer cancel()
 	if _, err := Run(ctx, sched, RunOptions{Target: target}); err == nil {
@@ -556,7 +556,7 @@ func TestMergedPercentilesMatchSingleProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	target, srv := NewInProcessTarget(server.Options{})
+	target, srv := NewInProcessTarget()
 	defer srv.Close()
 	res, err := Run(context.Background(), sched, RunOptions{Target: target})
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"crowdpricing/internal/kinds"
-	"crowdpricing/internal/server"
 	"crowdpricing/internal/wal"
 )
 
@@ -99,7 +98,7 @@ func TestCampaignScenarioSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	target, srv := NewInProcessTarget(server.Options{})
+	target, srv := NewInProcessTarget()
 	res, err := Run(context.Background(), sched, RunOptions{Target: NewTargetFor(sched, target.Client)})
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +152,7 @@ func TestCampaignDurabilityScenarioSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	target, srv := NewInProcessTarget(server.Options{})
+	target, srv := NewInProcessTarget()
 	mem := wal.NewMemFS()
 	wlog, err := srv.Campaigns().OpenWAL("wal", wal.Options{FS: mem})
 	if err != nil {
@@ -183,7 +182,7 @@ func TestCampaignDurabilityScenarioSmoke(t *testing.T) {
 
 	// Replay consistency: every session finished, so a recovery boot must
 	// succeed and land on an empty table.
-	_, srv2 := NewInProcessTarget(server.Options{})
+	_, srv2 := NewInProcessTarget()
 	stats, err := srv2.Campaigns().ReplayWAL(context.Background(), wal.NewReader(mem, "wal"))
 	if err != nil {
 		t.Fatalf("post-run replay: %v", err)
@@ -204,7 +203,7 @@ func TestCampaignAdaptiveScenarioSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	target, srv := NewInProcessTarget(server.Options{})
+	target, srv := NewInProcessTarget()
 	res, err := Run(context.Background(), sched, RunOptions{Target: NewTargetFor(sched, target.Client)})
 	if err != nil {
 		t.Fatal(err)
@@ -273,7 +272,7 @@ func TestCampaignDedupScenarioSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	target, srv := NewInProcessTarget(server.Options{})
+	target, srv := NewInProcessTarget()
 	res, err := Run(context.Background(), sched, RunOptions{Target: NewTargetFor(sched, target.Client)})
 	if err != nil {
 		t.Fatal(err)

@@ -43,13 +43,16 @@ func NewHTTPTarget(baseURL string) *ClientTarget {
 	return &ClientTarget{Client: c}
 }
 
-// NewInProcessTarget builds a fresh pricing server and a Target whose HTTP
-// round trips dispatch straight into its handler — the full mux, decode,
-// cache, and scheduler stack with zero sockets, so the benchmark runs
-// hermetically (CI-safe) and measures the service rather than the loopback
-// device. The server is returned too so callers can scrape its metrics.
-func NewInProcessTarget(opts server.Options) (*ClientTarget, *server.Server) {
-	srv := server.New(opts)
+// NewInProcessTarget builds a fresh pricing server at its defaults and a
+// Target whose HTTP round trips dispatch straight into its handler — the
+// full mux, decode, cache, and scheduler stack with zero sockets, so the
+// benchmark runs hermetically (CI-safe) and measures the service rather
+// than the loopback device. GOMAXPROCS sizes its solve pool, and the
+// report records it; to load a server sized otherwise, run priced with its
+// flags and target its URL. The server is returned too so callers can
+// scrape its metrics.
+func NewInProcessTarget() (*ClientTarget, *server.Server) {
+	srv := server.New(server.Options{})
 	client := server.NewClient("http://in-process")
 	client.HTTP = &http.Client{Transport: handlerTransport{h: srv.Handler()}}
 	return &ClientTarget{Client: client}, srv
@@ -172,15 +175,16 @@ func (c funcClock) After(d time.Duration) <-chan time.Time { return c.after(d) }
 // wallClock is the production time source.
 var wallClock Clock = funcClock{now: time.Now, after: time.After}
 
+// maxInFlight caps a run's in-flight requests so a stalled target cannot
+// spawn unbounded goroutines. Requests delayed by the cap still charge the
+// delay to their measured latency — the schedule, not the responses,
+// drives send times.
+const maxInFlight = 4096
+
 // RunOptions tunes schedule execution.
 type RunOptions struct {
 	// Target receives the load. Required.
 	Target Target
-	// MaxConcurrent caps in-flight requests so a stalled target cannot
-	// spawn unbounded goroutines (0 = 4096). Requests delayed by the cap
-	// still charge the delay to their measured latency — the schedule, not
-	// the responses, drives send times.
-	MaxConcurrent int
 	// Clock overrides the time source (nil = wall clock). Tests inject a
 	// fake clock to execute schedules without real sleeps.
 	Clock Clock
@@ -232,10 +236,6 @@ func Run(ctx context.Context, sched *Schedule, opts RunOptions) (*Result, error)
 	if opts.Target == nil {
 		return nil, fmt.Errorf("bench: RunOptions.Target is required")
 	}
-	maxConc := opts.MaxConcurrent
-	if maxConc <= 0 {
-		maxConc = 4096
-	}
 	clock := opts.Clock
 	if clock == nil {
 		clock = wallClock
@@ -254,7 +254,7 @@ func Run(ctx context.Context, sched *Schedule, opts RunOptions) (*Result, error)
 		warmed    atomic.Int64
 		mu        sync.Mutex // guards ErrorSamples and the KindStats counters
 		wg        sync.WaitGroup
-		sem       = make(chan struct{}, maxConc)
+		sem       = make(chan struct{}, maxInFlight)
 		start     = clock.Now()
 		warmupDur = sched.Config.Warmup
 		canceled  error

@@ -571,7 +571,7 @@ func TestNeverExpire(t *testing.T) {
 
 // TestTableFull: the campaign table sheds creates at capacity.
 func TestTableFull(t *testing.T) {
-	m := newTestManager(t, Options{MaxCampaigns: 2})
+	m := newTestManager(t, Options{maxCampaigns: 2})
 	for seed := int64(0); seed < 2; seed++ {
 		if _, err := m.Create(context.Background(), kinds.KindDeadline, sampleRequest(t, kinds.KindDeadline, seed, "small"), nil); err != nil {
 			t.Fatal(err)

@@ -42,11 +42,11 @@ type Options struct {
 	// TTL expires campaigns idle (no observe/quote/state touch) for longer
 	// than this (0 = DefaultTTL; negative = never expire).
 	TTL time.Duration
-	// MaxCampaigns bounds the table (0 = DefaultMaxCampaigns).
-	MaxCampaigns int
 
-	// now overrides the clock in tests.
-	now func() time.Time
+	// now overrides the clock in tests, and maxCampaigns the table bound
+	// (0 = DefaultMaxCampaigns).
+	now          func() time.Time
+	maxCampaigns int
 }
 
 // Manager owns the live-campaign table: create/observe/quote/finish
@@ -90,8 +90,8 @@ func NewManager(solver Solver, reg *engine.Registry, opts Options) *Manager {
 	if opts.TTL == 0 {
 		opts.TTL = DefaultTTL
 	}
-	if opts.MaxCampaigns <= 0 {
-		opts.MaxCampaigns = DefaultMaxCampaigns
+	if opts.maxCampaigns <= 0 {
+		opts.maxCampaigns = DefaultMaxCampaigns
 	}
 	if opts.now == nil {
 		opts.now = time.Now
@@ -202,10 +202,10 @@ func (m *Manager) Create(ctx context.Context, kind string, request json.RawMessa
 	// then refused". The check repeats authoritatively under the lock at
 	// insert time.
 	m.mu.RLock()
-	full := len(m.campaigns) >= m.opts.MaxCampaigns
+	full := len(m.campaigns) >= m.opts.maxCampaigns
 	m.mu.RUnlock()
 	if full {
-		return nil, fmt.Errorf("%w (%d live campaigns)", ErrTableFull, m.opts.MaxCampaigns)
+		return nil, fmt.Errorf("%w (%d live campaigns)", ErrTableFull, m.opts.maxCampaigns)
 	}
 	c, warm, err := m.newCampaign(ctx, kind, request, adaptive)
 	if err != nil {
@@ -224,9 +224,9 @@ func (m *Manager) Create(ctx context.Context, kind string, request json.RawMessa
 	c.id = campaignID(seq, c.fingerprint)
 
 	m.mu.Lock()
-	if len(m.campaigns) >= m.opts.MaxCampaigns {
+	if len(m.campaigns) >= m.opts.maxCampaigns {
 		m.mu.Unlock()
-		return nil, fmt.Errorf("%w (%d live campaigns)", ErrTableFull, m.opts.MaxCampaigns)
+		return nil, fmt.Errorf("%w (%d live campaigns)", ErrTableFull, m.opts.maxCampaigns)
 	}
 	// Log the create while still holding the table lock: any Observe on
 	// the new ID must first see it in the table (an RLock acquired after

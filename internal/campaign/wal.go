@@ -355,9 +355,9 @@ func (m *Manager) ReplayWAL(ctx context.Context, src WALSource) (*WALReplayStats
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(m.campaigns)+len(rebuilt) > m.opts.MaxCampaigns {
+	if len(m.campaigns)+len(rebuilt) > m.opts.maxCampaigns {
 		return nil, fmt.Errorf("%w: %d replayed + %d live exceeds the %d-campaign limit",
-			ErrTableFull, len(rebuilt), len(m.campaigns), m.opts.MaxCampaigns)
+			ErrTableFull, len(rebuilt), len(m.campaigns), m.opts.maxCampaigns)
 	}
 	for _, c := range rebuilt {
 		if _, dup := m.campaigns[c.id]; dup {

@@ -55,6 +55,9 @@ func (p *MultiProblem) Validate() error {
 	if len(p.Accepts) != len(p.Counts) {
 		return fmt.Errorf("core: %d acceptance curves for %d types", len(p.Accepts), len(p.Counts))
 	}
+	// Every budget check divides the budget left by the product so far
+	// instead of multiplying first, so no count or price range, however
+	// large, wraps a product past its budget on any int width.
 	states := 1
 	for i, n := range p.Counts {
 		if n <= 0 {
@@ -63,10 +66,10 @@ func (p *MultiProblem) Validate() error {
 		if p.Accepts[i] == nil {
 			return fmt.Errorf("core: type %d has nil acceptance", i)
 		}
-		states *= n + 1
-		if states > maxMultiStates {
+		if n >= maxMultiStates/states { // states·(n+1) > maxMultiStates
 			return fmt.Errorf("core: joint state space exceeds %d states", maxMultiStates)
 		}
+		states *= n + 1
 	}
 	if p.Intervals <= 0 || len(p.Lambdas) != p.Intervals {
 		return errors.New("core: bad interval configuration")
@@ -78,18 +81,18 @@ func (p *MultiProblem) Validate() error {
 		return errors.New("core: bad price range")
 	}
 	actions := 1
-	nPrices := p.MaxPrice - p.MinPrice + 1
+	span := p.MaxPrice - p.MinPrice
 	for range p.Counts {
-		actions *= nPrices
-		if actions > maxMultiActions {
+		if span >= maxMultiActions/actions { // actions·(span+1) > maxMultiActions
 			return fmt.Errorf("core: joint action space exceeds %d price vectors", maxMultiActions)
 		}
+		actions *= span + 1
 	}
-	// Each factor is at most maxMultiActions·maxMultiStates², so only the
-	// running product can overflow, and the division keeps it in range.
-	work := p.Intervals
+	// Each factor is below maxMultiActions·maxMultiStates², which needs 64
+	// bits, and the division keeps the running product under the budget.
+	work := int64(p.Intervals)
 	for _, n := range p.Counts {
-		f := nPrices * (n + 1) * (n + 2) / 2
+		f := int64(span+1) * int64(n+1) * int64(n+2) / 2
 		if work > maxMultiWork/f {
 			return fmt.Errorf("core: joint DP exceeds %d inner terms (intervals × ∏ prices·(n+1)(n+2)/2)", maxMultiWork)
 		}

@@ -23,11 +23,24 @@ func TestMultiKValidate(t *testing.T) {
 	if err := ok.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	// Budget products that wrap. A count of math.MaxInt with an even
+	// number of prices took the state product and the work factor to 0,
+	// and the division by it panicked. With a 32-bit int the work factor
+	// of a request inside the service limits (9,799 states, 984 prices,
+	// 102 intervals) wrapped, admitting 4.8e12 inner terms against the
+	// 2.5e8 budget.
+	maxCount := testMultiK([]int{1, math.MaxInt}, []choice.AcceptanceFn{choice.Paper13, choice.Paper13})
+	maxCount.MinPrice = 1
+	wraps32 := testMultiK([]int{9798}, []choice.AcceptanceFn{choice.Paper13})
+	wraps32.Intervals, wraps32.Lambdas = 102, make([]float64, 102)
+	wraps32.MinPrice, wraps32.MaxPrice = 1, 984
 	bad := []*MultiProblem{
 		{Counts: nil},
 		{Counts: []int{3}, Accepts: nil},
 		{Counts: []int{0}, Accepts: []choice.AcceptanceFn{choice.Paper13}},
 		{Counts: []int{3}, Accepts: []choice.AcceptanceFn{nil}},
+		maxCount,
+		wraps32,
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {

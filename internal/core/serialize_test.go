@@ -264,7 +264,9 @@ func FuzzMarshalJSON(f *testing.F) {
 // appendPrices and intLen write and count what strconv does, around their
 // edges and at the extremes.
 func TestAppendPricesSmallIntegers(t *testing.T) {
-	vals := []int{math.MinInt, math.MinInt + 1, -1 << 32, math.MaxInt, 1 << 40}
+	// -1<<32 and 1<<40 with a 64-bit int, written so that the file also
+	// compiles for a 32-bit one.
+	vals := []int{math.MinInt, math.MinInt + 1, math.MinInt >> 31, math.MaxInt, math.MaxInt>>23 + 1}
 	for v := -1001; v <= 1001; v++ {
 		vals = append(vals, v)
 	}

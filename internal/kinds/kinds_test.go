@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -128,6 +130,26 @@ func TestFingerprintVariantInKey(t *testing.T) {
 // Validate and Fingerprint with that branch's service-limit error, so no
 // request reaches a solver or a cache key that would allocate past it.
 func TestServiceLimits(t *testing.T) {
+	for _, c := range serviceLimitCases() {
+		_, fpErr := c.spec.Fingerprint()
+		for _, err := range []error{c.spec.Validate(), fpErr} {
+			if err == nil || !strings.Contains(err.Error(), "service limit") || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s: error %v, want the service limit %q", c.name, err, c.want)
+			}
+		}
+	}
+}
+
+// limitCase is a sampled spec taken past one service limit, with the
+// error text of the checkLimits branch that refuses it.
+type limitCase struct {
+	name string
+	spec engine.Spec
+	want string
+}
+
+// serviceLimitCases returns one case for every checkLimits branch.
+func serviceLimitCases() []limitCase {
 	deadline := func(edit func(*DeadlineRequest)) engine.Spec {
 		r := sampleDeadline(1, "small").(*DeadlineRequest)
 		edit(r)
@@ -149,11 +171,7 @@ func TestServiceLimits(t *testing.T) {
 		return r
 	}
 	wide := func(lo, hi *int) { *hi = *lo + MaxPriceRange + 1 }
-	for _, c := range []struct {
-		name string
-		spec engine.Spec
-		want string // the branch's error text
-	}{
+	return []limitCase{
 		{"deadline n", deadline(func(r *DeadlineRequest) { r.N = MaxTasks + 1 }), "n 10001 exceeds"},
 		{"deadline intervals", deadline(func(r *DeadlineRequest) { r.Intervals = MaxIntervals + 1 }), "intervals 10001 exceeds"},
 		{"deadline n×intervals", deadline(func(r *DeadlineRequest) { r.N, r.Intervals = 1001, 1000 }), "n×intervals 1001000 exceeds"},
@@ -171,14 +189,56 @@ func TestServiceLimits(t *testing.T) {
 		{"multi intervals", multi(func(r *MultiRequest) { r.Intervals = MaxIntervals + 1 }), "intervals 10001 exceeds"},
 		{"multi states×intervals", multi(func(r *MultiRequest) { r.Counts, r.Intervals = []int{99, 99}, 101 }), "states×intervals 1010000 exceeds"},
 		{"multi price range", multi(func(r *MultiRequest) { wide(&r.MinPrice, &r.MaxPrice) }), "price range 1001 exceeds"},
-	} {
-		_, fpErr := c.spec.Fingerprint()
-		for _, err := range []error{c.spec.Validate(), fpErr} {
-			if err == nil || !strings.Contains(err.Error(), "service limit") || !strings.Contains(err.Error(), c.want) {
-				t.Errorf("%s: error %v, want the service limit %q", c.name, err, c.want)
+	}
+}
+
+// FuzzKindSpecs holds every kind to the Spec contract on arbitrary bodies:
+// the first byte picks a registered kind, and a body that decodes into its
+// spec must not panic Validate or Fingerprint, which both accept it or
+// both refuse it with the same error, and an accepted body fingerprints
+// the same when decoded again. Solve is never called.
+func FuzzKindSpecs(f *testing.F) {
+	reg := Default()
+	names := reg.Kinds()
+	for i, kind := range names {
+		def, _ := reg.Lookup(kind)
+		for _, size := range []string{"small", "medium", "paper"} {
+			body, err := json.Marshal(def.Sample(1, size))
+			if err != nil {
+				f.Fatal(err)
 			}
+			f.Add(byte(i), body)
 		}
 	}
+	for _, c := range serviceLimitCases() {
+		body, err := json.Marshal(c.spec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(byte(slices.Index(names, c.spec.Kind())), body)
+	}
+	f.Fuzz(func(t *testing.T, pick byte, body []byte) {
+		def, _ := reg.Lookup(names[int(pick)%len(names)])
+		spec := def.New()
+		if engine.DecodeJSON(body, spec) != nil {
+			return
+		}
+		verr := spec.Validate()
+		fp, fpErr := spec.Fingerprint()
+		if fmt.Sprint(verr) != fmt.Sprint(fpErr) {
+			t.Fatalf("%s body %q: Validate error %v, Fingerprint error %v", def.Kind, body, verr, fpErr)
+		}
+		if verr != nil {
+			return
+		}
+		again := def.New()
+		if err := engine.DecodeJSON(body, again); err != nil {
+			t.Fatalf("%s body %q: second decode failed: %v", def.Kind, body, err)
+		}
+		if fp2, err := again.Fingerprint(); fp2 != fp || err != nil {
+			t.Fatalf("%s body %q: fingerprint %q, then %q (%v)", def.Kind, body, fp, fp2, err)
+		}
+	})
 }
 
 // TestArrivalLimit: a λ_t of exactly MaxArrivals is served, and one above

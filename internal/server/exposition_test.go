@@ -41,7 +41,7 @@ func expositionShape(body string) []string {
 // an adaptive one is created and observed. Values are left out: only
 // timing-dependent histogram readings could differ between runs.
 func TestMetricsExpositionGolden(t *testing.T) {
-	s, ts := newTestServer(t, Options{TraceSeed: 1})
+	s, ts := newTestServer(t, Options{})
 	wlog, err := s.Campaigns().OpenWAL("wal", wal.Options{FS: wal.NewMemFS(), SyncInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)

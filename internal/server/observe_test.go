@@ -137,7 +137,7 @@ func TestShedRequestLandsInHistogram(t *testing.T) {
 // traces, /v1/analytics carries the λ̂ fold and stage summaries, and
 // /metrics grows the stage and cohort families.
 func TestTraceAndAnalyticsEndpoints(t *testing.T) {
-	_, ts := newTestServer(t, Options{TraceSeed: 42})
+	_, ts := newTestServer(t, Options{})
 	client := NewClient(ts.URL)
 	ctx := context.Background()
 
@@ -228,12 +228,12 @@ func TestTraceAndAnalyticsEndpoints(t *testing.T) {
 	}
 }
 
-// TestTraceIDsDeterministicAcrossServers: two servers with the same
-// TraceSeed mint identical trace-ID sequences — the determinism contract
-// crowdlint enforces on the rest of the codebase, carried into tracing.
+// TestTraceIDsDeterministicAcrossServers: two servers mint identical
+// trace-ID sequences — the determinism contract crowdlint enforces on the
+// rest of the codebase, carried into tracing.
 func TestTraceIDsDeterministicAcrossServers(t *testing.T) {
 	ids := func() []string {
-		_, ts := newTestServer(t, Options{TraceSeed: 7, TraceBuffer: 8})
+		_, ts := newTestServer(t, Options{TraceBuffer: 8})
 		client := NewClient(ts.URL)
 		for i := 0; i < 3; i++ {
 			if _, err := client.Healthz(context.Background()); err != nil {

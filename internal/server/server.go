@@ -69,6 +69,10 @@ const (
 	DefaultQueueDepth = engine.DefaultQueueDepth
 )
 
+// traceSeed seeds every server's trace-ID generator, the only randomness
+// in the tracing plane, so two servers mint the same ID sequence.
+const traceSeed = 1
+
 // Options configures a Server. The zero value is production-ready.
 type Options struct {
 	// CacheSize is the maximum number of cached policies (0 =
@@ -99,12 +103,6 @@ type Options struct {
 	// negative disables request tracing entirely, including the
 	// per-stage histograms).
 	TraceBuffer int
-	// TraceSeed seeds the trace-ID generator — the only randomness in the
-	// tracing plane, deterministic under a fixed seed by design.
-	TraceSeed int64
-	// AnalyticsWindow is the trailing-window length, in observed
-	// intervals, of the live λ̂ re-fit (0 = analytics.DefaultWindow).
-	AnalyticsWindow int
 	// Logger receives structured request-failure logs, carrying the
 	// request's trace ID when tracing is on (nil = discard).
 	Logger *slog.Logger
@@ -172,9 +170,11 @@ func New(opts Options) *Server {
 		s.logger = slog.New(slog.DiscardHandler)
 	}
 	if opts.TraceBuffer >= 0 {
-		s.tracer = telemetry.NewTracer(opts.TraceBuffer, opts.TraceSeed)
+		s.tracer = telemetry.NewTracer(opts.TraceBuffer, traceSeed)
 	}
-	s.analytics = analytics.New(opts.AnalyticsWindow)
+	// The window is analytics.DefaultWindow here and in wal stats, so the
+	// offline fold of a log reproduces this plane's λ̂.
+	s.analytics = analytics.New(0)
 	s.campaigns = campaign.NewManager(s.engine, reg, campaign.Options{TTL: opts.CampaignTTL})
 	s.campaigns.AttachSink(s.analytics)
 	// One generic handler per registered kind: the route set is the
