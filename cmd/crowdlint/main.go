@@ -22,7 +22,8 @@
 //	crowdlint [-list] [packages]
 //
 // crowdlint loads the packages (default ./...) with their tests from
-// source, relative to the working directory, and checks every one.
+// source, relative to the working directory, and checks every one; their
+// dependencies are type-checked by declaration only.
 //
 // Exit status: 0 clean, 1 operational error, 2 findings or a bad flag.
 package main

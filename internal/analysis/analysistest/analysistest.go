@@ -30,10 +30,11 @@ import (
 )
 
 // Run loads the module rooted at dir and applies the analyzer to every
-// package in it, comparing diagnostics against want comments.
+// package in it, test variants included, comparing diagnostics against
+// want comments.
 func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 	t.Helper()
-	pkgs, err := load.Load(dir, load.Options{}, "./...")
+	pkgs, err := load.Load(dir, "./...")
 	if err != nil {
 		t.Fatalf("loading %s: %v", dir, err)
 	}

@@ -1,9 +1,17 @@
 // Package load is a minimal, dependency-free substitute for
-// golang.org/x/tools/go/packages: it shells out to `go list -json -deps`
-// for build metadata, then parses and type-checks every package from
-// source in dependency order. Only the standard toolchain is required —
-// no export data, no network, no module downloads (the repository and its
-// analyzer testdata import nothing outside the standard library).
+// golang.org/x/tools/go/packages: it shells out to `go list -json -deps
+// -test` for build metadata, then parses every package from source and
+// type-checks it in dependency order. The targets (the packages the
+// patterns name, and their test variants) are checked in full, with
+// types.Info. Every dependency, the standard library and test-recompiled
+// variants included, is checked by declaration only
+// (types.Config.IgnoreFuncBodies): no analyzer reads a dependency's
+// function bodies. Only the standard toolchain is required — no export
+// data, no build cache, no network, no module downloads (the repository
+// and its analyzer testdata import nothing outside the standard library).
+//
+// Any parse error, and any type error in a target or in a dependency's
+// declarations, fails the load: the analyzers assume well-typed input.
 //
 // suite.Check (which cmd/crowdlint and the repository self-check test
 // call) and the analysistest golden harness all load through this package.
@@ -24,13 +32,12 @@ import (
 	"strings"
 )
 
-// A Package is one type-checked target package (a package named by the
-// Load patterns, not a dependency).
+// A Package is one type-checked target package: a package named by the
+// Load patterns or one of its test variants, not a dependency.
 type Package struct {
 	// PkgPath is the import path as the build system reports it; test
 	// variants keep their " [pkg.test]" suffix.
 	PkgPath string
-	Dir     string
 	Fset    *token.FileSet
 	Syntax  []*ast.File
 	Types   *types.Package
@@ -42,36 +49,22 @@ type listPackage struct {
 	ImportPath string
 	Dir        string
 	Name       string
-	Standard   bool
 	DepOnly    bool
-	ForTest    string
 	GoFiles    []string
-	Imports    []string
 	ImportMap  map[string]string
 	Error      *struct{ Err string }
 }
 
-// Options tunes Load.
-type Options struct {
-	// Tests includes each package's test variants (the augmented package
-	// with its _test.go files and the external _test package) among the
-	// targets. Synthesized test-main packages are never returned.
-	Tests bool
-}
-
-// Load resolves patterns relative to dir and returns the type-checked
-// target packages in build order. Any parse or type error in a target or a
-// dependency fails the load: the analyzers assume well-typed input.
-func Load(dir string, opts Options, patterns ...string) ([]*Package, error) {
+// Load resolves patterns (default ".") relative to dir and returns the
+// type-checked target packages, each package's test variants (the
+// augmented package with its _test.go files and the external _test
+// package) included, in build order. Synthesized test-main packages are
+// never returned.
+func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"."}
 	}
-	args := []string{"list", "-json", "-deps"}
-	if opts.Tests {
-		args = append(args, "-test")
-	}
-	args = append(args, patterns...)
-	cmd := exec.Command("go", args...)
+	cmd := exec.Command("go", append([]string{"list", "-json", "-deps", "-test"}, patterns...)...)
 	cmd.Dir = dir
 	// The repository is pure Go: with cgo off, the toolchain selects
 	// cgo-free variants of the few standard packages (net, os/user) that
@@ -114,8 +107,17 @@ func Load(dir string, opts Options, patterns ...string) ([]*Package, error) {
 		}
 		target := !lp.DepOnly
 		mode := parser.SkipObjectResolution
+		var info *types.Info
 		if target {
 			mode |= parser.ParseComments
+			info = &types.Info{
+				Types:      make(map[ast.Expr]types.TypeAndValue),
+				Defs:       make(map[*ast.Ident]types.Object),
+				Uses:       make(map[*ast.Ident]types.Object),
+				Selections: make(map[*ast.SelectorExpr]*types.Selection),
+				Implicits:  make(map[ast.Node]types.Object),
+				Scopes:     make(map[ast.Node]*types.Scope),
+			}
 		}
 		files := make([]*ast.File, 0, len(lp.GoFiles))
 		for _, name := range lp.GoFiles {
@@ -129,17 +131,6 @@ func Load(dir string, opts Options, patterns ...string) ([]*Package, error) {
 			}
 			files = append(files, f)
 		}
-		var info *types.Info
-		if target {
-			info = &types.Info{
-				Types:      make(map[ast.Expr]types.TypeAndValue),
-				Defs:       make(map[*ast.Ident]types.Object),
-				Uses:       make(map[*ast.Ident]types.Object),
-				Selections: make(map[*ast.SelectorExpr]*types.Selection),
-				Implicits:  make(map[ast.Node]types.Object),
-				Scopes:     make(map[ast.Node]*types.Scope),
-			}
-		}
 		conf := types.Config{
 			Importer: importerFunc(func(path string) (*types.Package, error) {
 				if mapped, ok := lp.ImportMap[path]; ok {
@@ -150,7 +141,8 @@ func Load(dir string, opts Options, patterns ...string) ([]*Package, error) {
 				}
 				return nil, fmt.Errorf("package %q not in the dependency closure", path)
 			}),
-			Sizes: sizes,
+			Sizes:            sizes,
+			IgnoreFuncBodies: !target,
 		}
 		pkg, err := conf.Check(lp.ImportPath, fset, files, info)
 		if err != nil {
@@ -160,7 +152,6 @@ func Load(dir string, opts Options, patterns ...string) ([]*Package, error) {
 		if target {
 			targets = append(targets, &Package{
 				PkgPath: lp.ImportPath,
-				Dir:     lp.Dir,
 				Fset:    fset,
 				Syntax:  files,
 				Types:   pkg,

@@ -16,12 +16,14 @@ import (
 // line comment), so the expectations live here: one entry per bad
 // directive in dirs.go, matched by message substring in diagnostic order.
 func TestDirectiveValidation(t *testing.T) {
-	pkgs, err := load.Load("testdata/dirs", load.Options{}, "./...")
+	pkgs, err := load.Load("testdata/dirs", "./...")
 	if err != nil {
 		t.Fatalf("loading golden module: %v", err)
 	}
-	if len(pkgs) != 1 {
-		t.Fatalf("got %d packages, want 1", len(pkgs))
+	// The package and its test variant (dirs_test.go); the first holds
+	// dirs.go alone.
+	if len(pkgs) != 2 {
+		t.Fatalf("got %d packages, want 2", len(pkgs))
 	}
 	pkg := pkgs[0]
 	diags, err := analysis.RunPackage(pkg.Fset, pkg.Syntax, pkg.Types, pkg.Info, []*analysis.Analyzer{directive.Analyzer})

@@ -36,7 +36,7 @@ func init() {
 // position. A pattern set that matches no package is an error, so a
 // mistyped pattern cannot pass as a clean run.
 func Check(dir string, patterns ...string) ([]analysis.Diagnostic, error) {
-	pkgs, err := load.Load(dir, load.Options{Tests: true}, patterns...)
+	pkgs, err := load.Load(dir, patterns...)
 	if err != nil {
 		return nil, err
 	}

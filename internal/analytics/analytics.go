@@ -152,7 +152,7 @@ func (a *Aggregator) CampaignObserved(kind string, adaptive bool, arrivals float
 	a.next = (a.next + 1) % a.window
 	a.count++
 	a.arrivals = saturatingAdd(a.arrivals, arrivals)
-	a.completions += int64(completed)
+	a.completions = addCount(a.completions, completed)
 	if interval >= 0 && interval < maxProfileIntervals {
 		for len(a.profileSum) <= interval {
 			a.profileSum = append(a.profileSum, 0)
@@ -166,7 +166,7 @@ func (a *Aggregator) CampaignObserved(kind string, adaptive bool, arrivals float
 	c := a.cohort(kind, adaptive)
 	c.observes++
 	c.arrivals = saturatingAdd(c.arrivals, arrivals)
-	c.completions += int64(completed)
+	c.completions = addCount(c.completions, completed)
 }
 
 // saturatingAdd is the step of every arrivals sum the aggregator keeps: it
@@ -175,6 +175,17 @@ func (a *Aggregator) CampaignObserved(kind string, adaptive bool, arrivals float
 // can replay counts whose sum overflows, and a +Inf sum would fail every
 // encode of the snapshot.
 func saturatingAdd(sum, x float64) float64 { return min(sum+x, math.MaxFloat64) }
+
+// addCount is the step of every completions total: it saturates at
+// math.MaxInt64, so a total never wraps negative and the completions
+// counter never goes down. Counts are non-negative (the campaign runtime
+// refuses a negative one).
+func addCount(sum int64, n int) int64 {
+	if int64(n) > math.MaxInt64-sum {
+		return math.MaxInt64
+	}
+	return sum + int64(n)
+}
 
 // CampaignQuoted implements campaign.EventSink. It is on the quote hot
 // path: after a cohort's first quote it is two atomic adds against the

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -234,6 +235,98 @@ func TestFoldDeterministicAndMatchesLive(t *testing.T) {
 	}
 	if len(fold1.IntervalMeans) != intervals {
 		t.Fatalf("interval profile has %d buckets, want %d", len(fold1.IntervalMeans), intervals)
+	}
+}
+
+// completionsRecorder is an Aggregator that reads the fleet, deadline
+// and multi completion totals after every observe it folds.
+type completionsRecorder struct {
+	*analytics.Aggregator
+	seen [][3]int64
+}
+
+func (r *completionsRecorder) CampaignObserved(kind string, adaptive bool, arrivals float64, completed int, interval int) {
+	r.Aggregator.CampaignObserved(kind, adaptive, arrivals, completed, interval)
+	s := r.Snapshot()
+	r.seen = append(r.seen, [3]int64{s.Completions, s.Cohorts[kinds.KindDeadline].Completions, s.Cohorts[kinds.KindMulti].Completions})
+}
+
+// TestCompletionTotalsSaturate feeds completion counts whose sums
+// overflow: one observe of two math.MaxInt counts on a two-type multi
+// campaign, then two observes of math.MaxInt on a deadline campaign. Live,
+// through FoldWAL and through ReplayWAL over the same log, the fleet and
+// cohort totals must read the same after every observe, and never go
+// negative or down.
+func TestCompletionTotalsSaturate(t *testing.T) {
+	const dir = "completions-wal"
+	eng := engine.New(engine.Options{Workers: 2})
+	t.Cleanup(eng.Close)
+	m := campaign.NewManager(eng, nil, campaign.Options{})
+	t.Cleanup(m.Close)
+	fsys := wal.NewMemFS()
+	l, err := m.OpenWAL(dir, wal.Options{FS: fsys})
+	if err != nil {
+		t.Fatalf("OpenWAL: %v", err)
+	}
+	m.AttachWAL(l)
+	live := &completionsRecorder{Aggregator: analytics.New(0)}
+	m.AttachSink(live)
+
+	create := func(kind string) string {
+		def, _ := kinds.Default().Lookup(kind)
+		body, err := json.Marshal(def.Sample(1, "small"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := m.Create(context.Background(), kind, body, nil)
+		if err != nil {
+			t.Fatalf("Create %s: %v", kind, err)
+		}
+		return st.ID
+	}
+	multi, deadline := create(kinds.KindMulti), create(kinds.KindDeadline)
+	observes := []struct {
+		id        string
+		completed []int
+	}{
+		{multi, []int{math.MaxInt, math.MaxInt}},
+		{deadline, []int{math.MaxInt}},
+		{deadline, []int{math.MaxInt}},
+	}
+	for _, ob := range observes {
+		if _, err := m.Observe(ob.id, 1, ob.completed); err != nil {
+			t.Fatalf("Observe %s %v: %v", ob.id, ob.completed, err)
+		}
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatalf("Sync: %v", err)
+	}
+	m.AttachWAL(nil)
+	if err := l.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	folded := &completionsRecorder{Aggregator: analytics.New(0)}
+	if err := campaign.FoldWAL(wal.NewReader(fsys, dir), folded); err != nil {
+		t.Fatalf("FoldWAL: %v", err)
+	}
+	replayed := &completionsRecorder{Aggregator: analytics.New(0)}
+	m2 := campaign.NewManager(eng, nil, campaign.Options{})
+	t.Cleanup(m2.Close)
+	m2.AttachSink(replayed)
+	if _, err := m2.ReplayWAL(context.Background(), wal.NewReader(fsys, dir)); err != nil {
+		t.Fatalf("ReplayWAL: %v", err)
+	}
+	if len(live.seen) != len(observes) || !slices.Equal(live.seen, folded.seen) || !slices.Equal(live.seen, replayed.seen) {
+		t.Fatalf("fleet, deadline and multi completions after each observe: live %v, FoldWAL %v, ReplayWAL %v",
+			live.seen, folded.seen, replayed.seen)
+	}
+	for i, totals := range live.seen {
+		for j, n := range totals {
+			if n < 0 || i > 0 && n < live.seen[i-1][j] {
+				t.Fatalf("completions after each observe (fleet, deadline, multi) = %v: total %d went negative or down", live.seen, j)
+			}
+		}
 	}
 }
 

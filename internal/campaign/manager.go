@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -461,10 +462,15 @@ func (m *Manager) observeCampaign(tr *telemetry.Trace, c *campaign, arrivals flo
 }
 
 // sumCompleted collapses a per-type completion vector for the event
-// stream (nil means no completions).
+// stream (nil means no completions). The counts are non-negative, and the
+// sum saturates at math.MaxInt, as the arrivals sums saturate, so huge
+// counts cannot wrap it negative.
 func sumCompleted(completed []int) int {
 	total := 0
 	for _, n := range completed {
+		if n > math.MaxInt-total {
+			return math.MaxInt
+		}
 		total += n
 	}
 	return total

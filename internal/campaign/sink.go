@@ -16,8 +16,8 @@ type EventSink interface {
 	// campaign a WAL records, when ReplayWAL or FoldWAL reads it).
 	CampaignCreated(kind string, adaptive bool)
 	// CampaignObserved fires per applied observe: the interval's arrivals,
-	// the summed completions, and the zero-based index of the interval
-	// just observed.
+	// the summed completions (saturated at math.MaxInt), and the
+	// zero-based index of the interval just observed.
 	CampaignObserved(kind string, adaptive bool, arrivals float64, completed int, interval int)
 	// CampaignQuoted fires per served quote with the headline price.
 	CampaignQuoted(kind string, adaptive bool, price int)

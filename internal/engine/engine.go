@@ -44,8 +44,8 @@ var ErrQueueFull = errors.New("engine: solve queue is full, retry later")
 // ErrClosed is returned by Solve after Close.
 var ErrClosed = errors.New("engine: closed")
 
-// InvalidSpecError marks specs rejected before any solver ran — validation
-// and fingerprinting failures, which are the requester's fault.
+// InvalidSpecError marks specs rejected before any solver ran — the
+// Fingerprint check failed, which is the requester's fault.
 type InvalidSpecError struct{ Err error }
 
 func (e *InvalidSpecError) Error() string { return e.Err.Error() }
@@ -188,9 +188,6 @@ func (e *Engine) SolveBatch(ctx context.Context, spec Spec) (*Result, error) {
 }
 
 func (e *Engine) solve(ctx context.Context, spec Spec, lane chan *call) (*Result, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, &InvalidSpecError{err}
-	}
 	key, err := spec.Fingerprint()
 	if err != nil {
 		return nil, &InvalidSpecError{err}

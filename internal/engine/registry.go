@@ -26,12 +26,16 @@ type Spec interface {
 	// Kind is the registry name of the problem type ("deadline", "multi", …).
 	Kind() string
 	// Validate reports whether the instance is well formed and within
-	// service limits; invalid specs are rejected before any solver work.
+	// service limits, as Fingerprint does. The engine never calls it; it
+	// stays only because perfbench's traced spec forwards it, and goes
+	// together with that forwarder.
 	Validate() error
 	// Fingerprint returns the canonical cache key: the solver variant plus a
 	// stable content hash of every parameter that influences the solved
 	// artifact. Equal problems must map to equal fingerprints across
-	// processes and runs. Fingerprinting an invalid spec is an error.
+	// processes and runs. It is the one check of a spec: fingerprinting
+	// an instance that is malformed or outside the service limits is an
+	// error, and the engine rejects it before any solver work.
 	Fingerprint() (string, error)
 	// Solve computes the serialized artifact. It runs on an engine worker
 	// goroutine; implementations may ignore ctx if their solvers are not

@@ -6,7 +6,10 @@ import (
 	"encoding/json"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -414,6 +417,72 @@ func TestFlexCounts(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzObserveBody posts arbitrary bodies to the observe route of one live
+// two-type multi campaign, through the server's handler, on one server
+// per process; no input solves anything. Every reply is a 200 or a 400. A
+// 400 leaves the campaign's interval and remaining counts as they were, a
+// 200 advances the interval by exactly one, and the fleet and cohort
+// completion totals never go down. The first two seeds' completion sums
+// overflow an int on amd64 and on 386 respectively, which totals that
+// did not saturate would read as negative.
+func FuzzObserveBody(f *testing.F) {
+	s := New(Options{})
+	f.Cleanup(s.Close)
+	def, _ := kinds.Default().Lookup(kinds.KindMulti)
+	req, err := json.Marshal(def.Sample(1, "small"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	created, err := s.campaigns.Create(context.Background(), kinds.KindMulti, req, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, body := range []string{
+		`{"arrivals":1,"completed":[9223372036854775807,9223372036854775807]}`,
+		`{"arrivals":1,"completed":[2147483647,2147483647]}`,
+		`{"arrivals":3,"completed":2}`,
+		`{"arrivals":3,"completed":[1,2]}`,
+		`{"arrivals":3,"completed":null}`,
+		`null`,
+		`{"arrivals":3,"completed":[1,2,3]}`,
+		`{"arrivals":` + strconv.Itoa(kinds.MaxArrivals+1) + `,"completed":[1,1]}`,
+	} {
+		f.Add([]byte(body))
+	}
+	// view reads the campaign's state and the fleet and cohort completions.
+	view := func(t *testing.T) (*CampaignState, int64, int64) {
+		t.Helper()
+		st, err := s.campaigns.State(created.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := s.analytics.Snapshot()
+		return st, a.Completions, a.Cohorts[kinds.KindMulti].Completions
+	}
+	route := "/v1/campaigns/" + created.ID + "/observe"
+	f.Fuzz(func(t *testing.T, body []byte) {
+		before, fleet, cohort := view(t)
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, route, bytes.NewReader(body)))
+		after, fleetAfter, cohortAfter := view(t)
+		switch rec.Code {
+		case http.StatusOK:
+			if after.Interval != before.Interval+1 {
+				t.Fatalf("body %q: 200 moved the interval %d → %d", body, before.Interval, after.Interval)
+			}
+		case http.StatusBadRequest:
+			if after.Interval != before.Interval || !slices.Equal(after.Remaining, before.Remaining) {
+				t.Fatalf("body %q: 400 moved the campaign from %+v to %+v", body, before, after)
+			}
+		default:
+			t.Fatalf("body %q: status %d, body %s", body, rec.Code, rec.Body)
+		}
+		if fleetAfter < fleet || cohortAfter < cohort {
+			t.Fatalf("body %q: completions went down: fleet %d → %d, cohort %d → %d", body, fleet, fleetAfter, cohort, cohortAfter)
+		}
+	})
 }
 
 // TestCampaignMetrics checks the campaign gauges/counters surface on
